@@ -55,6 +55,8 @@ def select_rank(norms, epsilon: float, alpha: float) -> int:
     vals = np.asarray(norms, dtype=float)
     if vals.ndim != 1:
         raise ValueError("norms must be one dimensional")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("norms must be finite")
     if np.any(vals < 0.0):
         raise ValueError("norms must be nonnegative")
     if np.any(np.diff(vals) > 0.0):

@@ -8,37 +8,26 @@ failed its check.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
 import click
 
-from .experiments import ExperimentConfig, run
+from .experiments import ExperimentConfig, parse_exponent, run
 
 
-def _parse_float(value: str) -> float:
-    if value.strip().lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(value)
+def _list_of(parse):
+    """Click callback reading a comma separated list with `parse`."""
 
+    def callback(_ctx, _param, value):
+        if value is None:
+            return None
+        try:
+            return tuple(parse(x) for x in value.split(","))
+        except ValueError as exc:
+            raise click.BadParameter(str(exc))
 
-def _parse_float_list(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return tuple(_parse_float(x) for x in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
-
-
-def _parse_int_list(_ctx, _param, value):
-    if value is None:
-        return None
-    try:
-        return tuple(int(x) for x in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    return callback
 
 
 _COMMON = [
@@ -48,8 +37,8 @@ _COMMON = [
     click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout."),
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Report format."),
     click.option("--tolerance", type=float, default=None, help="Override the subcommand's default tolerance."),
-    click.option("--dims", callback=_parse_int_list, default=None, help="Comma separated dimensions, e.g. 4,8,16."),
-    click.option("--p", "p_list", callback=_parse_float_list, default=None, help="Comma separated exponents, inf allowed, e.g. 1,2,inf."),
+    click.option("--dims", callback=_list_of(int), default=None, help="Comma separated dimensions, e.g. 4,8,16."),
+    click.option("--p", "p_list", callback=_list_of(parse_exponent), default=None, help="Comma separated exponents, inf allowed, e.g. 1,2,inf."),
     click.option("--s", "s_value", type=float, default=None, help="Summability exponent."),
 ]
 
@@ -108,8 +97,8 @@ def main():
 @main.command()
 @_with_common
 @click.option("--length", type=click.IntRange(min=1), default=None, help="Max sequence length per draw.")
-@click.option("--a", "a_values", callback=_parse_float_list, default=None, help="Fixed left sequence, comma separated.")
-@click.option("--b", "b_values", callback=_parse_float_list, default=None, help="Fixed right sequence, comma separated.")
+@click.option("--a", "a_values", callback=_list_of(parse_exponent), default=None, help="Fixed left sequence, comma separated.")
+@click.option("--b", "b_values", callback=_list_of(parse_exponent), default=None, help="Fixed right sequence, comma separated.")
 def holder(config_path, seed, trials, out_path, fmt, tolerance, dims, p_list, s_value, length, a_values, b_values):
     """Product bound against l_1, with sharpness witnesses."""
     _execute("holder", config_path, fmt, out_path, {
@@ -122,7 +111,7 @@ def holder(config_path, seed, trials, out_path, fmt, tolerance, dims, p_list, s_
 @main.command()
 @_with_common
 @click.option("--r", "r_value", type=float, default=None, help="Lorentz index r.")
-@click.option("--w", "w_value", callback=lambda c, p, v: _parse_float(v) if v is not None else None, default=None, help="Lorentz index w, inf allowed.")
+@click.option("--w", "w_value", callback=lambda c, p, v: parse_exponent(v) if v is not None else None, default=None, help="Lorentz index w, inf allowed.")
 @click.option("--length", type=click.IntRange(min=1), default=None, help="Sequence length per draw.")
 def lorentz(config_path, seed, trials, out_path, fmt, tolerance, dims, p_list, s_value, r_value, w_value, length):
     """Lorentz quasi-norm sanity checks on random sequences."""

@@ -1,17 +1,14 @@
 """Seeded experiment runners behind the command line interface.
 
 Each subcommand draws its inputs from a counter-based generator seeded
-per trial, so reports are reproducible for a fixed config and seed and
-independent of how many worker threads merge the trials.
+per trial, so reports are reproducible for a fixed config and seed.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
@@ -40,7 +37,6 @@ from .spectral import (
 
 __all__ = ["ExperimentConfig", "RunReport", "run", "SUBCOMMANDS"]
 
-THREADS_ENV = "NUCLEATRACE_THREADS"
 RNG_NAME = "pcg64"
 RNG_CONTRACT_VERSION = 1
 
@@ -48,11 +44,10 @@ _HOLDER_S_GRID = (0.5, 2.0 / 3.0, 0.9, 1.0)
 _ORACLE_CROSS_CHECK_DIM = 6
 
 
-def _parse_exponent(x) -> float:
-    if isinstance(x, str):
-        if x.strip().lower() in ("inf", "infinity", "oo"):
-            return math.inf
-        return float(x)
+def parse_exponent(x) -> float:
+    """A number, or a string naming one; "inf", "infinity" and "oo" mean inf."""
+    if isinstance(x, str) and x.strip().lower() in ("inf", "infinity", "oo"):
+        return math.inf
     return float(x)
 
 
@@ -109,10 +104,12 @@ class ExperimentConfig:
         if "dims" in clean:
             clean["dims"] = tuple(int(n) for n in clean["dims"])
         if "p" in clean:
-            clean["p"] = tuple(_parse_exponent(x) for x in clean["p"])
+            clean["p"] = tuple(parse_exponent(x) for x in clean["p"])
+        if clean.get("w") is not None:
+            clean["w"] = parse_exponent(clean["w"])
         for key in ("a", "b"):
             if clean.get(key) is not None:
-                clean[key] = tuple(float(x) for x in clean[key])
+                clean[key] = tuple(parse_exponent(x) for x in clean[key])
         return cls(**clean)
 
     def to_dict(self) -> dict:
@@ -450,39 +447,19 @@ SUBCOMMANDS = tuple(sorted(_RUNNERS))
 _SINGLE_TRIAL = frozenset({"eigen-type"})
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
 def run(config: ExperimentConfig) -> RunReport:
     """Execute all trials of a subcommand and assemble the report.
 
     Trials are independent: trial t draws from a pcg64 generator seeded
     with SeedSequence([seed, t]), so the report body is byte-identical
-    across repeat runs and across thread counts.
+    across repeat runs.
     """
     runner = _RUNNERS[config.subcommand]
     trials = 1 if config.subcommand in _SINGLE_TRIAL else config.trials
     start = time.perf_counter()
-
-    def one(t: int) -> tuple[int, list[dict]]:
-        return t, runner(config, t, _trial_rng(config.seed, t))
-
-    workers = _thread_count()
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, range(trials)))
-    else:
-        chunks = [one(t) for t in range(trials)]
-    chunks.sort(key=lambda item: item[0])
-    records: list[dict] = []
-    for _, recs in chunks:
-        records.extend(recs)
+    records = [
+        rec for t in range(trials) for rec in runner(config, t, _trial_rng(config.seed, t))
+    ]
 
     pass_count = sum(1 for r in records if r.get("pass"))
     fail_count = len(records) - pass_count

@@ -21,8 +21,8 @@ from .spaces import (
     OperatorMatrix,
     Vector,
     dual_exponent,
+    lp_norm,
     operator_norm,
-    vector_norm,
 )
 
 __all__ = [
@@ -105,41 +105,38 @@ class NuclearIndex:
 class Representation:
     """Sorted rank-one expansion sum_k lambda_k <x'_k, .> x_k.
 
-    Construction sorts atoms by non-increasing coefficient (stable) and
-    drops zero coefficients.  Functionals live in the dual of the domain,
-    vectors in the codomain.  The spaces are stored explicitly so an
-    empty representation still knows where it acts.
+    Atom k is row k of F (its functional, in the dual of the domain) and
+    row k of X (its vector, in the codomain).  Construction sorts atoms by
+    non-increasing coefficient (stable) and drops zero coefficients.  The
+    spaces are stored explicitly so an empty representation still knows
+    where it acts.
     """
 
     coefficients: np.ndarray
-    functionals: tuple[Vector, ...]
-    vectors: tuple[Vector, ...]
+    F: np.ndarray
+    X: np.ndarray
     domain: AmbientSpace
     codomain: AmbientSpace
 
     def __post_init__(self):
         lam = np.asarray(self.coefficients, dtype=float)
+        F = np.asarray(self.F, dtype=float)
+        X = np.asarray(self.X, dtype=float)
         if lam.ndim != 1:
             raise ValueError("coefficients must be one dimensional")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
             raise ValueError("coefficients must be finite and nonnegative")
-        fns = tuple(self.functionals)
-        vecs = tuple(self.vectors)
-        if len(fns) != lam.size or len(vecs) != lam.size:
-            raise ValueError("atom count mismatch")
-        dual = self.domain.dual()
-        for f in fns:
-            if f.home != dual:
-                raise ValueError("functionals must live in the dual of the domain")
-        for x in vecs:
-            if x.home != self.codomain:
-                raise ValueError("vectors must live in the codomain")
+        m = lam.size
+        if F.shape != (m, self.domain.dim) or X.shape != (m, self.codomain.dim):
+            raise ValueError("F must be atoms x domain dim, X atoms x codomain dim")
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(X))):
+            raise ValueError("atoms must be finite")
         keep = lam > 0.0
         order = np.argsort(-lam[keep], kind="stable")
         idx = np.flatnonzero(keep)[order]
         object.__setattr__(self, "coefficients", lam[idx])
-        object.__setattr__(self, "functionals", tuple(fns[i] for i in idx))
-        object.__setattr__(self, "vectors", tuple(vecs[i] for i in idx))
+        object.__setattr__(self, "F", F[idx])
+        object.__setattr__(self, "X", X[idx])
 
     @classmethod
     def from_arrays(
@@ -151,55 +148,49 @@ class Representation:
         codomain: AmbientSpace,
     ) -> "Representation":
         """Rows of `functionals` and rows of `vectors` are the atoms."""
-        lam = np.asarray(coefficients, dtype=float)
-        F = np.asarray(functionals, dtype=float)
-        X = np.asarray(vectors, dtype=float)
-        if F.ndim != 2 or X.ndim != 2:
-            raise ValueError("expected 2-d atom arrays")
-        dual = domain.dual()
-        return cls(
-            lam,
-            tuple(Vector(F[i], dual) for i in range(F.shape[0])),
-            tuple(Vector(X[i], codomain) for i in range(X.shape[0])),
-            domain,
-            codomain,
-        )
+        return cls(coefficients, functionals, vectors, domain, codomain)
 
     @property
     def atom_count(self) -> int:
         return int(self.coefficients.size)
 
+    @property
+    def functionals(self) -> tuple[Vector, ...]:
+        """The rows of F as Vectors in the dual of the domain, built on request."""
+        dual = self.domain.dual()
+        return tuple(Vector(f, dual) for f in self.F.copy())
+
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The rows of X as Vectors in the codomain, built on request."""
+        return tuple(Vector(x, self.codomain) for x in self.X.copy())
+
     def functional_matrix(self) -> np.ndarray:
-        if not self.functionals:
-            return np.zeros((0, self.domain.dim))
-        return np.stack([f.coords for f in self.functionals])
+        """A copy of F."""
+        return self.F.copy()
 
     def vector_matrix(self) -> np.ndarray:
-        if not self.vectors:
-            return np.zeros((0, self.codomain.dim))
-        return np.stack([x.coords for x in self.vectors])
+        """A copy of X."""
+        return self.X.copy()
+
+    def _functional_norms(self) -> np.ndarray:
+        """|x'_k| in the dual of the domain, one per atom."""
+        return lp_norm(self.F, dual_exponent(self.domain.exponent), axis=1)
+
+    def _vector_norms(self) -> np.ndarray:
+        """|x_k| in the codomain, one per atom."""
+        return lp_norm(self.X, self.codomain.exponent, axis=1)
 
     def magnitudes(self) -> FiniteSequence:
         """The sequence lambda_k |x'_k| |x_k| driving every quasi-norm."""
-        vals = np.array(
-            [
-                lam * vector_norm(f) * vector_norm(x)
-                for lam, f, x in zip(
-                    self.coefficients, self.functionals, self.vectors
-                )
-            ]
+        return FiniteSequence(
+            self.coefficients * self._functional_norms() * self._vector_norms()
         )
-        if vals.size == 0:
-            vals = np.zeros(0)
-        return FiniteSequence(vals)
 
 
 def induced_matrix(z: Representation) -> OperatorMatrix:
     """Dense matrix of the representation as a map domain -> codomain."""
-    if z.atom_count == 0:
-        entries = np.zeros((z.codomain.dim, z.domain.dim))
-    else:
-        entries = (z.vector_matrix().T * z.coefficients) @ z.functional_matrix()
+    entries = (z.X.T * z.coefficients) @ z.F
     return OperatorMatrix(entries, z.domain, z.codomain)
 
 
@@ -207,10 +198,15 @@ def nuclear_trace(z: Representation) -> float:
     """sum_k lambda_k <x'_k, x_k> for an endomorphism representation."""
     if z.domain.dim != z.codomain.dim:
         raise ValueError("trace requires equal domain and codomain dimension")
-    if z.atom_count == 0:
-        return 0.0
-    pairings = np.einsum("ij,ij->i", z.functional_matrix(), z.vector_matrix())
-    return float(np.sum(z.coefficients * pairings))
+    return float(np.sum(z.coefficients * np.einsum("ij,ij->i", z.F, z.X)))
+
+
+def _split(z: Representation, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights lambda_k**s |x'_k| and the rows lambda_k**(1-s) x_k."""
+    if not (0.0 < s <= 1.0):
+        raise ValueError("s must lie in (0, 1]")
+    lam = z.coefficients
+    return lam ** s * z._functional_norms(), (lam ** (1.0 - s))[:, None] * z.X
 
 
 def split_representation(
@@ -222,67 +218,49 @@ def split_representation(
     reassembles the representation; callers use the weight sequence as
     the l_1 side of factorizations.
     """
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
-    lam = z.coefficients
-    weights = np.array(
-        [l ** s * vector_norm(f) for l, f in zip(lam, z.functionals)]
-    )
-    if weights.size == 0:
-        weights = np.zeros(0)
-    scaled = tuple(
-        Vector(l ** (1.0 - s) * x.coords, x.home)
-        for l, x in zip(lam, z.vectors)
-    )
-    return FiniteSequence(weights), scaled
+    weights, scaled = _split(z, s)
+    return FiniteSequence(weights), tuple(Vector(x, z.codomain) for x in scaled)
 
 
-def _lr_norm(vals: np.ndarray, r: float) -> float:
-    if vals.size == 0:
-        return 0.0
-    if math.isinf(r):
-        return float(np.max(np.abs(vals)))
-    return float(np.sum(np.abs(vals) ** r) ** (1.0 / r))
-
-
-def weak_norm_bracket(vectors, p_prime: float) -> NormBracket:
+def weak_norm_bracket(
+    vectors, p_prime: float, home: AmbientSpace | None = None
+) -> NormBracket:
     """Bracket for the weak l_{p'} norm of a finite vector system.
 
+    The system is a sequence of Vectors sharing one home space or, when
+    `home` is given, the rows of a 2-d array of coordinates in `home`.
     The value is sup over unit functionals y' of the l_{p'} norm of the
     pairing sequence (<y', y_i>)_i, equivalently the operator norm of the
     pairing map from the dual of the vectors' home into l_{p'}^m.  Exact
     in the home spaces l_2 (with p' = 2), l_inf, and small l_1 systems;
     otherwise the attained ascent value and the best cheap upper bound.
     """
-    vecs = tuple(vectors)
-    if len(vecs) == 0:
-        raise ValueError("weak norm needs at least one vector")
-    if not (p_prime >= 1.0):
-        raise ValueError("p' must satisfy p' >= 1")
-    home = vecs[0].home
-    for v in vecs:
-        if v.home != home:
+    if home is None:
+        vecs = tuple(vectors)
+        home = vecs[0].home if vecs else None
+        if any(v.home != home for v in vecs):
             raise ValueError("vectors must share one home space")
-    if len(vecs) == 1:
-        nv = vector_norm(vecs[0])
-        return NormBracket(nv, nv)
-    Y = np.stack([v.coords for v in vecs])  # rows are the vectors
+        vectors = [v.coords for v in vecs]
+    Y = np.asarray(vectors, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] == 0:
+        raise ValueError("weak norm needs at least one vector, one per row")
+    # rows are the vectors; the constructors check shape, finiteness and p' >= 1
     pairing = OperatorMatrix(
         Y,
         AmbientSpace(home.dim, dual_exponent(home.exponent)),
-        AmbientSpace(len(vecs), p_prime),
+        AmbientSpace(Y.shape[0], p_prime),
     )
+    if Y.shape[0] == 1:
+        nv = lp_norm(Y[0], home.exponent)
+        return NormBracket(nv, nv)
     lo, hi = operator_norm(pairing)
-    crude = _lr_norm(np.array([vector_norm(v) for v in vecs]), p_prime)
-    hi = min(hi, crude)
-    if lo > hi:
-        lo = hi
-    return NormBracket(lo, hi)
+    hi = min(hi, lp_norm(lp_norm(Y, home.exponent, axis=1), p_prime))
+    return NormBracket(min(lo, hi), hi)
 
 
-def weak_norm(vectors, p_prime: float) -> float:
+def weak_norm(vectors, p_prime: float, home: AmbientSpace | None = None) -> float:
     """Weak l_{p'} norm; exact when the bracket is tight, else attained lower."""
-    lo, hi = weak_norm_bracket(vectors, p_prime)
+    lo, hi = weak_norm_bracket(vectors, p_prime, home)
     return hi if hi - lo <= 1e-12 * max(1.0, hi) else lo
 
 
@@ -293,23 +271,18 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float:
     BRACKET_LOWER multiplies the l_r mass of (lambda_k x'_k) by the weak
     p'-norm of the vector system; BRACKET_UPPER swaps the roles.
     """
-    mags = z.magnitudes().values
     if index.variant == S_VARIANT:
-        return _lr_norm(mags, index.s)
+        return lp_norm(z.magnitudes().values, index.s)
     if index.variant == LORENTZ_VARIANT:
-        return lorentz_quasi_norm(mags, LorentzIndex(index.r, index.w))
+        return lorentz_quasi_norm(z.magnitudes(), LorentzIndex(index.r, index.w))
     if z.atom_count == 0:
         return 0.0
     p_prime = dual_exponent(index.p)
     if index.variant == BRACKET_LOWER:
-        side = np.array(
-            [l * vector_norm(f) for l, f in zip(z.coefficients, z.functionals)]
-        )
-        return _lr_norm(side, index.r) * weak_norm(z.vectors, p_prime)
-    side = np.array(
-        [l * vector_norm(x) for l, x in zip(z.coefficients, z.vectors)]
-    )
-    return _lr_norm(side, index.r) * weak_norm(z.functionals, p_prime)
+        side = z.coefficients * z._functional_norms()
+        return lp_norm(side, index.r) * weak_norm(z.X, p_prime, z.codomain)
+    side = z.coefficients * z._vector_norms()
+    return lp_norm(side, index.r) * weak_norm(z.F, p_prime, z.domain.dual())
 
 
 def build_from_factorization(
@@ -358,28 +331,15 @@ def trace_perturbation_bound(
     if R.domain.dim != z.codomain.dim or R.codomain.dim != z.codomain.dim:
         raise ValueError("perturbation must be an endomorphism of the codomain")
     tr = nuclear_trace(z)
-    if z.atom_count == 0:
-        return 0.0, 0.0
-    F = z.functional_matrix()
-    X = z.vector_matrix()
-    moved = X @ R.entries.T
+    moved = z.X @ R.entries.T
     tr_perturbed = float(
-        np.sum(z.coefficients * np.einsum("ij,ij->i", F, moved))
+        np.sum(z.coefficients * np.einsum("ij,ij->i", z.F, moved))
     )
     defect = abs(tr - tr_perturbed)
-    weights, scaled = split_representation(z, s)
-    p_out = z.codomain.exponent
-    worst = 0.0
-    for v in scaled:
-        resid = v.coords - R.entries @ v.coords
-        worst = max(worst, _p_vec_norm(resid, p_out))
-    return defect, float(np.sum(weights.values)) * worst
-
-
-def _p_vec_norm(arr: np.ndarray, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p)) if arr.size else 0.0
+    weights, scaled = _split(z, s)
+    resid = scaled - scaled @ R.entries.T
+    worst = float(np.max(lp_norm(resid, z.codomain.exponent, axis=1), initial=0.0))
+    return defect, float(np.sum(weights)) * worst
 
 
 def rebalance(z: Representation) -> Representation:
@@ -390,21 +350,14 @@ def rebalance(z: Representation) -> Representation:
     induced matrix is unchanged up to rounding and every magnitude-based
     quasi-norm is invariant.
     """
-    lam = []
-    fns = []
-    vecs = []
-    for l, f, x in zip(z.coefficients, z.functionals, z.vectors):
-        nf = vector_norm(f)
-        nx = vector_norm(x)
-        if nf == 0.0 or nx == 0.0:
-            continue
-        lam.append(l * nf * nx)
-        fns.append(Vector(f.coords / nf, f.home))
-        vecs.append(Vector(x.coords / nx, x.home))
+    nf = z._functional_norms()
+    nx = z._vector_norms()
+    keep = (nf > 0.0) & (nx > 0.0)
+    nf, nx = nf[keep], nx[keep]
     return Representation(
-        np.array(lam) if lam else np.zeros(0),
-        tuple(fns),
-        tuple(vecs),
+        z.coefficients[keep] * nf * nx,
+        z.F[keep] / nf[:, None],
+        z.X[keep] / nx[:, None],
         z.domain,
         z.codomain,
     )
@@ -432,16 +385,12 @@ def improve_representation(
         changed = False
         for i in range(current.atom_count):
             for c in grid:
-                fns = list(current.functionals)
-                vecs = list(current.vectors)
-                fns[i] = Vector(fns[i].coords * c, fns[i].home)
-                vecs[i] = Vector(vecs[i].coords / c, vecs[i].home)
+                F = current.F.copy()
+                X = current.X.copy()
+                F[i] *= c
+                X[i] /= c
                 cand = Representation(
-                    current.coefficients.copy(),
-                    tuple(fns),
-                    tuple(vecs),
-                    current.domain,
-                    current.codomain,
+                    current.coefficients, F, X, current.domain, current.codomain
                 )
                 val = quasi_norm(cand, index)
                 if val < best_val:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spaces import lp_norm
 from .tolerances import slack
 
 __all__ = [
@@ -147,25 +148,10 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
     float
     """
     star = _rearranged(as_values(a))
-    if star.size == 0 or star[0] == 0.0:
-        return 0.0
     k = np.arange(1, star.size + 1, dtype=float)
-    if math.isinf(index.q):
-        if math.isinf(index.p):
-            return float(star[0])
-        return float(np.max(k ** (1.0 / index.p) * star))
-    exponent = 1.0 / index.p - 1.0 / index.q
-    terms = k ** exponent * star
-    # trailing zeros contribute nothing even for q < 1
-    return float(np.sum(terms ** index.q) ** (1.0 / index.q))
-
-
-def _lp_norm(arr: np.ndarray, p: float) -> float:
-    if arr.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.max(np.abs(arr)))
-    return float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
+    inv_p = 0.0 if math.isinf(index.p) else 1.0 / index.p
+    inv_q = 0.0 if math.isinf(index.q) else 1.0 / index.q
+    return lp_norm(k ** (inv_p - inv_q) * star, index.q)
 
 
 def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
@@ -193,9 +179,9 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
     bv = as_values(b)
     m = min(av.size, bv.size)
     prod = np.abs(av[:m] * bv[:m])
-    lhs = _lp_norm(prod, s)
+    lhs = lp_norm(prod, s)
     q = math.inf if s == 1.0 else s / (1.0 - s)
-    rhs = _lp_norm(av, 1.0) * _lp_norm(bv, q)
+    rhs = lp_norm(av, 1.0) * lp_norm(bv, q)
     return lhs, rhs, bool(lhs <= rhs + slack(rhs))
 
 
@@ -372,6 +358,8 @@ def factor_l1_lorentz(
     dv = as_values(d)
     if dv.size == 0:
         raise ValueError("empty input")
+    if not np.all(np.isfinite(dv)):
+        raise ValueError("input must be finite")
     if np.any(dv < 0.0):
         raise ValueError("input must be nonnegative")
     if np.any(np.diff(dv) > 0.0):

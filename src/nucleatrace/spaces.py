@@ -20,6 +20,7 @@ __all__ = [
     "Vector",
     "OperatorMatrix",
     "NormBracket",
+    "lp_norm",
     "vector_norm",
     "dual_exponent",
     "operator_norm",
@@ -76,26 +77,37 @@ class Vector:
         return vector_norm(self)
 
 
-def _p_norm(arr: np.ndarray, p: float) -> float:
-    if arr.size == 0:
-        return 0.0
-    a = np.abs(arr)
+# floor of the scaling divisor, so an all-zero slice gives 0 rather than 0/0
+_TINY = np.finfo(float).tiny
+
+
+def lp_norm(arr, p: float, axis: int | None = None):
+    """l_p norm of an array, or one norm per slice along ``axis``.
+
+    p lies in (0, inf]; below 1 the value is the l_p quasi-norm.  Except
+    for p = 1 and p = inf the largest entry is scaled out before powering,
+    so entries near the overflow or underflow threshold give a finite,
+    accurate result.  Empty input has norm 0.  Without an axis the result
+    is a float, with one it is an array of per-slice norms.
+    """
+    if not (p > 0.0):
+        raise ValueError("exponent must satisfy p > 0")
+    a = np.abs(np.asarray(arr, dtype=float))
     if math.isinf(p):
-        return float(np.max(a))
-    if p == 1.0:
-        return float(np.sum(a))
-    if p == 2.0:
-        return float(np.linalg.norm(arr))
-    m = float(np.max(a))
-    if m == 0.0:
-        return 0.0
-    # scale out the max to dodge overflow for large p
-    return float(m * np.sum((a / m) ** p) ** (1.0 / p))
+        out = a.max(axis=axis, initial=0.0)
+    elif p == 1.0:
+        out = a.sum(axis=axis)
+    else:
+        m = a.max(axis=axis, initial=_TINY)
+        scaled = a / (m if axis is None else np.expand_dims(m, axis))
+        # np.power, not **: a scalar ** can round the root differently from an array's
+        out = m * np.power(np.sum(scaled ** p, axis=axis), 1.0 / p)
+    return float(out) if axis is None else out
 
 
 def vector_norm(v: Vector) -> float:
     """l_p norm of a vector in its home space."""
-    return _p_norm(v.coords, v.home.exponent)
+    return lp_norm(v.coords, v.home.exponent)
 
 
 def dual_exponent(p: float) -> float:
@@ -173,7 +185,7 @@ def _dual_map(z: np.ndarray, p: float) -> np.ndarray:
         out[0] = 1.0
         return out
     y = np.sign(z) * (a / m) ** (dual_exponent(p) - 1.0)
-    return y / _p_norm(y, p)
+    return y / lp_norm(y, p)
 
 
 def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> float:
@@ -193,19 +205,19 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> float:
         starts.append(rng.standard_normal(n_in))
     best = 0.0
     for x0 in starts:
-        nx = _p_norm(x0, p_in)
+        nx = lp_norm(x0, p_in)
         if nx == 0.0:
             continue
         x = x0 / nx
         for _ in range(_ASCENT_ITERS):
             y = A @ x
-            val = _p_norm(y, p_out) / _p_norm(x, p_in)
+            val = lp_norm(y, p_out) / lp_norm(x, p_in)
             if val > best:
                 best = val
             if val == 0.0:
                 break
             g = A.T @ _dual_map(y, q_dual)
-            if _p_norm(g, dual_exponent(p_in)) == 0.0:
+            if lp_norm(g, dual_exponent(p_in)) == 0.0:
                 break
             x_new = _dual_map(g, p_in)
             if np.allclose(x_new, x, rtol=0.0, atol=1e-15):
@@ -213,7 +225,7 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> float:
                 break
             x = x_new
         y = A @ x
-        val = _p_norm(y, p_out) / _p_norm(x, p_in)
+        val = lp_norm(y, p_out) / lp_norm(x, p_in)
         if val > best:
             best = val
     return best
@@ -223,11 +235,11 @@ def _exact_norm(A: np.ndarray, p_in: float, p_out: float) -> float | None:
     """Closed-form operator norm where one is known, else None."""
     n_out, n_in = A.shape
     if p_in == 1.0:
-        return max(_p_norm(A[:, j], p_out) for j in range(n_in))
+        return float(np.max(lp_norm(A, p_out, axis=0)))
     if p_in == 2.0 and p_out == 2.0:
         return float(np.linalg.norm(A, 2))
     if math.isinf(p_in) and math.isinf(p_out):
-        return float(np.max(np.sum(np.abs(A), axis=1)))
+        return float(np.max(lp_norm(A, 1.0, axis=1)))
     if math.isinf(p_in) and n_in <= _SIGN_ENUM_LIMIT:
         # sign vertices of the unit cube, first coordinate pinned by symmetry
         best = 0.0
@@ -236,7 +248,7 @@ def _exact_norm(A: np.ndarray, p_in: float, p_out: float) -> float | None:
             for j in range(n_in - 1):
                 if (mask >> j) & 1:
                     signs[j + 1] = -1.0
-            best = max(best, _p_norm(A @ signs, p_out))
+            best = max(best, lp_norm(A @ signs, p_out))
         return best
     return None
 

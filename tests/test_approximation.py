@@ -52,6 +52,11 @@ class TestSelectRank:
     def test_no_cutoff_in_list(self):
         assert select_rank([1.0, 1.0, 1.0], 0.1, 0.0) == 4
 
+    def test_rejects_nan(self):
+        for norms in ([math.nan], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                select_rank(norms, 0.1, 0.5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             select_rank([1.0], 0.0, 0.5)

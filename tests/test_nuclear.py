@@ -91,17 +91,40 @@ class TestRepresentation:
         np.testing.assert_array_equal(induced_matrix(z).entries, np.zeros((2, 2)))
         assert nuclear_trace(z) == 0.0
 
-    def test_home_space_validation(self):
+    def test_atom_shape_validation(self):
+        sp_in, sp_out = L2(2), L2(3)
+        good_f, good_x = np.ones((2, 2)), np.ones((2, 3))
+        for F, X in (
+            (np.ones((2, 3)), good_x),  # functionals sized for the codomain
+            (good_f, np.ones((2, 2))),  # vectors sized for the domain
+            (np.ones((1, 2)), good_x),  # fewer functionals than coefficients
+            (good_f, np.ones(6)),  # flat vector array
+        ):
+            with pytest.raises(ValueError):
+                Representation([1.0, 0.5], F, X, sp_in, sp_out)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_atoms_rejected(self, bad):
         sp = L2(2)
-        wrong = AmbientSpace(2, 3.0)
         with pytest.raises(ValueError):
-            Representation(
-                np.array([1.0]),
-                (Vector([1.0, 0.0], wrong),),
-                (Vector([1.0, 0.0], sp),),
-                sp,
-                sp,
-            )
+            Representation.from_arrays([1.0], [[bad, 0.0]], [[1.0, 0.0]], sp, sp)
+        with pytest.raises(ValueError):
+            Representation.from_arrays([1.0], [[1.0, 0.0]], [[0.0, bad]], sp, sp)
+        with pytest.raises(ValueError):
+            Representation.from_arrays([bad], [[1.0, 0.0]], [[1.0, 0.0]], sp, sp)
+
+    def test_row_wise_norms_match_per_atom_loop(self):
+        rng = np.random.default_rng(17)
+        for p in (1.0, 1.5, 2.0, 4.0, math.inf):
+            z = random_rep(rng, 5, p, atoms=4)
+            atoms = list(zip(z.coefficients, z.functionals, z.vectors))
+            mags = [l * f.norm() * x.norm() for l, f, x in atoms]
+            np.testing.assert_allclose(z.magnitudes().values, mags, rtol=1e-15)
+            weights, scaled = split_representation(z, 0.5)
+            expected = [l ** 0.5 * f.norm() for l, f, _ in atoms]
+            np.testing.assert_allclose(weights.values, expected, rtol=1e-15)
+            for l, x, v in zip(z.coefficients, z.vectors, scaled):
+                np.testing.assert_allclose(v.coords, l ** 0.5 * x.coords, rtol=1e-15)
 
     def test_negative_coefficient_rejected(self):
         sp = L2(2)
@@ -209,6 +232,16 @@ class TestQuasiNorm:
         z = Representation.from_arrays([0.0], np.eye(2)[:1], np.eye(2)[:1], sp, sp)
         assert quasi_norm(z, NuclearIndex.absolutely_summable(0.5)) == 0.0
         assert quasi_norm(z, NuclearIndex.bracket_lower(1.0, 2.0)) == 0.0
+
+    def test_s_value_finite_at_extreme_scales(self):
+        # atom norms of 1e-170 and 1e170 overflow or underflow an unscaled l_2 sum
+        sp = L2(2)
+        z = Representation.from_arrays(
+            [1e200, 1e200], 1e-170 * np.eye(2), 1e170 * np.eye(2), sp, sp
+        )
+        val = quasi_norm(z, NuclearIndex.absolutely_summable(2.0 / 3.0))
+        assert math.isfinite(val)
+        assert val == pytest.approx(2.0 ** 1.5 * 1e200, rel=1e-12)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)

@@ -165,6 +165,13 @@ class TestHolderProductBound:
             with pytest.raises(ValueError):
                 holder_product_bound([1.0], [1.0], bad)
 
+    def test_large_entries_do_not_overflow(self):
+        # ||b||_9 powers 1e40 to 1e360 unless the largest entry is scaled out
+        lhs, rhs, holds = holder_product_bound([1e40], [1e40], 0.9)
+        assert math.isfinite(rhs) and holds
+        assert lhs == pytest.approx(1e80, rel=1e-14)
+        assert rhs == pytest.approx(1e80, rel=1e-14)
+
     @given(seqs, seqs, s_values)
     @settings(max_examples=200)
     def test_inequality_always_holds(self, a, b, s):
@@ -282,6 +289,11 @@ class TestFactorization:
             factor_l1_lorentz([1.0, 0.5], 0.5, gamma=-1.0)
         with pytest.raises(ValueError):
             factor_l1_lorentz([1.0, 0.5], 0.5, epsilon=[1.0])  # length
+
+    def test_rejects_nan(self):
+        for d in ([math.nan], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                factor_l1_lorentz(d, 0.5)
 
     def test_gamma_envelope(self):
         k = np.arange(1, 513.0)

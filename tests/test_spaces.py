@@ -10,6 +10,7 @@ from nucleatrace import (
     OperatorMatrix,
     Vector,
     dual_exponent,
+    lp_norm,
     operator_norm,
     projection_onto_span,
     vector_norm,
@@ -45,6 +46,34 @@ class TestVectorNorm:
         vals = [vector_norm(Vector(arr, space(arr.size, p))) for p in P_GRID]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi + 1e-9 * max(1.0, hi)
+
+
+class TestLpNorm:
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("p", [0.5, 1.5, 3.0, math.inf])
+    def test_extreme_scales(self, p, scale):
+        x = np.array([3.0, -1.0, 0.25, 2.0])
+        if math.isinf(p):
+            ref = 3.0
+        else:
+            ref = math.fsum(abs(v) ** p for v in x) ** (1.0 / p)
+        assert lp_norm(scale * x, p) == pytest.approx(scale * ref, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_axis_matches_per_row_calls(self, p):
+        rng = np.random.default_rng(4)
+        Y = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-150, 150, size=(5, 1))
+        Y[2] = 0.0
+        rows = lp_norm(Y, p, axis=1)
+        np.testing.assert_array_equal(rows, [lp_norm(y, p) for y in Y])
+        assert rows[2] == 0.0
+
+    def test_empty_and_invalid(self):
+        assert lp_norm([], 1.5) == 0.0
+        assert lp_norm(np.zeros((0, 3)), 3.0, axis=1).shape == (0,)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                lp_norm([1.0], bad)
 
 
 class TestDualExponent:
