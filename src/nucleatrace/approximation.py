@@ -8,7 +8,6 @@ error over the whole system is guaranteed at most epsilon.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,8 +36,7 @@ def projection_growth_exponent(p: float) -> float:
     """The allowance exponent |1/2 - 1/p| for projections inside l_p."""
     if not (p >= 1.0):
         raise ValueError("p must satisfy p >= 1")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return abs(0.5 - inv_p)
+    return abs(0.5 - 1.0 / p)
 
 
 def select_rank(norms, epsilon: float, alpha: float) -> int:

@@ -51,12 +51,21 @@ def parse_exponent(x) -> float:
     return float(x)
 
 
+def _require_integer(name: str, x) -> None:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs steering one experiment run.
 
     Unused fields are ignored by subcommands that do not read them; the
-    config echo in the report records everything as given.
+    config echo in the report records every field.  ``dims``, ``p``, ``a``
+    and ``b`` must be lists and are stored as tuples, their exponents
+    parsed to floats ("inf" allowed, as for ``w``); ``seed``, ``trials``,
+    ``length``, ``truncation`` and the entries of ``dims`` must be
+    integers.  A wrong type raises ValueError.
     """
 
     subcommand: str
@@ -83,6 +92,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
+        for name in ("seed", "trials", "length", "truncation"):
+            _require_integer(name, getattr(self, name))
+        for name in ("dims", "p", "a", "b"):
+            value = getattr(self, name)
+            if value is None and name in ("a", "b"):
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list")
+            if name == "dims":
+                for n in value:
+                    _require_integer(name, n)
+            else:
+                value = [parse_exponent(x) for x in value]
+            object.__setattr__(self, name, tuple(value))
+        if self.w is not None:
+            object.__setattr__(self, "w", parse_exponent(self.w))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.trials < 1:
@@ -100,17 +125,7 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        clean = dict(data)
-        if "dims" in clean:
-            clean["dims"] = tuple(int(n) for n in clean["dims"])
-        if "p" in clean:
-            clean["p"] = tuple(parse_exponent(x) for x in clean["p"])
-        if clean.get("w") is not None:
-            clean["w"] = parse_exponent(clean["w"])
-        for key in ("a", "b"):
-            if clean.get(key) is not None:
-                clean[key] = tuple(parse_exponent(x) for x in clean[key])
-        return cls(**clean)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         out = {}

@@ -42,6 +42,14 @@ def as_values(a) -> np.ndarray:
     return arr
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    # callers run this only once a result came out non-finite, to tell
+    # non-finite input (an error) from overflow of finite input (inf)
+    for arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("sequence entries must be finite")
+
+
 @dataclass(frozen=True)
 class FiniteSequence:
     """A finite real sequence, zero beyond its stored length."""
@@ -137,6 +145,7 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
     stored length, where a* is the decreasing rearrangement.  For q = inf
     it is sup_k k**(1/p) a*_k (plain sup norm when p = inf).  The zero
     sequence returns 0.0, and l_{p,p} agrees with the plain l_p norm.
+    NaN or infinite entries raise ValueError.
 
     Parameters
     ----------
@@ -147,11 +156,13 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
     -------
     float
     """
-    star = _rearranged(as_values(a))
+    av = as_values(a)
+    star = _rearranged(av)
     k = np.arange(1, star.size + 1, dtype=float)
-    inv_p = 0.0 if math.isinf(index.p) else 1.0 / index.p
-    inv_q = 0.0 if math.isinf(index.q) else 1.0 / index.q
-    return lp_norm(k ** (inv_p - inv_q) * star, index.q)
+    out = lp_norm(k ** (1.0 / index.p - 1.0 / index.q) * star, index.q)
+    if not math.isfinite(out):
+        _require_finite(av)
+    return out
 
 
 def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
@@ -171,7 +182,9 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
     Returns
     -------
     (lhs, rhs, holds) : tuple of float, float, bool
-        holds allows a relative slack of 1e-9 on the right side.
+        holds allows a relative slack of 1e-9 on the right side.  NaN or
+        infinite entries raise ValueError; finite entries whose product
+        overflows give inf.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
@@ -182,6 +195,8 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
     lhs = lp_norm(prod, s)
     q = math.inf if s == 1.0 else s / (1.0 - s)
     rhs = lp_norm(av, 1.0) * lp_norm(bv, q)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        _require_finite(av, bv)
     return lhs, rhs, bool(lhs <= rhs + slack(rhs))
 
 
@@ -219,10 +234,8 @@ class ProductLawReport:
 
 
 def _combine_exponents(x1: float, x2: float) -> float:
-    # harmonic combination 1/x = 1/x1 + 1/x2 with inf treated as 0
-    inv = (0.0 if math.isinf(x1) else 1.0 / x1) + (
-        0.0 if math.isinf(x2) else 1.0 / x2
-    )
+    # harmonic combination 1/x = 1/x1 + 1/x2, where 1/inf = 0
+    inv = 1.0 / x1 + 1.0 / x2
     return math.inf if inv == 0.0 else 1.0 / inv
 
 
@@ -262,7 +275,7 @@ def product_law_check(
         prod = prod * b_family.sample(truncations[-1]).values
         star = _rearranged(prod)
         k = np.arange(1, star.size + 1, dtype=float)
-        weighted = k ** (1.0 / s) * star if not math.isinf(s) else star
+        weighted = k ** (1.0 / s) * star
         half = weighted[star.size // 2 :]
         tail_flag = bool(np.all(np.diff(half) <= slack(weighted[0])))
     return ProductLawReport(

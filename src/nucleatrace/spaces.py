@@ -77,8 +77,10 @@ class Vector:
         return vector_norm(self)
 
 
-# floor of the scaling divisor, so an all-zero slice gives 0 rather than 0/0
+# bounds of the scaling divisor: the floor makes an all-zero slice give 0
+# rather than 0/0, the ceiling keeps an infinite entry inf rather than inf/inf
 _TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
 def lp_norm(arr, p: float, axis: int | None = None):
@@ -87,8 +89,9 @@ def lp_norm(arr, p: float, axis: int | None = None):
     p lies in (0, inf]; below 1 the value is the l_p quasi-norm.  Except
     for p = 1 and p = inf the largest entry is scaled out before powering,
     so entries near the overflow or underflow threshold give a finite,
-    accurate result.  Empty input has norm 0.  Without an axis the result
-    is a float, with one it is an array of per-slice norms.
+    accurate result.  An infinite entry gives inf, a NaN entry NaN.  Empty
+    input has norm 0.  Without an axis the result is a float, with one it
+    is an array of per-slice norms.
     """
     if not (p > 0.0):
         raise ValueError("exponent must satisfy p > 0")
@@ -99,9 +102,9 @@ def lp_norm(arr, p: float, axis: int | None = None):
         out = a.sum(axis=axis)
     else:
         m = a.max(axis=axis, initial=_TINY)
-        scaled = a / (m if axis is None else np.expand_dims(m, axis))
+        d = min(m, _HUGE) if axis is None else np.expand_dims(np.minimum(m, _HUGE), axis)
         # np.power, not **: a scalar ** can round the root differently from an array's
-        out = m * np.power(np.sum(scaled ** p, axis=axis), 1.0 / p)
+        out = m * np.power(np.sum((a / d) ** p, axis=axis), 1.0 / p)
     return float(out) if axis is None else out
 
 
@@ -241,15 +244,11 @@ def _exact_norm(A: np.ndarray, p_in: float, p_out: float) -> float | None:
     if math.isinf(p_in) and math.isinf(p_out):
         return float(np.max(lp_norm(A, 1.0, axis=1)))
     if math.isinf(p_in) and n_in <= _SIGN_ENUM_LIMIT:
-        # sign vertices of the unit cube, first coordinate pinned by symmetry
-        best = 0.0
-        for mask in range(2 ** max(n_in - 1, 0)):
-            signs = np.ones(n_in)
-            for j in range(n_in - 1):
-                if (mask >> j) & 1:
-                    signs[j + 1] = -1.0
-            best = max(best, lp_norm(A @ signs, p_out))
-        return best
+        # sign vertices of the unit cube, one per row, first coordinate pinned
+        # by symmetry: bit j of the row index flips coordinate j + 1
+        masks = np.arange(2 ** (n_in - 1))[:, None] << 1
+        signs = 1.0 - 2.0 * ((masks >> np.arange(n_in)) & 1)
+        return float(np.max(lp_norm(signs @ A.T, p_out, axis=1)))
     return None
 
 
@@ -280,14 +279,13 @@ def _dimension_factor_upper(A: np.ndarray, p_in: float, p_out: float) -> float:
               (1.0, math.inf), (1.0, p_out)]
     if n_in <= _SIGN_ENUM_LIMIT:
         routes.append((math.inf, p_out))
-    inv = lambda x: 0.0 if math.isinf(x) else 1.0 / x
     best = math.inf
     for a, b in routes:
         base = _exact_norm(A, a, b)
         if base is None:
             continue
-        f_in = n_in ** max(inv(a) - inv(p_in), 0.0)
-        f_out = n_out ** max(inv(p_out) - inv(b), 0.0)
+        f_in = n_in ** max(1.0 / a - 1.0 / p_in, 0.0)
+        f_out = n_out ** max(1.0 / p_out - 1.0 / b, 0.0)
         best = min(best, f_in * base * f_out)
     return best
 

@@ -8,12 +8,12 @@ sharing no code with the LAPACK path.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .approximation import projection_growth_exponent
 from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
 from .nuclear import quasi_norm as representation_quasi_norm
 from .spaces import OperatorMatrix
@@ -90,7 +90,7 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.size - 1
     if n == 0:
         return np.zeros(0, dtype=complex)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:]))) if n > 0 else 1.0
+    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
     j = np.arange(n)
     w = radius * np.exp(2j * np.pi * (j + 0.25) / n)
     c = coeffs.astype(complex)
@@ -343,7 +343,4 @@ def nilpotent_check(A, tolerance: float = 0.0) -> NilpotentReport:
 
 def trace_formula_exponent(p: float) -> float:
     """The summability exponent 1 / (1 + |1/2 - 1/p|) attached to l_p."""
-    if not (p >= 1.0):
-        raise ValueError("p must satisfy p >= 1")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
-    return 1.0 / (1.0 + abs(0.5 - inv_p))
+    return 1.0 / (1.0 + projection_growth_exponent(p))

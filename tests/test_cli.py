@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from nucleatrace.cli import main
-from nucleatrace.experiments import ExperimentConfig, run
+from nucleatrace.experiments import SUBCOMMANDS, ExperimentConfig, run
 
 
 @pytest.fixture
@@ -44,6 +45,18 @@ class TestConfig:
             ExperimentConfig(subcommand="holder", dims=())
         with pytest.raises(ValueError):
             ExperimentConfig(subcommand="holder", p=(0.5,))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"dims": 8}, {"seed": "5"}, {"trials": 2.5}, {"dims": [4.7]},
+         {"p": "2"}, {"a": "1,2"}, {"b": 1.0}, {"length": 64.0},
+         {"truncation": True}],
+    )
+    def test_wrong_types_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({"subcommand": "holder", **bad})
+        with pytest.raises(ValueError):
+            ExperimentConfig(subcommand="holder", **bad)
 
 
 class TestRun:
@@ -178,6 +191,14 @@ class TestCli:
         assert payload["config"]["trials"] == 3  # flag wins
         assert payload["config"]["seed"] == 1
 
+    def test_config_file_wrong_type_is_clean_error(self, runner, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dims": 8}))
+        result = runner.invoke(main, ["trace-audit", "--config", str(config)])
+        assert result.exit_code == 1
+        assert "dims must be a list" in result.output
+        assert not isinstance(result.exception, TypeError)
+
     def test_config_file_subcommand_mismatch(self, runner, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"subcommand": "holder"}))
@@ -219,3 +240,37 @@ class TestCli:
         body1 = {k: v for k, v in json.loads(first).items() if k != "wall_time_s"}
         body2 = {k: v for k, v in json.loads(second).items() if k != "wall_time_s"}
         assert body1 == body2
+
+
+class TestCommandTable:
+    def test_commands_are_the_subcommands(self):
+        assert sorted(main.commands) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_parameters_are_config_fields(self, name):
+        allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        allowed |= {"config_path", "out_path", "fmt"}
+        params = {param.name for param in main.commands[name].params}
+        assert params <= allowed
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_help(self, runner, name):
+        result = invoke(runner, [name, "--help"])
+        assert result.exit_code == 0
+        assert main.commands[name].help.split()[0] in result.output
+
+    def test_flag_sets_field_of_same_name(self, runner):
+        result = invoke(
+            runner,
+            ["factorize", "--trials", "1", "--truncation", "64",
+             "--beta-min", "2.0", "--beta-max", "2.5"],
+        )
+        config = json.loads(result.output)["config"]
+        assert config["beta_min"] == 2.0 and config["beta_max"] == 2.5
+        assert config["truncation"] == 64
+
+    def test_bad_scalar_exponent_is_usage_error(self, runner):
+        result = runner.invoke(main, ["lorentz", "--w", "abc"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--w'" in result.output
+        assert "Traceback" not in result.output

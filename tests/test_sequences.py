@@ -71,6 +71,15 @@ class TestLorentzQuasiNorm:
     def test_zero_sequence(self):
         assert lorentz_quasi_norm([0.0, 0.0, 0.0], LorentzIndex(0.5, 3.0)) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [LorentzIndex(2.0), LorentzIndex(1.5, 3.0)])
+    def test_nonfinite_entries_rejected(self, bad, index):
+        with pytest.raises(ValueError):
+            lorentz_quasi_norm([bad, 1.0], index)
+
+    def test_finite_overflow_is_inf(self):
+        assert lorentz_quasi_norm([1e308, 1e308], LorentzIndex(0.5)) == math.inf
+
     def test_power_decay_weak(self):
         k = np.arange(1, 257.0)
         assert lorentz_quasi_norm(k ** -0.75, LorentzIndex(2.0)) == 1.0
@@ -171,6 +180,20 @@ class TestHolderProductBound:
         assert math.isfinite(rhs) and holds
         assert lhs == pytest.approx(1e80, rel=1e-14)
         assert rhs == pytest.approx(1e80, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "a, b",
+        [([math.nan], [1.0]), ([1.0], [math.nan]), ([math.inf], [1.0]),
+         ([0.0], [math.inf]), ([1.0, math.nan], [1.0]), ([1.0], [1.0, -math.inf])],
+    )
+    def test_nonfinite_entries_rejected(self, a, b, s):
+        with pytest.raises(ValueError):
+            holder_product_bound(a, b, s)
+
+    def test_finite_overflow_is_inf(self):
+        lhs, rhs, holds = holder_product_bound([1e200], [1e200], 0.5)
+        assert lhs == math.inf and rhs == math.inf and holds
 
     @given(seqs, seqs, s_values)
     @settings(max_examples=200)

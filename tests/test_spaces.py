@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -68,6 +69,13 @@ class TestLpNorm:
         np.testing.assert_array_equal(rows, [lp_norm(y, p) for y in Y])
         assert rows[2] == 0.0
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+    def test_infinite_entry_gives_inf(self, p):
+        assert lp_norm([math.inf, 1.0], p) == math.inf
+        rows = lp_norm(np.array([[1.0, -math.inf], [3.0, 4.0]]), p, axis=1)
+        assert rows[0] == math.inf and rows[1] == lp_norm([3.0, 4.0], p)
+        assert math.isnan(lp_norm([math.nan, 1.0], p))
+
     def test_empty_and_invalid(self):
         assert lp_norm([], 1.5) == 0.0
         assert lp_norm(np.zeros((0, 3)), 3.0, axis=1).shape == (0,)
@@ -127,6 +135,17 @@ class TestOperatorNorm:
         mat = np.array([[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])
         A = OperatorMatrix(mat, space(3, math.inf), space(2, math.inf))
         assert operator_norm(A) == (6.0, 6.0)
+
+    @pytest.mark.parametrize("n_in", [1, 12, 16])
+    def test_sign_route_matches_full_enumeration(self, n_in):
+        # every vertex of the cube, both signs of the first coordinate included
+        mat = np.random.default_rng(n_in).standard_normal((5, n_in))
+        A = OperatorMatrix(mat, space(n_in, math.inf), space(5, 3.0))
+        vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=n_in)))
+        ref = float(np.max(np.linalg.norm(vertices @ mat.T, ord=3, axis=1)))
+        lo, hi = operator_norm(A)
+        assert lo == hi
+        assert hi == pytest.approx(ref, rel=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=5),
