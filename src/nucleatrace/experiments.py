@@ -45,15 +45,24 @@ _ORACLE_CROSS_CHECK_DIM = 6
 
 
 def parse_exponent(x) -> float:
-    """A number, or a string naming one; "inf", "infinity" and "oo" mean inf."""
-    if isinstance(x, str) and x.strip().lower() in ("inf", "infinity", "oo"):
-        return math.inf
+    """A number, or a string naming one; "inf", "infinity" and "oo" mean inf.
+
+    Anything else, a bool included, raises ValueError.
+    """
+    if isinstance(x, str):
+        return math.inf if x.strip().lower() in ("inf", "infinity", "oo") else float(x)
+    _require_number("exponent", x)
     return float(x)
 
 
 def _require_integer(name: str, x) -> None:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {x!r}")
+
+
+def _require_number(name: str, x) -> None:
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, not {x!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,12 @@ class ExperimentConfig:
     Unused fields are ignored by subcommands that do not read them; the
     config echo in the report records every field.  ``dims``, ``p``, ``a``
     and ``b`` must be lists and are stored as tuples, their exponents
-    parsed to floats ("inf" allowed, as for ``w``); ``seed``, ``trials``,
-    ``length``, ``truncation`` and the entries of ``dims`` must be
-    integers.  A wrong type raises ValueError.
+    parsed to floats ("inf" allowed, as for ``w``), and each exponent must
+    be a number or a string naming one; ``seed``, ``trials``, ``length``,
+    ``truncation`` and the entries of ``dims`` must be integers; ``s``,
+    ``r``, ``alpha``, ``tolerance``, ``epsilon``, ``beta``, ``beta_min``,
+    ``beta_max`` and ``gamma`` must be numbers (None where that is the
+    default).  Bools count as neither.  A wrong type raises ValueError.
     """
 
     subcommand: str
@@ -94,6 +106,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         for name in ("seed", "trials", "length", "truncation"):
             _require_integer(name, getattr(self, name))
+        for name in ("s", "r", "alpha", "tolerance", "epsilon", "beta",
+                     "beta_min", "beta_max", "gamma"):
+            value = getattr(self, name)
+            if value is not None or name in ("epsilon", "beta_min", "beta_max"):
+                _require_number(name, value)
         for name in ("dims", "p", "a", "b"):
             value = getattr(self, name)
             if value is None and name in ("a", "b"):

@@ -222,25 +222,17 @@ def split_representation(
     return FiniteSequence(weights), tuple(Vector(x, z.codomain) for x in scaled)
 
 
-def weak_norm_bracket(
-    vectors, p_prime: float, home: AmbientSpace | None = None
-) -> NormBracket:
+def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracket:
     """Bracket for the weak l_{p'} norm of a finite vector system.
 
-    The system is a sequence of Vectors sharing one home space or, when
-    `home` is given, the rows of a 2-d array of coordinates in `home`.
-    The value is sup over unit functionals y' of the l_{p'} norm of the
+    The system is the rows of a 2-d array of coordinates in `home`.  The
+    value is sup over unit functionals y' of the l_{p'} norm of the
     pairing sequence (<y', y_i>)_i, equivalently the operator norm of the
-    pairing map from the dual of the vectors' home into l_{p'}^m.  Exact
-    in the home spaces l_2 (with p' = 2), l_inf, and small l_1 systems;
-    otherwise the attained ascent value and the best cheap upper bound.
+    pairing map from the dual of `home` into l_{p'}^m.  Exact in the home
+    spaces l_2 (with p' = 2), l_inf, and small l_1 systems; otherwise the
+    attained ascent value (the p-norm power method run from all starts at
+    once for a fixed number of steps) and the best cheap upper bound.
     """
-    if home is None:
-        vecs = tuple(vectors)
-        home = vecs[0].home if vecs else None
-        if any(v.home != home for v in vecs):
-            raise ValueError("vectors must share one home space")
-        vectors = [v.coords for v in vecs]
     Y = np.asarray(vectors, dtype=float)
     if Y.ndim != 2 or Y.shape[0] == 0:
         raise ValueError("weak norm needs at least one vector, one per row")
@@ -258,8 +250,8 @@ def weak_norm_bracket(
     return NormBracket(min(lo, hi), hi)
 
 
-def weak_norm(vectors, p_prime: float, home: AmbientSpace | None = None) -> float:
-    """Weak l_{p'} norm; exact when the bracket is tight, else attained lower."""
+def weak_norm(vectors, p_prime: float, home: AmbientSpace) -> float:
+    """Weak l_{p'} norm of the rows in `home`; the lower end when the bracket is loose."""
     lo, hi = weak_norm_bracket(vectors, p_prime, home)
     return hi if hi - lo <= 1e-12 * max(1.0, hi) else lo
 

@@ -50,7 +50,11 @@ class TestConfig:
         "bad",
         [{"dims": 8}, {"seed": "5"}, {"trials": 2.5}, {"dims": [4.7]},
          {"p": "2"}, {"a": "1,2"}, {"b": 1.0}, {"length": 64.0},
-         {"truncation": True}],
+         {"truncation": True}, {"s": "0.5"}, {"r": True}, {"alpha": [1]},
+         {"tolerance": "1e-3"}, {"epsilon": None}, {"beta": "2"},
+         {"beta_min": None}, {"beta_max": "3"}, {"gamma": {}},
+         {"p": [[1]]}, {"a": [True]}, {"b": [None]},
+         {"w": [1]}, {"w": False}],
     )
     def test_wrong_types_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -197,6 +201,21 @@ class TestCli:
         result = runner.invoke(main, ["trace-audit", "--config", str(config)])
         assert result.exit_code == 1
         assert "dims must be a list" in result.output
+        assert not isinstance(result.exception, TypeError)
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("holder", {"s": "0.5"}), ("trace-audit", {"p": [[1]]}),
+         ("lorentz", {"w": [1]})],
+    )
+    def test_config_file_wrong_number_type_is_clean_error(
+        self, runner, tmp_path, command, bad
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(bad))
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 1
+        assert "must be a number" in result.output
         assert not isinstance(result.exception, TypeError)
 
     def test_config_file_subcommand_mismatch(self, runner, tmp_path):

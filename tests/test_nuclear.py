@@ -255,32 +255,29 @@ class TestQuasiNorm:
 
 class TestWeakNorm:
     def test_single_vector(self):
-        v = Vector([3.0, 4.0], L2(2))
-        assert weak_norm([v], 1.7) == 5.0
+        assert weak_norm([[3.0, 4.0]], 1.7, L2(2)) == 5.0
 
     def test_orthonormal_pair(self):
-        sp = L2(3)
-        vs = [Vector([1.0, 0.0, 0.0], sp), Vector([0.0, 1.0, 0.0], sp)]
-        assert weak_norm(vs, 2.0) == pytest.approx(1.0, rel=1e-12)
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert weak_norm(rows, 2.0, L2(3)) == pytest.approx(1.0, rel=1e-12)
 
     def test_repeated_vector(self):
-        sp = L2(3)
-        vs = [Vector([1.0, 0.0, 0.0], sp)] * 2
-        assert weak_norm(vs, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        rows = [[1.0, 0.0, 0.0]] * 2
+        assert weak_norm(rows, 2.0, L2(3)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_bracket_sound(self):
         rng = np.random.default_rng(5)
         sp = AmbientSpace(4, 3.0)
-        vs = [Vector(rng.standard_normal(4), sp) for _ in range(3)]
-        lo, hi = weak_norm_bracket(vs, 1.5)
+        rows = rng.standard_normal((3, 4))
+        lo, hi = weak_norm_bracket(rows, 1.5, sp)
         assert 0.0 < lo <= hi
-        crude = sum(v.norm() ** 1.5 for v in vs) ** (1.0 / 1.5)
+        crude = sum(Vector(y, sp).norm() ** 1.5 for y in rows) ** (1.0 / 1.5)
         assert hi <= crude + 1e-12
 
-    def test_mixed_homes_rejected(self):
-        vs = [Vector([1.0, 0.0], L2(2)), Vector([1.0], L2(1))]
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0], [0.0]], [1.0, 0.0], []])
+    def test_wrong_shape_rejected(self, rows):
         with pytest.raises(ValueError):
-            weak_norm(vs, 2.0)
+            weak_norm(rows, 2.0, L2(2))
 
 
 class TestBuildFromFactorization:

@@ -24,6 +24,68 @@ def space(n, p):
     return AmbientSpace(n, p)
 
 
+def _reference_dual_map(z, p):
+    """One vector at a time: unit l_p vector x maximizing <z, x>."""
+    if math.isinf(p):
+        out = np.sign(z)
+        out[out == 0.0] = 1.0
+        return out
+    if p == 1.0:
+        out = np.zeros_like(z)
+        i = int(np.argmax(np.abs(z)))
+        out[i] = math.copysign(1.0, z[i]) if z[i] != 0.0 else 1.0
+        return out
+    a = np.abs(z)
+    m = float(np.max(a))
+    if m == 0.0:
+        out = np.zeros_like(z)
+        out[0] = 1.0
+        return out
+    y = np.sign(z) * (a / m) ** (dual_exponent(p) - 1.0)
+    return y / lp_norm(y, p)
+
+
+def _reference_ascent_lower(A, p_in, p_out):
+    """Multi-start alternating maximization, one start at a time with early exits."""
+    n_out, n_in = A.shape
+    q_dual = dual_exponent(p_out)
+    starts = []
+    for j in np.argsort(-np.linalg.norm(A, axis=0))[: min(8, n_in)]:
+        e = np.zeros(n_in)
+        e[j] = 1.0
+        starts.append(e)
+    starts.append(np.ones(n_in))
+    rng = np.random.default_rng(0x5EED0F42)
+    for _ in range(6):
+        starts.append(rng.standard_normal(n_in))
+    best = 0.0
+    for x0 in starts:
+        nx = lp_norm(x0, p_in)
+        if nx == 0.0:
+            continue
+        x = x0 / nx
+        for _ in range(60):
+            y = A @ x
+            val = lp_norm(y, p_out) / lp_norm(x, p_in)
+            if val > best:
+                best = val
+            if val == 0.0:
+                break
+            g = A.T @ _reference_dual_map(y, q_dual)
+            if lp_norm(g, dual_exponent(p_in)) == 0.0:
+                break
+            x_new = _reference_dual_map(g, p_in)
+            if np.allclose(x_new, x, rtol=0.0, atol=1e-15):
+                x = x_new
+                break
+            x = x_new
+        y = A @ x
+        val = lp_norm(y, p_out) / lp_norm(x, p_in)
+        if val > best:
+            best = val
+    return best
+
+
 class TestVectorNorm:
     @pytest.mark.parametrize("p", P_GRID)
     def test_unit_vector(self, p):
@@ -130,6 +192,54 @@ class TestOperatorNorm:
         A = OperatorMatrix(np.zeros((3, 2)), space(2, 1.5), space(3, 2.5))
         lo, hi = operator_norm(A)
         assert lo == 0.0 and hi == 0.0
+
+    @pytest.mark.parametrize(
+        "n_in, p_in, p_out",
+        [(2, 3.0, 3.0), (2, 3.0, 1.0), (2, 1.5, math.inf), (17, math.inf, 3.0)],
+    )
+    def test_zero_matrix_other_routes(self, n_in, p_in, p_out):
+        # zero rows through every branch of the dual map
+        A = OperatorMatrix(np.zeros((3, n_in)), space(n_in, p_in), space(3, p_out))
+        assert operator_norm(A) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p_in, p_out", [(1.5, 3.0), (3.0, 3.0), (17.0, 1.2)])
+    def test_zero_column(self, p_in, p_out):
+        mat = np.random.default_rng(3).standard_normal((4, 5))
+        mat[:, 2] = 0.0
+        lo, hi = operator_norm(OperatorMatrix(mat, space(5, p_in), space(4, p_out)))
+        assert math.isfinite(hi) and 0.0 < lo <= hi
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    @pytest.mark.parametrize(
+        "p_in, p_out", [(1.5, 3.0), (3.0, 3.0), (4.0, 4.0), (3.0, 1.5), (1.2, 1.7)]
+    )
+    def test_ascent_matches_per_start_reference(self, n, p_in, p_out):
+        for seed in range(2):
+            mat = np.random.default_rng([n, seed]).standard_normal((n + seed, n))
+            A = OperatorMatrix(mat, space(n, p_in), space(n + seed, p_out))
+            lo, hi = operator_norm(A)
+            ref = min(_reference_ascent_lower(mat, p_in, p_out), hi)
+            assert lo >= ref * (1.0 - 1e-15)
+            assert lo <= hi
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.9, 2.5, 4.0, 9.0])
+    @pytest.mark.parametrize("n", [3, 8, 32])
+    def test_upper_within_riesz_thorin(self, p, n):
+        mat = np.random.default_rng(n).standard_normal((n, n))
+
+        def exact(q):
+            lo, hi = operator_norm(OperatorMatrix(mat, space(n, q), space(n, q)))
+            assert lo == hi
+            return hi
+
+        if p < 2.0:
+            theta = 2.0 * (1.0 - 1.0 / p)
+            bound = exact(1.0) ** (1.0 - theta) * exact(2.0) ** theta
+        else:
+            theta = 1.0 - 2.0 / p
+            bound = exact(2.0) ** (1.0 - theta) * exact(math.inf) ** theta
+        _, hi = operator_norm(OperatorMatrix(mat, space(n, p), space(n, p)))
+        assert hi <= bound
 
     def test_linf_row_rule(self):
         mat = np.array([[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])
