@@ -22,6 +22,7 @@ from .spaces import (
     Vector,
     dual_exponent,
     lp_norm,
+    operator_brackets,
     operator_norm,
 )
 
@@ -222,6 +223,26 @@ def split_representation(
     return FiniteSequence(weights), tuple(Vector(x, z.codomain) for x in scaled)
 
 
+def _weak_brackets(Y: np.ndarray, p_prime: float, home: AmbientSpace, pairing_brackets):
+    """Lower and upper weak l_{p'} norms of each system of a stack Y (..., m, n).
+
+    `pairing_brackets()` gives the operator-norm brackets of the pairing
+    maps.  One vector is exact; otherwise the l_{p'} sum of the vector
+    norms also bounds from above.
+    """
+    if Y.shape[-2] == 1:
+        nv = lp_norm(Y[..., 0, :], home.exponent, axis=-1)
+        return nv, nv
+    lo, hi = pairing_brackets()
+    hi = np.minimum(hi, lp_norm(lp_norm(Y, home.exponent, axis=-1), p_prime, axis=-1))
+    return np.minimum(lo, hi), hi
+
+
+def _tight_or_lower(lo, hi):
+    """The upper end of a bracket tight to 1e-12 relative, else the lower end."""
+    return np.where(hi - lo <= 1e-12 * hi, hi, lo)
+
+
 def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracket:
     """Bracket for the weak l_{p'} norm of a finite vector system.
 
@@ -242,18 +263,34 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
         AmbientSpace(home.dim, dual_exponent(home.exponent)),
         AmbientSpace(Y.shape[0], p_prime),
     )
-    if Y.shape[0] == 1:
-        nv = lp_norm(Y[0], home.exponent)
-        return NormBracket(nv, nv)
-    lo, hi = operator_norm(pairing)
-    hi = min(hi, lp_norm(lp_norm(Y, home.exponent, axis=1), p_prime))
-    return NormBracket(min(lo, hi), hi)
+    lo, hi = _weak_brackets(Y, p_prime, home, lambda: operator_norm(pairing))
+    return NormBracket(float(lo), float(hi))
 
 
 def weak_norm(vectors, p_prime: float, home: AmbientSpace) -> float:
     """Weak l_{p'} norm of the rows in `home`; the lower end when the bracket is loose."""
-    lo, hi = weak_norm_bracket(vectors, p_prime, home)
-    return hi if hi - lo <= 1e-12 * max(1.0, hi) else lo
+    return float(_tight_or_lower(*weak_norm_bracket(vectors, p_prime, home)))
+
+
+def _weak_norms(Y: np.ndarray, p_prime: float, home: AmbientSpace) -> np.ndarray:
+    """`weak_norm` of each system of a stack Y (..., m, n), with one stacked ascent."""
+    p_in = dual_exponent(home.exponent)
+    lo, hi = _weak_brackets(Y, p_prime, home, lambda: operator_brackets(Y, p_in, p_prime))
+    return _tight_or_lower(lo, hi)
+
+
+def _bracket_values(z: Representation, F, X, index: NuclearIndex, weak):
+    """BRACKET_LOWER or BRACKET_UPPER value of z's coefficients with atoms F and X.
+
+    F and X may be stacks (..., m, n) of atom arrays, giving one value per
+    pair; `weak` evaluates the weak p'-norms.
+    """
+    p_prime = dual_exponent(index.p)
+    if index.variant == BRACKET_LOWER:
+        side = z.coefficients * lp_norm(F, dual_exponent(z.domain.exponent), axis=-1)
+        return lp_norm(side, index.r, axis=-1) * weak(X, p_prime, z.codomain)
+    side = z.coefficients * lp_norm(X, z.codomain.exponent, axis=-1)
+    return lp_norm(side, index.r, axis=-1) * weak(F, p_prime, z.domain.dual())
 
 
 def quasi_norm(z: Representation, index: NuclearIndex) -> float:
@@ -269,12 +306,7 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float:
         return lorentz_quasi_norm(z.magnitudes(), LorentzIndex(index.r, index.w))
     if z.atom_count == 0:
         return 0.0
-    p_prime = dual_exponent(index.p)
-    if index.variant == BRACKET_LOWER:
-        side = z.coefficients * z._functional_norms()
-        return lp_norm(side, index.r) * weak_norm(z.X, p_prime, z.codomain)
-    side = z.coefficients * z._vector_norms()
-    return lp_norm(side, index.r) * weak_norm(z.F, p_prime, z.domain.dual())
+    return float(_bracket_values(z, z.F, z.X, index, weak_norm))
 
 
 def build_from_factorization(
@@ -358,13 +390,20 @@ def rebalance(z: Representation) -> Representation:
 def improve_representation(
     z: Representation, index: NuclearIndex, sweeps: int = 2
 ) -> tuple[Representation, float, float]:
-    """Greedy per-atom rescaling that never increases the quasi-norm.
+    """Greedy per-atom rescaling of the bracket variants.
 
     For magnitude-based indices rebalancing is already optimal, so only
-    the bracket variants are swept: each atom is rescaled by a grid of
-    factors applied to the functional and undone on the vector, keeping
-    the induced matrix fixed while trading mass between the l_r side and
-    the weak side.  Returns (new representation, old value, new value).
+    the bracket variants are swept: starting from rebalance(z), each atom
+    is rescaled by a grid of factors applied to the functional and undone
+    on the vector, keeping the induced matrix fixed while trading mass
+    between the l_r side and the weak side; a rescaling is kept when its
+    value is below the best so far.  The candidates of one atom are
+    evaluated as one stack, with the result of taking them one at a time.
+
+    Returns (swept representation, old value, min(old value, best value)).
+    The swept representation's own bracket value can exceed the old value,
+    since rebalancing can raise it when no rescaling wins back the
+    difference (ROADMAP item 3(d)).
     """
     before = quasi_norm(z, index)
     if index.variant in (S_VARIANT, LORENTZ_VARIANT):
@@ -372,23 +411,29 @@ def improve_representation(
         return zb, before, quasi_norm(zb, index)
     current = rebalance(z)
     best_val = quasi_norm(current, index)
-    grid = [0.25, 0.5, 0.75, 1.5, 2.0, 4.0]
+    grid = np.array([0.25, 0.5, 0.75, 1.5, 2.0, 4.0])
     for _ in range(max(sweeps, 0)):
         changed = False
         for i in range(current.atom_count):
-            for c in grid:
-                F = current.F.copy()
-                X = current.X.copy()
-                F[i] *= c
-                X[i] /= c
-                cand = Representation(
-                    current.coefficients, F, X, current.domain, current.codomain
+            factors = grid
+            while factors.size:
+                # the rest of the grid, all from `current`: the first value below
+                # best_val is the rescaling a one-at-a-time sweep accepts next
+                F = np.repeat(current.F[None], factors.size, axis=0)
+                X = np.repeat(current.X[None], factors.size, axis=0)
+                F[:, i] *= factors[:, None]
+                X[:, i] /= factors[:, None]
+                vals = _bracket_values(current, F, X, index, _weak_norms)
+                better = np.flatnonzero(vals < best_val)
+                if better.size == 0:
+                    break
+                j = better[0]
+                best_val = float(vals[j])
+                current = Representation(
+                    current.coefficients, F[j], X[j], current.domain, current.codomain
                 )
-                val = quasi_norm(cand, index)
-                if val < best_val:
-                    best_val = val
-                    current = cand
-                    changed = True
+                changed = True
+                factors = factors[j + 1:]
         if not changed:
             break
     return current, before, min(before, best_val)

@@ -24,6 +24,7 @@ __all__ = [
     "vector_norm",
     "dual_exponent",
     "operator_norm",
+    "operator_brackets",
     "projection_onto_span",
 ]
 
@@ -100,11 +101,14 @@ def lp_norm(arr, p: float, axis: int | None = None):
         out = a.max(axis=axis, initial=0.0)
     elif p == 1.0:
         out = a.sum(axis=axis)
-    else:
-        m = a.max(axis=axis, initial=_TINY)
-        d = min(m, _HUGE) if axis is None else np.expand_dims(np.minimum(m, _HUGE), axis)
+    elif axis is None:
+        m = a.max(initial=_TINY)
         # np.power, not **: a scalar ** can round the root differently from an array's
-        out = m * np.power(np.sum((a / d) ** p, axis=axis), 1.0 / p)
+        out = m * np.power(np.sum((a / min(m, _HUGE)) ** p), 1.0 / p)
+    else:
+        m = a.max(axis=axis, initial=_TINY, keepdims=True)
+        total = np.sum((a / np.minimum(m, _HUGE)) ** p, axis=axis)
+        out = np.squeeze(m, axis) * np.power(total, 1.0 / p)
     return float(out) if axis is None else out
 
 
@@ -171,47 +175,53 @@ class OperatorMatrix:
 
 
 def _dual_map(Z: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise unit l_p vectors x maximizing <z, x>, so that <z, x> = ||z||_{p'}.
+    """Unit l_p vectors x maximizing <z, x> along the last axis, so that <z, x> = ||z||_{p'}.
 
-    A zero row is read as e_0.
+    A zero vector is read as e_0.
     """
-    Z = np.where(Z.any(axis=1, keepdims=True), Z, np.eye(1, Z.shape[1]))
+    Z = np.where(Z.any(axis=-1, keepdims=True), Z, np.eye(1, Z.shape[-1]))
     if math.isinf(p):
         out = np.sign(Z)
         out[out == 0.0] = 1.0
         return out
     if p == 1.0:
-        rows, i = np.arange(Z.shape[0]), np.argmax(np.abs(Z), axis=1)
+        i = np.argmax(np.abs(Z), axis=-1)[..., None]
         out = np.zeros_like(Z)
-        out[rows, i] = np.sign(Z[rows, i])
+        np.put_along_axis(out, i, np.sign(np.take_along_axis(Z, i, axis=-1)), axis=-1)
         return out
     a = np.abs(Z)
-    out = np.sign(Z) * (a / a.max(axis=1, keepdims=True)) ** (dual_exponent(p) - 1.0)
-    return out / lp_norm(out, p, axis=1)[:, None]
+    out = np.sign(Z) * (a / a.max(axis=-1, keepdims=True)) ** (dual_exponent(p) - 1.0)
+    return out / lp_norm(out, p, axis=-1)[..., None]
 
 
-def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> float:
-    """Attained lower bound by the p-norm power method, all starts as one block.
+def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
+    """Attained lower bounds by the p-norm power method for a stack A (..., n_out, n_in).
 
-    The starts are the rows of X: the basis vectors of the largest columns,
-    the all-ones vector and seeded Gaussian draws.  Every row of every
-    iterate is a nonzero vector, so the best ratio seen is attained.
+    Each matrix gets its own block of starts, the rows of X: the basis
+    vectors of its largest columns, the all-ones vector and seeded
+    Gaussian draws (the same draws for every matrix).  The whole stack
+    iterates at once; a 2-d A is the stack of one, with a 0-d result.
+    Every row of every iterate is a nonzero vector, so the best ratio
+    seen is attained.
     """
-    n_in = A.shape[1]
+    n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
-    order = np.argsort(-np.linalg.norm(A, axis=0))
+    order = np.argsort(-np.linalg.norm(A, axis=-2), axis=-1)
     rng = np.random.default_rng(_ASCENT_SEED)
-    X = np.vstack([
-        np.eye(n_in)[order[:_ASCENT_BASIS_STARTS]],
-        np.ones((1, n_in)),
-        rng.standard_normal((_ASCENT_RANDOM_STARTS, n_in)),
-    ])
-    best = 0.0
+    draws = rng.standard_normal((_ASCENT_RANDOM_STARTS, n_in))
+    stack = A.shape[:-2]
+    X = np.concatenate([
+        np.eye(n_in)[order[..., :_ASCENT_BASIS_STARTS]],
+        np.broadcast_to(np.ones(n_in), stack + (1, n_in)),
+        np.broadcast_to(draws, stack + draws.shape),
+    ], axis=-2)
+    At = np.swapaxes(A, -1, -2)
+    best = np.zeros(stack)
     # the start and all _ASCENT_ITERS updates are evaluated; the last update is unused
     for _ in range(_ASCENT_ITERS + 1):
-        Y = X @ A.T
-        ratios = lp_norm(Y, p_out, axis=1) / lp_norm(X, p_in, axis=1)
-        best = max(best, float(ratios.max()))
+        Y = X @ At
+        ratios = lp_norm(Y, p_out, axis=-1) / lp_norm(X, p_in, axis=-1)
+        best = np.maximum(best, ratios.max(axis=-1))
         X = _dual_map(_dual_map(Y, q_dual) @ A, p_in)
     return best
 
@@ -265,6 +275,31 @@ def _upper(A: np.ndarray, p_in: float, p_out: float) -> float:
     return best
 
 
+def operator_brackets(
+    mats: np.ndarray, p_in: float, p_out: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the l_p_in -> l_p_out norm of each matrix of a stack.
+
+    `mats` has shape (..., n_out, n_in); both ends have shape (...).  The
+    routes are those of `operator_norm`, whose 2-d case this is; the
+    ascent runs on the whole stack at once.
+    """
+    mats = np.asarray(mats, dtype=float)
+    stack = mats.shape[:-2]
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    exact = [_exact_norm(a, p_in, p_out) for a in flat]
+    # whether a route is exact depends on the exponents and n_in only
+    if None not in exact:
+        exact = np.array(exact, dtype=float).reshape(stack)
+        return exact, exact
+    lower = _ascent_lower(mats, p_in, p_out)
+    upper = np.array([_upper(a, p_in, p_out) for a in flat]).reshape(stack)
+    # an attained iterate can overshoot a tight upper bound by rounding only
+    if np.any(lower - upper > slack(np.maximum(1.0, upper))):
+        raise RuntimeError("norm bracket crossed beyond rounding slack")
+    return np.minimum(lower, upper), upper
+
+
 def operator_norm(A: OperatorMatrix) -> NormBracket:
     """Bracket for the operator norm of A between its ambient spaces.
 
@@ -276,20 +311,8 @@ def operator_norm(A: OperatorMatrix) -> NormBracket:
     routes inflated by dimension factors and, for p -> p, the
     Riesz-Thorin bound; each exact route norm is computed once.
     """
-    mat = A.entries
-    p_in = A.domain.exponent
-    p_out = A.codomain.exponent
-    exact = _exact_norm(mat, p_in, p_out)
-    if exact is not None:
-        return NormBracket(exact, exact)
-    lower = _ascent_lower(mat, p_in, p_out)
-    upper = _upper(mat, p_in, p_out)
-    if lower > upper:
-        # attained iterate can overshoot a tight upper bound by rounding only
-        if lower - upper > slack(max(1.0, upper)):
-            raise RuntimeError("norm bracket crossed beyond rounding slack")
-        lower = upper
-    return NormBracket(lower, upper)
+    lower, upper = operator_brackets(A.entries, A.domain.exponent, A.codomain.exponent)
+    return NormBracket(float(lower), float(upper))
 
 
 def projection_onto_span(

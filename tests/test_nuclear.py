@@ -41,6 +41,32 @@ def random_rep(rng, n, p, atoms=None):
     return Representation.from_arrays(lam, F, X, space, space)
 
 
+def _reference_improve(z, index, sweeps=2):
+    """The bracket sweep of improve_representation, one candidate at a time through quasi_norm."""
+    before = quasi_norm(z, index)
+    current = rebalance(z)
+    best_val = quasi_norm(current, index)
+    for _ in range(max(sweeps, 0)):
+        changed = False
+        for i in range(current.atom_count):
+            for c in [0.25, 0.5, 0.75, 1.5, 2.0, 4.0]:
+                F = current.F.copy()
+                X = current.X.copy()
+                F[i] *= c
+                X[i] /= c
+                cand = Representation(
+                    current.coefficients, F, X, current.domain, current.codomain
+                )
+                val = quasi_norm(cand, index)
+                if val < best_val:
+                    best_val = val
+                    current = cand
+                    changed = True
+        if not changed:
+            break
+    return current, before, min(before, best_val)
+
+
 class TestNuclearIndex:
     def test_s_variant_range(self):
         NuclearIndex.absolutely_summable(1.0)
@@ -274,6 +300,22 @@ class TestWeakNorm:
         crude = sum(Vector(y, sp).norm() ** 1.5 for y in rows) ** (1.0 / 1.5)
         assert hi <= crude + 1e-12
 
+    @pytest.mark.parametrize("k", [40, 60])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # the bracket is loose (4.0585 to 4.4850 at scale 1); an absolute floor
+        # in the tightness test picks the upper end once the ends fall below 1e-12
+        sp = AmbientSpace(4, 3.0)
+        Y = np.random.default_rng(3).standard_normal((4, 4))
+        F = np.random.default_rng([3, 1]).standard_normal((4, 4))
+        lam = [1.0, 0.75, 0.5, 0.25]
+        scale = 2.0 ** -k
+        assert weak_norm(Y * scale, 2.5, sp) == weak_norm(Y, 2.5, sp) * scale
+        lower = NuclearIndex.bracket_lower(1.0, 5.0 / 3.0)
+        upper = NuclearIndex.bracket_upper(1.0, 5.0 / 3.0)
+        rep = lambda F, X: Representation.from_arrays(lam, F, X, sp, sp)
+        assert quasi_norm(rep(F, Y * scale), lower) == quasi_norm(rep(F, Y), lower) * scale
+        assert quasi_norm(rep(Y * scale, F), upper) == quasi_norm(rep(Y, F), upper) * scale
+
     @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0], [0.0]], [1.0, 0.0], []])
     def test_wrong_shape_rejected(self, rows):
         with pytest.raises(ValueError):
@@ -430,6 +472,37 @@ class TestImprove:
                 rtol=1e-9,
                 atol=1e-12,
             )
+
+    # index p 1 gives p' = inf; home inf takes the l_1 column rule (lower)
+    # and the sign route (upper); unbalanced inputs, atom counts unlike n
+    @pytest.mark.parametrize(
+        "upper, p, home, n, atoms, sweeps",
+        [
+            (False, 1.0, 1.5, 3, 3, 1),
+            (True, 1.0, 3.0, 2, 3, 2),
+            (False, 1.5, 3.0, 3, 4, 2),
+            (True, 1.5, 4.0, 3, 2, 1),
+            (False, 2.0, 4.0, 5, 4, 1),
+            (True, 2.0, 1.5, 5, 6, 1),
+            (False, 1.5, math.inf, 3, 3, 1),
+            (True, 1.5, math.inf, 3, 3, 2),
+            (False, 1.0, math.inf, 2, 3, 2),
+            (True, 2.0, 3.0, 5, 5, 2),
+            (False, 2.0, 1.5, 2, 2, 0),
+            (True, 1.0, 4.0, 3, 1, 2),
+            (False, 1.5, 1.5, 2, 1, 1),
+            (True, 1.5, 3.0, 3, 0, 1),
+        ],
+    )
+    def test_matches_one_candidate_at_a_time(self, upper, p, home, n, atoms, sweeps):
+        rng = np.random.default_rng([n, atoms, sweeps])
+        z = random_rep(rng, n, home, atoms=atoms)
+        idx = (NuclearIndex.bracket_upper if upper else NuclearIndex.bracket_lower)(0.8, p)
+        got = improve_representation(z, idx, sweeps=sweeps)
+        ref = _reference_improve(z, idx, sweeps=sweeps)
+        for name in ("coefficients", "F", "X"):
+            np.testing.assert_array_equal(getattr(got[0], name), getattr(ref[0], name))
+        assert got[1:] == ref[1:]
 
     def test_magnitude_variant_rebalances(self):
         rng = np.random.default_rng(22)

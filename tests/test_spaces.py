@@ -16,6 +16,7 @@ from nucleatrace import (
     projection_onto_span,
     vector_norm,
 )
+from nucleatrace.spaces import _ascent_lower
 
 P_GRID = [1.0, 1.5, 2.0, 3.0, 4.0, math.inf]
 
@@ -211,11 +212,28 @@ class TestOperatorNorm:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     @pytest.mark.parametrize(
-        "p_in, p_out", [(1.5, 3.0), (3.0, 3.0), (4.0, 4.0), (3.0, 1.5), (1.2, 1.7)]
+        "p_in, p_out, stack",
+        [
+            pytest.param(p_in, p_out, stack, id=f"{p_in}-{p_out}" + ("-stack" if stack else ""))
+            for p_in, p_out in [(1.5, 3.0), (3.0, 3.0), (4.0, 4.0), (3.0, 1.5), (1.2, 1.7)]
+            for stack in [(), (2, 2)]
+        ],
     )
-    def test_ascent_matches_per_start_reference(self, n, p_in, p_out):
+    def test_ascent_matches_per_start_reference(self, n, p_in, p_out, stack):
         for seed in range(2):
-            mat = np.random.default_rng([n, seed]).standard_normal((n + seed, n))
+            shape = (n + seed, n)
+            mat = np.random.default_rng([n, seed]).standard_normal(stack + shape)
+            if stack:
+                # each slice of a stack gives its own 2-d value, zero rows,
+                # zero columns and zero matrices included
+                flat = mat.reshape((-1,) + shape)
+                flat[1, 0] = 0.0
+                flat[2, :, -1] = 0.0
+                flat[3] = 0.0
+                lower = _ascent_lower(mat, p_in, p_out)
+                assert lower.shape == stack
+                assert list(lower.ravel()) == [_ascent_lower(a, p_in, p_out) for a in flat]
+                mat = flat[0]
             A = OperatorMatrix(mat, space(n, p_in), space(n + seed, p_out))
             lo, hi = operator_norm(A)
             ref = min(_reference_ascent_lower(mat, p_in, p_out), hi)
