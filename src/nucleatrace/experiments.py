@@ -10,12 +10,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from .approximation import build_approximant
-from .nuclear import NuclearIndex, Representation, induced_matrix
+from .nuclear import NuclearIndex, Representation
 from .sequences import (
     FiniteSequence,
     LorentzIndex,
@@ -29,7 +29,6 @@ from .spectral import (
     audit_trace_formula,
     characteristic_roots,
     eigenvalue_type_probe,
-    eigenvalues,
     match_spectra,
     similarity_spectrum_check,
     trace_formula_exponent,
@@ -328,33 +327,35 @@ def _draw_representation(rng, n: int, p: float) -> Representation:
     return Representation.from_arrays(lam, F, X, space, space)
 
 
-def _run_trace_audit(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
-    out = []
+def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
+    """Audit each entry of dims as one stack over all trials and exponents.
+
+    Each trial's generator draws in the order dims, then p, however the
+    trials interleave, so drawing one entry of dims for every trial at a
+    time gives each trial the draws of running it alone.
+    """
+    rngs = list(rngs)
     scale = cfg.tolerance if cfg.tolerance is not None else 1e-8
+    exponents = [cfg.s if cfg.s is not None else trace_formula_exponent(p) for p in cfg.p]
+    indices = [NuclearIndex.absolutely_summable(s) for s in exponents] * len(rngs)
+    per_trial: list[list[dict]] = [[] for _ in rngs]
     for n in cfg.dims:
-        for p in cfg.p:
-            s = cfg.s if cfg.s is not None else trace_formula_exponent(p)
-            z = _draw_representation(rng, n, p)
-            report = audit_trace_formula(
-                z, NuclearIndex.absolutely_summable(s), tolerance_scale=scale
-            )
-            ok = report.passed
-            oracle_gap = None
-            if n <= _ORACLE_CROSS_CHECK_DIM:
-                M = induced_matrix(z)
-                matched, worst = match_spectra(
-                    eigenvalues(M).values,
-                    characteristic_roots(M.entries),
-                    rel=1e-7,
-                    abs_floor=1e-7,
-                )
-                oracle_gap = worst
-                ok = bool(ok and matched)
-            rec = {
+        reps = [_draw_representation(rng, n, p) for rng in rngs for p in cfg.p]
+        reports = audit_trace_formula(reps, indices, tolerance_scale=scale)
+        checks = [(True, None)] * len(reports)
+        if n <= _ORACLE_CROSS_CHECK_DIM:
+            roots = characteristic_roots(np.stack([r.matrix for r in reports]))
+            checks = [
+                match_spectra(r.spectrum, rt, rel=1e-7, abs_floor=1e-7)
+                for r, rt in zip(reports, roots)
+            ]
+        for i, (report, (matched, gap)) in enumerate(zip(reports, checks)):
+            trial, j = divmod(i, len(cfg.p))
+            per_trial[trial].append({
                 "trial": trial,
                 "n": n,
-                "p": p,
-                "s": s,
+                "p": cfg.p[j],
+                "s": exponents[j],
                 "nuclear_trace": report.nuclear_trace,
                 "spectral_sum": report.spectral_sum,
                 "defect": report.defect,
@@ -362,11 +363,10 @@ def _run_trace_audit(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
                 "quasi_norm": report.quasi_norm,
                 "ratio": report.ratio,
                 "frobenius": report.frobenius,
-                "oracle_gap": oracle_gap,
-                "pass": bool(ok),
-            }
-            out.append(rec)
-    return out
+                "oracle_gap": gap,
+                "pass": bool(report.passed and matched),
+            })
+    return [rec for recs in per_trial for rec in recs]
 
 
 def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
@@ -463,14 +463,24 @@ def _run_similarity(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     return [rec]
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, int, Any], list[dict]]] = {
-    "holder": _run_holder,
-    "lorentz": _run_lorentz,
-    "factorize": _run_factorize,
+def _per_trial(runner: Callable[[ExperimentConfig, int, Any], list[dict]]):
+    """A runner of every trial from one of a single trial, called trial by trial."""
+
+    def run_trials(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
+        return [rec for t, rng in enumerate(rngs) for rec in runner(cfg, t, rng)]
+
+    return run_trials
+
+
+# each runner takes the config and the generators of trials 0, 1, ... in order
+_RUNNERS: dict[str, Callable[[ExperimentConfig, Iterable], list[dict]]] = {
+    "holder": _per_trial(_run_holder),
+    "lorentz": _per_trial(_run_lorentz),
+    "factorize": _per_trial(_run_factorize),
     "trace-audit": _run_trace_audit,
-    "eigen-type": _run_eigen_type,
-    "approx": _run_approx,
-    "similarity": _run_similarity,
+    "eigen-type": _per_trial(_run_eigen_type),
+    "approx": _per_trial(_run_approx),
+    "similarity": _per_trial(_run_similarity),
 }
 
 SUBCOMMANDS = tuple(sorted(_RUNNERS))
@@ -489,9 +499,7 @@ def run(config: ExperimentConfig) -> RunReport:
     runner = _RUNNERS[config.subcommand]
     trials = 1 if config.subcommand in _SINGLE_TRIAL else config.trials
     start = time.perf_counter()
-    records = [
-        rec for t in range(trials) for rec in runner(config, t, _trial_rng(config.seed, t))
-    ]
+    records = runner(config, (_trial_rng(config.seed, t) for t in range(trials)))
 
     pass_count = sum(1 for r in records if r.get("pass"))
     fail_count = len(records) - pass_count

@@ -111,6 +111,14 @@ class Representation:
     non-increasing coefficient (stable) and drops zero coefficients.  The
     spaces are stored explicitly so an empty representation still knows
     where it acts.
+
+    A stack of representations sharing spaces and atom count has
+    coefficients of shape (..., m), F of shape (..., m, domain dim) and X
+    of shape (..., m, codomain dim), one representation per row.  Rows are
+    sorted on their own; a stack cannot drop atoms, so its coefficients
+    must be positive.  `stack` builds one from single representations;
+    `induced_matrix`, `nuclear_trace`, `magnitudes` and `quasi_norm` then
+    give one result per row, equal to the single representation's.
     """
 
     coefficients: np.ndarray
@@ -123,21 +131,32 @@ class Representation:
         lam = np.asarray(self.coefficients, dtype=float)
         F = np.asarray(self.F, dtype=float)
         X = np.asarray(self.X, dtype=float)
-        if lam.ndim != 1:
-            raise ValueError("coefficients must be one dimensional")
+        if lam.ndim == 0:
+            raise ValueError("coefficients must be one dimensional, or a stack of rows")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
             raise ValueError("coefficients must be finite and nonnegative")
-        m = lam.size
-        if F.shape != (m, self.domain.dim) or X.shape != (m, self.codomain.dim):
+        if F.shape != lam.shape + (self.domain.dim,) or X.shape != lam.shape + (self.codomain.dim,):
             raise ValueError("F must be atoms x domain dim, X atoms x codomain dim")
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(X))):
             raise ValueError("atoms must be finite")
-        keep = lam > 0.0
-        order = np.argsort(-lam[keep], kind="stable")
-        idx = np.flatnonzero(keep)[order]
-        object.__setattr__(self, "coefficients", lam[idx])
-        object.__setattr__(self, "F", F[idx])
-        object.__setattr__(self, "X", X[idx])
+        if lam.ndim == 1:
+            keep = lam > 0.0
+            order = np.argsort(-lam[keep], kind="stable")
+            idx = np.flatnonzero(keep)[order]
+            lam, F, X = lam[idx], F[idx], X[idx]
+        elif np.any(lam == 0.0):
+            raise ValueError("a stack's coefficients must be positive")
+        elif np.any(lam[..., 1:] > lam[..., :-1]):
+            order = np.argsort(-lam, axis=-1, kind="stable")
+            lam = np.take_along_axis(lam, order, axis=-1)
+            F = np.take_along_axis(F, order[..., None], axis=-2)
+            X = np.take_along_axis(X, order[..., None], axis=-2)
+        else:
+            # rows already sorted, as from `stack`: copy rather than gather
+            lam, F, X = lam.copy(), F.copy(), X.copy()
+        object.__setattr__(self, "coefficients", lam)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "X", X)
 
     @classmethod
     def from_arrays(
@@ -151,9 +170,29 @@ class Representation:
         """Rows of `functionals` and rows of `vectors` are the atoms."""
         return cls(coefficients, functionals, vectors, domain, codomain)
 
+    @classmethod
+    def stack(cls, reps) -> "Representation":
+        """The stack of single representations that share spaces and atom count, in order."""
+        reps = list(reps)
+        if not reps:
+            raise ValueError("a stack needs at least one representation")
+        first = reps[0]
+        for z in reps:
+            if z.coefficients.ndim != 1:
+                raise ValueError("stack takes single representations")
+            if (z.domain, z.codomain, z.atom_count) != (first.domain, first.codomain, first.atom_count):
+                raise ValueError("a stack needs one pair of spaces and one atom count")
+        return cls(
+            np.stack([z.coefficients for z in reps]),
+            np.stack([z.F for z in reps]),
+            np.stack([z.X for z in reps]),
+            first.domain,
+            first.codomain,
+        )
+
     @property
     def atom_count(self) -> int:
-        return int(self.coefficients.size)
+        return int(self.coefficients.shape[-1])
 
     @property
     def functionals(self) -> tuple[Vector, ...]:
@@ -176,30 +215,36 @@ class Representation:
 
     def _functional_norms(self) -> np.ndarray:
         """|x'_k| in the dual of the domain, one per atom."""
-        return lp_norm(self.F, dual_exponent(self.domain.exponent), axis=1)
+        return lp_norm(self.F, dual_exponent(self.domain.exponent), axis=-1)
 
     def _vector_norms(self) -> np.ndarray:
         """|x_k| in the codomain, one per atom."""
-        return lp_norm(self.X, self.codomain.exponent, axis=1)
+        return lp_norm(self.X, self.codomain.exponent, axis=-1)
 
-    def magnitudes(self) -> FiniteSequence:
-        """The sequence lambda_k |x'_k| |x_k| driving every quasi-norm."""
-        return FiniteSequence(
-            self.coefficients * self._functional_norms() * self._vector_norms()
-        )
+    def magnitudes(self) -> FiniteSequence | np.ndarray:
+        """The sequence lambda_k |x'_k| |x_k| driving every quasi-norm.
 
-
-def induced_matrix(z: Representation) -> OperatorMatrix:
-    """Dense matrix of the representation as a map domain -> codomain."""
-    entries = (z.X.T * z.coefficients) @ z.F
-    return OperatorMatrix(entries, z.domain, z.codomain)
+        For a stack, the (..., m) array of one such sequence per row.
+        """
+        values = self.coefficients * self._functional_norms() * self._vector_norms()
+        return FiniteSequence(values) if values.ndim == 1 else values
 
 
-def nuclear_trace(z: Representation) -> float:
-    """sum_k lambda_k <x'_k, x_k> for an endomorphism representation."""
+def induced_matrix(z: Representation) -> OperatorMatrix | np.ndarray:
+    """Dense matrix of the representation as a map domain -> codomain.
+
+    For a stack, the (..., codomain dim, domain dim) array of entries.
+    """
+    entries = (np.swapaxes(z.X, -1, -2) * z.coefficients[..., None, :]) @ z.F
+    return OperatorMatrix(entries, z.domain, z.codomain) if entries.ndim == 2 else entries
+
+
+def nuclear_trace(z: Representation) -> float | np.ndarray:
+    """sum_k lambda_k <x'_k, x_k> for an endomorphism representation; one per row of a stack."""
     if z.domain.dim != z.codomain.dim:
         raise ValueError("trace requires equal domain and codomain dimension")
-    return float(np.sum(z.coefficients * np.einsum("ij,ij->i", z.F, z.X)))
+    tr = np.sum(z.coefficients * np.einsum("...ij,...ij->...i", z.F, z.X), axis=-1)
+    return float(tr) if tr.ndim == 0 else tr
 
 
 def _split(z: Representation, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -293,13 +338,17 @@ def _bracket_values(z: Representation, F, X, index: NuclearIndex, weak):
     return lp_norm(side, index.r, axis=-1) * weak(F, p_prime, z.domain.dual())
 
 
-def quasi_norm(z: Representation, index: NuclearIndex) -> float:
+def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
     """Evaluate the selected quasi-norm of the representation.
 
     S and LORENTZ act on the magnitude sequence lambda_k |x'_k| |x_k|.
     BRACKET_LOWER multiplies the l_r mass of (lambda_k x'_k) by the weak
-    p'-norm of the vector system; BRACKET_UPPER swaps the roles.
+    p'-norm of the vector system; BRACKET_UPPER swaps the roles.  A stack
+    gives the array of its rows' values: S as one row-wise norm, LORENTZ
+    row by row, the bracket variants with one stacked ascent.
     """
+    if z.coefficients.ndim > 1:
+        return _stack_quasi_norms(z, index)
     if index.variant == S_VARIANT:
         return lp_norm(z.magnitudes().values, index.s)
     if index.variant == LORENTZ_VARIANT:
@@ -307,6 +356,21 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float:
     if z.atom_count == 0:
         return 0.0
     return float(_bracket_values(z, z.F, z.X, index, weak_norm))
+
+
+def _stack_quasi_norms(z: Representation, index: NuclearIndex) -> np.ndarray:
+    """`quasi_norm` of each row of a stack."""
+    if index.variant == S_VARIANT:
+        return lp_norm(z.magnitudes(), index.s, axis=-1)
+    if index.variant == LORENTZ_VARIANT:
+        mags = z.magnitudes()
+        lorentz = LorentzIndex(index.r, index.w)
+        flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)
+        rows = [lorentz_quasi_norm(FiniteSequence(row), lorentz) for row in flat]
+        return np.array(rows, dtype=float).reshape(mags.shape[:-1])
+    if z.atom_count == 0:
+        return np.zeros(z.coefficients.shape[:-1])
+    return _bracket_values(z, z.F, z.X, index, _weak_norms)
 
 
 def build_from_factorization(

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .tolerances import slack
+from .tolerances import REL_TOL
 
 __all__ = [
     "AmbientSpace",
@@ -294,8 +294,9 @@ def operator_brackets(
         return exact, exact
     lower = _ascent_lower(mats, p_in, p_out)
     upper = np.array([_upper(a, p_in, p_out) for a in flat]).reshape(stack)
-    # an attained iterate can overshoot a tight upper bound by rounding only
-    if np.any(lower - upper > slack(np.maximum(1.0, upper))):
+    # an attained iterate can overshoot a tight upper bound by rounding only,
+    # a relative amount at every scale
+    if np.any(lower - upper > REL_TOL * upper):
         raise RuntimeError("norm bracket crossed beyond rounding slack")
     return np.minimum(lower, upper), upper
 

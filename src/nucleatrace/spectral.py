@@ -5,10 +5,15 @@ shifted QR iteration (numpy.linalg.eigvals).  A slow independent check
 is provided for small matrices: characteristic polynomial coefficients
 by the Faddeev-LeVerrier recursion and roots by Durand-Kerner iteration,
 sharing no code with the LAPACK path.
+
+`eigenvalues`, `characteristic_roots` and `audit_trace_formula` also take
+stacks and work on all of their matrices at once; each single form is
+the stack of one, so a row of a stack gives the bits of its single call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,22 +44,28 @@ _ORACLE_DIM_LIMIT = 16
 _DK_MAX_ITERS = 500
 
 
-def _as_square(A) -> np.ndarray:
+def _as_square(A, stack: bool = False) -> np.ndarray:
+    """The entries of a square matrix, or with `stack` of a stack (..., n, n) of them."""
     mat = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
+    if mat.ndim < 2 or (mat.ndim > 2 and not stack) or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError("expected a square matrix" + (" or a stack of them" if stack else ""))
     return mat
 
 
 def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Each spectrum along the last axis by non-increasing modulus, then by argument."""
     vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((np.angle(vals), -np.abs(vals)))
-    return vals[order]
+    order = np.lexsort((np.angle(vals), -np.abs(vals)), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues sorted by non-increasing modulus, then by argument."""
+    """Eigenvalues sorted by non-increasing modulus, then by argument.
+
+    For a stack of n x n matrices, `values` has shape (..., n), one sorted
+    spectrum per matrix.
+    """
 
     values: np.ndarray
     dim: int
@@ -67,66 +78,95 @@ class EigenSystem:
 
 
 def eigenvalues(A) -> EigenSystem:
-    """Spectrum of a square matrix or operator as an EigenSystem."""
-    mat = _as_square(A)
-    return EigenSystem(np.linalg.eigvals(mat), mat.shape[0])
+    """Spectrum of a square matrix or operator as an EigenSystem.
+
+    A stack (..., n, n) of matrices takes one LAPACK call and gives one
+    EigenSystem whose values hold a row per matrix.
+    """
+    mat = _as_square(A, stack=True)
+    return EigenSystem(np.linalg.eigvals(mat), mat.shape[-1])
 
 
 def _char_poly_coeffs(mat: np.ndarray) -> np.ndarray:
-    """Coefficients c with det(xI - A) = x^n + c[1] x^(n-1) + ... + c[n]."""
-    n = mat.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
+    """Coefficients c with det(xI - A) = x^n + c[1] x^(n-1) + ... + c[n].
+
+    Faddeev-LeVerrier for each matrix of a stack (..., n, n) at once; the
+    result has shape (..., n + 1).
+    """
+    n = mat.shape[-1]
+    coeffs = np.zeros(mat.shape[:-2] + (n + 1,))
+    coeffs[..., 0] = 1.0
     M = np.zeros_like(mat)
     I = np.eye(n)
     for k in range(1, n + 1):
-        M = mat @ M + coeffs[k - 1] * I
-        coeffs[k] = -np.trace(mat @ M) / k
+        M = mat @ M + coeffs[..., k - 1, None, None] * I
+        coeffs[..., k] = -np.trace(mat @ M, axis1=-2, axis2=-1) / k
     return coeffs
 
 
 def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous iteration."""
-    n = coeffs.size - 1
+    """All roots of each monic polynomial of a stack (k, n + 1) by simultaneous iteration.
+
+    The polynomials iterate together, and each leaves the iteration after
+    its own step that moves no root by more than 1e-16 (1 + max |root|),
+    or after _DK_MAX_ITERS steps, so each gets the roots of iterating it
+    alone.
+    """
+    k, n = coeffs.shape[0], coeffs.shape[-1] - 1
     if n == 0:
-        return np.zeros(0, dtype=complex)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
+        return np.zeros((k, 0), dtype=complex)
+    radius = 1.0 + np.max(np.abs(coeffs[:, 1:]), axis=-1)
     j = np.arange(n)
-    w = radius * np.exp(2j * np.pi * (j + 0.25) / n)
-    c = coeffs.astype(complex)
+    W = radius[:, None] * np.exp(2j * np.pi * (j + 0.25) / n)
+    C = coeffs.astype(complex)
+    live = np.arange(k)
     for _ in range(_DK_MAX_ITERS):
-        pw = np.zeros(n, dtype=complex)
-        for ck in c:
-            pw = pw * w + ck
-        D = w[:, None] - w[None, :]
-        np.fill_diagonal(D, 1.0)
-        delta = pw / np.prod(D, axis=1)
+        w, c = W[live], C[live]
+        pw = np.zeros_like(w)
+        for i in range(n + 1):
+            pw = pw * w + c[:, i, None]
+        D = w[:, :, None] - w[:, None, :]
+        D[:, j, j] = 1.0
+        delta = pw / np.prod(D, axis=-1)
         w = w - delta
-        if np.max(np.abs(delta)) <= 1e-16 * (1.0 + np.max(np.abs(w))):
+        W[live] = w
+        done = np.max(np.abs(delta), axis=-1) <= 1e-16 * (1.0 + np.max(np.abs(w), axis=-1))
+        live = live[~done]
+        if live.size == 0:
             break
-    return w
+    return W
 
 
 def characteristic_roots(A) -> np.ndarray:
     """Independent small-matrix spectrum via char poly plus root finding.
 
     Intended as a cross-check for dimension at most 8; refuses beyond 16
-    where the recursion loses too many digits to be a useful oracle.
+    where the recursion loses too many digits to be a useful oracle.  A
+    stack (..., n, n) gives the sorted roots of each matrix, shape
+    (..., n), from one recursion and one root iteration over the stack;
+    a zero matrix has zero roots.
     """
-    mat = _as_square(A)
-    n = mat.shape[0]
+    mat = _as_square(A, stack=True)
+    n = mat.shape[-1]
     if n > _ORACLE_DIM_LIMIT:
         raise ValueError("characteristic oracle is limited to dim <= 16")
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if scale == 0.0:
-        return np.zeros(n, dtype=complex)
-    roots = _durand_kerner(_char_poly_coeffs(mat / scale))
-    return _sort_spectrum(roots * scale)
+    flat = mat.reshape((math.prod(mat.shape[:-2]), n, n))
+    scale = np.max(np.abs(flat), axis=(-2, -1), initial=0.0)
+    roots = np.zeros(flat.shape[:-1], dtype=complex)
+    live = scale > 0.0
+    if np.any(live):
+        s = scale[live]
+        roots[live] = _durand_kerner(_char_poly_coeffs(flat[live] / s[:, None, None])) * s[:, None]
+    return _sort_spectrum(roots.reshape(mat.shape[:-1]))
 
 
-def spectral_sum(es: EigenSystem) -> complex:
-    """Sum of eigenvalues; imaginary part is rounding noise for real input."""
-    return complex(np.sum(es.values))
+def spectral_sum(es: EigenSystem) -> complex | np.ndarray:
+    """Sum of eigenvalues; imaginary part is rounding noise for real input.
+
+    For a stack, the array of one sum per matrix.
+    """
+    total = np.sum(es.values, axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def match_spectra(
@@ -161,7 +201,11 @@ def match_spectra(
 
 @dataclass(frozen=True)
 class TraceAuditReport:
-    """Side-by-side of nuclear trace and spectral sum for one representation."""
+    """Side-by-side of nuclear trace and spectral sum for one representation.
+
+    `matrix` is the induced matrix and `spectrum` its sorted eigenvalues,
+    kept for cross-checks; neither takes part in comparisons.
+    """
 
     nuclear_trace: float
     spectral_sum: complex
@@ -171,38 +215,76 @@ class TraceAuditReport:
     ratio: float | None
     frobenius: float
     passed: bool
+    matrix: np.ndarray = field(compare=False, repr=False)
+    spectrum: np.ndarray = field(compare=False, repr=False)
 
 
 def audit_trace_formula(
-    z: Representation,
-    index: NuclearIndex,
+    z: Representation | Sequence[Representation],
+    index: NuclearIndex | Sequence[NuclearIndex],
     tolerance_scale: float = 1e-8,
-) -> TraceAuditReport:
+) -> TraceAuditReport | tuple[TraceAuditReport, ...]:
     """Compare the nuclear trace against the eigenvalue sum.
 
     passed requires defect <= tolerance_scale * (1 + Frobenius norm of
     the induced matrix).  ratio is the l_1 eigenvalue mass divided by the
     quasi-norm, or None when the quasi-norm vanishes.
+
+    The stack form takes a sequence of single representations, all
+    endomorphisms of one dimension n, with a sequence of as many indices,
+    and returns a tuple of reports in the same order.  The induced
+    matrices form one (k, n, n) stack: one eigenvalue call, and row-wise
+    spectral sums and eigenvalue masses.  Representations that share
+    spaces, atom count and index form one Representation stack for their
+    traces, matrices and quasi-norms.  A single representation and index
+    give the report of the stack of one.
     """
-    tr = nuclear_trace(z)
-    M = induced_matrix(z)
-    es = eigenvalues(M)
-    ssum = spectral_sum(es)
-    defect = abs(tr - ssum)
-    eigen_l1 = float(np.sum(es.moduli()))
-    qn = representation_quasi_norm(z, index)
-    ratio = None if qn == 0.0 else eigen_l1 / qn
-    fro = M.frobenius()
-    return TraceAuditReport(
-        nuclear_trace=tr,
-        spectral_sum=ssum,
-        defect=float(defect),
-        eigen_l1=eigen_l1,
-        quasi_norm=qn,
-        ratio=ratio,
-        frobenius=fro,
-        passed=bool(defect <= tolerance_scale * (1.0 + fro)),
-    )
+    if isinstance(z, Representation):
+        return audit_trace_formula([z], [index], tolerance_scale)[0]
+    reps, indices = list(z), list(index)
+    if len(reps) != len(indices):
+        raise ValueError("a stack needs one index per representation")
+    if not reps:
+        return ()
+    n = reps[0].domain.dim
+    if any(r.domain.dim != n or r.codomain.dim != n for r in reps):
+        raise ValueError("a stack needs endomorphisms of one dimension")
+    groups: dict[tuple, list[int]] = {}
+    for i, (r, idx) in enumerate(zip(reps, indices)):
+        groups.setdefault((r.domain, r.codomain, r.atom_count, idx), []).append(i)
+    traces = np.empty(len(reps))
+    quasi_norms = np.empty(len(reps))
+    mats = np.empty((len(reps), n, n))
+    for (*_, idx), pos in groups.items():
+        stack = Representation.stack(reps[i] for i in pos)
+        traces[pos] = nuclear_trace(stack)
+        mats[pos] = induced_matrix(stack)
+        quasi_norms[pos] = representation_quasi_norm(stack, idx)
+    es = eigenvalues(mats)
+    sums = spectral_sum(es)
+    eigen_l1 = np.sum(es.moduli(), axis=-1)
+    # np.linalg.norm of a matrix is the square root of the dot product of
+    # its entries; vecdot takes that dot product row by row
+    flat = mats.reshape(len(reps), -1)
+    frobenius = np.sqrt(np.vecdot(flat, flat))
+    reports = []
+    for i, M in enumerate(mats):
+        tr, ssum, qn, l1 = float(traces[i]), complex(sums[i]), float(quasi_norms[i]), float(eigen_l1[i])
+        defect = abs(tr - ssum)
+        fro = float(frobenius[i])
+        reports.append(TraceAuditReport(
+            nuclear_trace=tr,
+            spectral_sum=ssum,
+            defect=float(defect),
+            eigen_l1=l1,
+            quasi_norm=qn,
+            ratio=None if qn == 0.0 else l1 / qn,
+            frobenius=fro,
+            passed=bool(defect <= tolerance_scale * (1.0 + fro)),
+            matrix=M,
+            spectrum=es.values[i],
+        ))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)

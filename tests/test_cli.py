@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nucleatrace import NuclearIndex, induced_matrix
 from nucleatrace.cli import main
-from nucleatrace.experiments import SUBCOMMANDS, ExperimentConfig, run
+from nucleatrace.experiments import (
+    _ORACLE_CROSS_CHECK_DIM,
+    SUBCOMMANDS,
+    ExperimentConfig,
+    _draw_representation,
+    _jsonable,
+    _trial_rng,
+    run,
+)
+from nucleatrace.spectral import (
+    audit_trace_formula,
+    characteristic_roots,
+    eigenvalues,
+    match_spectra,
+    trace_formula_exponent,
+)
 
 
 @pytest.fixture
@@ -137,6 +153,76 @@ class TestDeterminism:
         report = run(ExperimentConfig(subcommand="holder", trials=1))
         assert "wall_time_s" not in report.body()
         assert "wall_time_s" in json.loads(report.to_json_text())
+
+
+def _reference_trace_audit(cfg, trial, rng):
+    """trace-audit one trial at a time, one representation at a time."""
+    out = []
+    scale = cfg.tolerance if cfg.tolerance is not None else 1e-8
+    for n in cfg.dims:
+        for p in cfg.p:
+            s = cfg.s if cfg.s is not None else trace_formula_exponent(p)
+            z = _draw_representation(rng, n, p)
+            report = audit_trace_formula(
+                z, NuclearIndex.absolutely_summable(s), tolerance_scale=scale
+            )
+            ok = report.passed
+            oracle_gap = None
+            if n <= _ORACLE_CROSS_CHECK_DIM:
+                M = induced_matrix(z)
+                matched, worst = match_spectra(
+                    eigenvalues(M).values,
+                    characteristic_roots(M.entries),
+                    rel=1e-7,
+                    abs_floor=1e-7,
+                )
+                oracle_gap = worst
+                ok = bool(ok and matched)
+            out.append({
+                "trial": trial,
+                "n": n,
+                "p": p,
+                "s": s,
+                "nuclear_trace": report.nuclear_trace,
+                "spectral_sum": report.spectral_sum,
+                "defect": report.defect,
+                "eigen_l1": report.eigen_l1,
+                "quasi_norm": report.quasi_norm,
+                "ratio": report.ratio,
+                "frobenius": report.frobenius,
+                "oracle_gap": oracle_gap,
+                "pass": bool(ok),
+            })
+    return out
+
+
+BENCHMARK_P = (1.0, 1.5, 2.0, 4.0, math.inf)
+
+
+class TestTraceAuditStacks:
+    """Stacking each dimension across trials and exponents changes no record bit."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"seed": 0, "trials": 5, "dims": (4, 8, 16, 32), "p": BENCHMARK_P},
+            {"seed": 1, "trials": 5, "dims": (4, 8, 16, 32), "p": BENCHMARK_P},
+            {"seed": 2, "trials": 5, "dims": (4, 8, 16, 32), "p": BENCHMARK_P},
+            {"seed": 3, "trials": 4, "dims": (4, 8), "p": (1.0, 2.0), "s": 0.8, "tolerance": 1e-10},
+            {"seed": 4, "trials": 3, "dims": (32, 4, 4), "p": (1.5, math.inf)},
+            {"seed": 5, "trials": 6, "dims": (1, 2, 5, 6, 7), "p": (3.0,)},
+            {"seed": 6, "trials": 1, "dims": (4, 8), "p": BENCHMARK_P},
+        ],
+        ids=["bench-0", "bench-1", "bench-2", "s-tolerance", "repeated-dims", "one-p", "one-trial"],
+    )
+    def test_records_match_per_trial_reference(self, fields):
+        cfg = ExperimentConfig(subcommand="trace-audit", **fields)
+        expected = [
+            rec for t in range(cfg.trials)
+            for rec in _reference_trace_audit(cfg, t, _trial_rng(cfg.seed, t))
+        ]
+        got = run(cfg).records
+        assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
 
 
 class TestCli:

@@ -160,6 +160,66 @@ class TestRepresentation:
             )
 
 
+class TestRepresentationStack:
+    INDICES = [
+        NuclearIndex.absolutely_summable(0.6),
+        NuclearIndex.lorentz(0.5, math.inf),
+        NuclearIndex.bracket_lower(1.0, 1.5),
+        NuclearIndex.bracket_upper(0.5, 2.0),
+    ]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize("atoms", [1, 2, 4])
+    def test_rows_match_single_representations(self, p, atoms):
+        rng = np.random.default_rng([7, atoms])
+        reps = [random_rep(rng, 3, p, atoms=atoms) for _ in range(4)]
+        stack = Representation.stack(reps)
+        assert stack.coefficients.shape == (4, atoms) and stack.atom_count == atoms
+        np.testing.assert_array_equal(nuclear_trace(stack), [nuclear_trace(z) for z in reps])
+        np.testing.assert_array_equal(induced_matrix(stack), [induced_matrix(z).entries for z in reps])
+        np.testing.assert_array_equal(stack.magnitudes(), [z.magnitudes().values for z in reps])
+        for idx in self.INDICES:
+            np.testing.assert_array_equal(quasi_norm(stack, idx), [quasi_norm(z, idx) for z in reps])
+
+    def test_rows_sort_on_their_own(self):
+        sp = L2(2)
+        F = np.arange(12.0).reshape(2, 3, 2)
+        z = Representation([[1.0, 3.0, 2.0], [3.0, 2.0, 1.0]], F, -F, sp, sp)
+        np.testing.assert_array_equal(z.coefficients, [[3.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
+        np.testing.assert_array_equal(z.F[0], F[0][[1, 2, 0]])
+        np.testing.assert_array_equal(z.F[1], F[1])
+        assert not np.shares_memory(z.F, F)
+        lam = np.array([[2.0, 1.0], [1.0, 1.0]])
+        F = np.ones((2, 2, 2))
+        z = Representation(lam, F, F, sp, sp)  # sorted rows are kept as they are
+        assert not (np.shares_memory(z.coefficients, lam) or np.shares_memory(z.F, F))
+
+    def test_empty_rows(self):
+        sp = AmbientSpace(3, 1.5)
+        empty = Representation.from_arrays([0.0], np.ones((1, 3)), np.ones((1, 3)), sp, sp)
+        stack = Representation.stack([empty, empty])
+        np.testing.assert_array_equal(nuclear_trace(stack), [0.0, 0.0])
+        np.testing.assert_array_equal(induced_matrix(stack), np.zeros((2, 3, 3)))
+        for idx in self.INDICES:
+            np.testing.assert_array_equal(quasi_norm(stack, idx), [0.0, 0.0])
+
+    def test_rejects_what_cannot_stack(self):
+        rng = np.random.default_rng(3)
+        z = random_rep(rng, 3, 1.5)
+        with pytest.raises(ValueError):
+            Representation.stack([])
+        with pytest.raises(ValueError):
+            Representation.stack([z, random_rep(rng, 3, 2.0)])  # other spaces
+        with pytest.raises(ValueError):
+            Representation.stack([z, random_rep(rng, 3, 1.5, atoms=2)])  # other atom count
+        with pytest.raises(ValueError):
+            Representation.stack([Representation.stack([z])])  # a stack of stacks
+        sp = L2(2)
+        with pytest.raises(ValueError):
+            # a stack cannot drop a zero atom from one row only
+            Representation([[1.0, 0.0], [1.0, 1.0]], np.ones((2, 2, 2)), np.ones((2, 2, 2)), sp, sp)
+
+
 class TestInducedMatrix:
     def test_rank_one_projector(self):
         z = diag_rep([1.0], L2(2))
@@ -466,6 +526,8 @@ class TestImprove:
             z = random_rep(rng, 3, 2.0, atoms=3)
             improved, before, after = improve_representation(z, idx, sweeps=1)
             assert after <= before + 1e-9 * max(1.0, before)
+            # the returned representation itself is worth no more than `after`
+            assert quasi_norm(improved, idx) <= after * (1.0 + 1e-12)
             np.testing.assert_allclose(
                 induced_matrix(improved).entries,
                 induced_matrix(z).entries,

@@ -16,6 +16,7 @@ from nucleatrace import (
     projection_onto_span,
     vector_norm,
 )
+from nucleatrace import spaces
 from nucleatrace.spaces import _ascent_lower
 
 P_GRID = [1.0, 1.5, 2.0, 3.0, 4.0, math.inf]
@@ -258,6 +259,16 @@ class TestOperatorNorm:
             bound = exact(2.0) ** (1.0 - theta) * exact(math.inf) ** theta
         _, hi = operator_norm(OperatorMatrix(mat, space(n, p), space(n, p)))
         assert hi <= bound
+
+    @pytest.mark.parametrize("scale", [2.0 ** -50, 1.0, 2.0 ** 50])
+    def test_forged_crossing_raises_at_every_scale(self, scale, monkeypatch):
+        # an upper end forged below the attained lower end by a factor 2:
+        # the crossing check is relative, so no scale lets it pass
+        mat = scale * np.random.default_rng(5).standard_normal((3, 3))
+        true_upper = spaces._upper
+        monkeypatch.setattr(spaces, "_upper", lambda A, p_in, p_out: 0.5 * true_upper(A, p_in, p_out))
+        with pytest.raises(RuntimeError, match="crossed"):
+            operator_norm(OperatorMatrix(mat, space(3, 1.5), space(3, 3.0)))
 
     def test_linf_row_rule(self):
         mat = np.array([[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nucleatrace import spectral
 from nucleatrace import (
     AmbientSpace,
     EigenSystem,
@@ -18,6 +19,7 @@ from nucleatrace import (
     induced_matrix,
     match_spectra,
     nilpotent_check,
+    nuclear_trace,
     similarity_spectrum_check,
     spectral_sum,
     trace_formula_exponent,
@@ -182,6 +184,126 @@ class TestAuditTraceFormula:
         assert report.quasi_norm == 0.0
         assert report.ratio is None
         assert report.passed
+
+
+def _rank_deficient(rng, n, p):
+    """Induced matrix of a representation with fewer atoms than n."""
+    space = AmbientSpace(n, p)
+    m = n // 2
+    lam = np.sort(rng.uniform(0.0, 1.0, m))[::-1]
+    z = Representation.from_arrays(
+        lam, rng.standard_normal((m, n)), rng.standard_normal((m, n)), space, space
+    )
+    return induced_matrix(z).entries
+
+
+JORDAN_4 = np.eye(4) + np.diag(np.ones(3), 1)
+ONE_BY_ONE = np.array([[[2.0]], [[0.0]], [[-3.0]], [[1e-300]]])
+
+
+def _mixed_stack():
+    """A 4x4 stack: a Jordan block, a zero matrix, rank-deficient and full matrices."""
+    rng = np.random.default_rng(11)
+    return np.stack([
+        JORDAN_4,
+        np.zeros((4, 4)),
+        _rank_deficient(rng, 4, 1.5),
+        _rank_deficient(rng, 4, math.inf),
+        rng.standard_normal((4, 4)),
+        1e-200 * rng.standard_normal((4, 4)),
+    ])
+
+
+class TestStackForms:
+    """Each row of a stack gives the bits of its single call."""
+
+    def test_jordan_block_runs_to_the_iteration_cap(self, monkeypatch):
+        # the mixed stack's Jordan row still moves at the last allowed step,
+        # so the other rows stop long before it
+        full = characteristic_roots(JORDAN_4)
+        monkeypatch.setattr(spectral, "_DK_MAX_ITERS", spectral._DK_MAX_ITERS - 1)
+        assert not np.array_equal(characteristic_roots(JORDAN_4), full)
+
+    def test_characteristic_roots(self):
+        stack = _mixed_stack()
+        roots = characteristic_roots(stack)
+        assert roots.shape == (len(stack), 4)
+        np.testing.assert_array_equal(roots, [characteristic_roots(m) for m in stack])
+        np.testing.assert_array_equal(roots[1], np.zeros(4))
+        grid = characteristic_roots(stack[:4].reshape(2, 2, 4, 4))
+        np.testing.assert_array_equal(grid.reshape(4, 4), roots[:4])
+        np.testing.assert_array_equal(
+            characteristic_roots(ONE_BY_ONE), [characteristic_roots(m) for m in ONE_BY_ONE]
+        )
+
+    def test_eigenvalues_and_sums(self):
+        for stack in (_mixed_stack(), ONE_BY_ONE):
+            es = eigenvalues(stack)
+            singles = [eigenvalues(m) for m in stack]
+            assert es.dim == stack.shape[-1] and es.values.shape == stack.shape[:-1]
+            np.testing.assert_array_equal(es.values, [e.values for e in singles])
+            np.testing.assert_array_equal(spectral_sum(es), [spectral_sum(e) for e in singles])
+
+    def test_single_forms_refuse_stacks_where_they_take_matrices_only(self):
+        with pytest.raises(ValueError):
+            nilpotent_check(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            characteristic_roots(np.zeros((2, 3, 4)))
+
+    def test_audit_stack_matches_single_calls(self):
+        rng = np.random.default_rng(5)
+        reps, indices = [], []
+        for p in (1.0, 1.5, math.inf):
+            for atoms in (4, 2):
+                for s in (0.5, 2.0 / 3.0):
+                    space = AmbientSpace(4, p)
+                    lam = np.sort(rng.uniform(0.0, 1.0, atoms))[::-1]
+                    reps.append(Representation.from_arrays(
+                        lam, rng.standard_normal((atoms, 4)), rng.standard_normal((atoms, 4)),
+                        space, space,
+                    ))
+                    indices.append(NuclearIndex.absolutely_summable(s))
+        indices[1] = NuclearIndex.lorentz(0.5, 2.0)
+        indices[2] = NuclearIndex.bracket_upper(1.0, 1.5)
+        reports = audit_trace_formula(reps, indices, tolerance_scale=1e-9)
+        singles = [audit_trace_formula(z, i, tolerance_scale=1e-9) for z, i in zip(reps, indices)]
+        assert reports == tuple(singles)
+        for r, one, z in zip(reports, singles, reps):
+            M = induced_matrix(z)
+            np.testing.assert_array_equal(r.matrix, M.entries)
+            np.testing.assert_array_equal(r.spectrum, one.spectrum)
+            assert r.frobenius == M.frobenius() and r.nuclear_trace == nuclear_trace(z)
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_audit_stack_frobenius_is_each_matrix_norm(self, n):
+        rng = np.random.default_rng(n)
+        space = AmbientSpace(n, 1.5)
+        reps = [
+            Representation.from_arrays(
+                rng.uniform(0.1, 1.0, n), rng.standard_normal((n, n)),
+                rng.standard_normal((n, n)), space, space,
+            )
+            for _ in range(40)
+        ]
+        reports = audit_trace_formula(reps, [NuclearIndex.absolutely_summable(0.75)] * 40)
+        assert [r.frobenius for r in reports] == [induced_matrix(z).frobenius() for z in reps]
+
+    def test_audit_stack_validation(self):
+        rng = np.random.default_rng(6)
+        idx = NuclearIndex.absolutely_summable(1.0)
+        z4, z3 = (
+            Representation.from_arrays(
+                [1.0], rng.standard_normal((1, n)), rng.standard_normal((1, n)), L2(n), L2(n)
+            )
+            for n in (4, 3)
+        )
+        assert audit_trace_formula([], []) == ()
+        with pytest.raises(ValueError):
+            audit_trace_formula([z4, z4], [idx])
+        with pytest.raises(ValueError):
+            audit_trace_formula([z4, z3], [idx, idx])
+        with pytest.raises(ValueError):
+            audit_trace_formula(Representation.stack([z4, z4]), idx)
 
 
 class TestEigenvalueTypeProbe:
