@@ -118,7 +118,8 @@ class Representation:
     sorted on their own; a stack cannot drop atoms, so its coefficients
     must be positive.  `stack` builds one from single representations;
     `induced_matrix`, `nuclear_trace`, `magnitudes` and `quasi_norm` then
-    give one result per row, equal to the single representation's.
+    give one result per row, equal to the single representation's; the
+    other functions of this module refuse a stack.
     """
 
     coefficients: np.ndarray
@@ -139,24 +140,19 @@ class Representation:
             raise ValueError("F must be atoms x domain dim, X atoms x codomain dim")
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(X))):
             raise ValueError("atoms must be finite")
-        if lam.ndim == 1:
-            keep = lam > 0.0
-            order = np.argsort(-lam[keep], kind="stable")
-            idx = np.flatnonzero(keep)[order]
-            lam, F, X = lam[idx], F[idx], X[idx]
-        elif np.any(lam == 0.0):
+        if lam.ndim > 1 and np.any(lam == 0.0):
             raise ValueError("a stack's coefficients must be positive")
-        elif np.any(lam[..., 1:] > lam[..., :-1]):
-            order = np.argsort(-lam, axis=-1, kind="stable")
-            lam = np.take_along_axis(lam, order, axis=-1)
-            F = np.take_along_axis(F, order[..., None], axis=-2)
-            X = np.take_along_axis(X, order[..., None], axis=-2)
-        else:
-            # rows already sorted, as from `stack`: copy rather than gather
-            lam, F, X = lam.copy(), F.copy(), X.copy()
-        object.__setattr__(self, "coefficients", lam)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "X", X)
+        # a stable sort of each row, gathered as atoms of the flattened stack
+        # (a single representation is the stack of one row, whose zero
+        # coefficients sort last, where they are cut)
+        rows, m = math.prod(lam.shape[:-1]), lam.shape[-1]
+        kept = m if lam.ndim > 1 else np.count_nonzero(lam)
+        order = np.argsort(-lam, axis=-1, kind="stable").reshape(rows, m)[:, :kept]
+        take = (order + m * np.arange(rows)[:, None]).ravel()
+        shape = lam.shape[:-1] + (kept,)
+        object.__setattr__(self, "coefficients", lam.reshape(rows * m)[take].reshape(shape))
+        object.__setattr__(self, "F", F.reshape(rows * m, F.shape[-1])[take].reshape(shape + F.shape[-1:]))
+        object.__setattr__(self, "X", X.reshape(rows * m, X.shape[-1])[take].reshape(shape + X.shape[-1:]))
 
     @classmethod
     def from_arrays(
@@ -230,6 +226,12 @@ class Representation:
         return FiniteSequence(values) if values.ndim == 1 else values
 
 
+def _require_single(z: Representation) -> None:
+    """Refuse a stack where only a single representation is meant."""
+    if z.coefficients.ndim != 1:
+        raise ValueError("expected a single representation, not a stack")
+
+
 def induced_matrix(z: Representation) -> OperatorMatrix | np.ndarray:
     """Dense matrix of the representation as a map domain -> codomain.
 
@@ -249,6 +251,7 @@ def nuclear_trace(z: Representation) -> float | np.ndarray:
 
 def _split(z: Representation, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights lambda_k**s |x'_k| and the rows lambda_k**(1-s) x_k."""
+    _require_single(z)
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
     lam = z.coefficients
@@ -416,6 +419,7 @@ def trace_perturbation_bound(
     The bound is the l_1 mass of the split weights times the worst
     displacement of a scaled vector under R, measured in the codomain.
     """
+    _require_single(z)
     if R.domain.dim != z.codomain.dim or R.codomain.dim != z.codomain.dim:
         raise ValueError("perturbation must be an endomorphism of the codomain")
     tr = nuclear_trace(z)
@@ -438,6 +442,7 @@ def rebalance(z: Representation) -> Representation:
     induced matrix is unchanged up to rounding and every magnitude-based
     quasi-norm is invariant.
     """
+    _require_single(z)
     nf = z._functional_norms()
     nx = z._vector_norms()
     keep = (nf > 0.0) & (nx > 0.0)
@@ -469,6 +474,7 @@ def improve_representation(
     since rebalancing can raise it when no rescaling wins back the
     difference (ROADMAP item 3(d)).
     """
+    _require_single(z)
     before = quasi_norm(z, index)
     if index.variant in (S_VARIANT, LORENTZ_VARIANT):
         zb = rebalance(z)

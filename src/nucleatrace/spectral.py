@@ -240,8 +240,14 @@ def audit_trace_formula(
     give the report of the stack of one.
     """
     if isinstance(z, Representation):
-        return audit_trace_formula([z], [index], tolerance_scale)[0]
-    reps, indices = list(z), list(index)
+        return _audit_stack([z], [index], tolerance_scale)[0]
+    return _audit_stack(list(z), list(index), tolerance_scale)
+
+
+def _audit_stack(
+    reps: list[Representation], indices: list[NuclearIndex], tolerance_scale: float
+) -> tuple[TraceAuditReport, ...]:
+    """The reports of `audit_trace_formula` on a stack, in order."""
     if len(reps) != len(indices):
         raise ValueError("a stack needs one index per representation")
     if not reps:
@@ -263,15 +269,13 @@ def audit_trace_formula(
     es = eigenvalues(mats)
     sums = spectral_sum(es)
     eigen_l1 = np.sum(es.moduli(), axis=-1)
-    # np.linalg.norm of a matrix is the square root of the dot product of
-    # its entries; vecdot takes that dot product row by row
-    flat = mats.reshape(len(reps), -1)
-    frobenius = np.sqrt(np.vecdot(flat, flat))
     reports = []
     for i, M in enumerate(mats):
         tr, ssum, qn, l1 = float(traces[i]), complex(sums[i]), float(quasi_norms[i]), float(eigen_l1[i])
         defect = abs(tr - ssum)
-        fro = float(frobenius[i])
+        # per matrix, as OperatorMatrix.frobenius: np.linalg.norm over a
+        # stack sums the squares another way and can differ in the last bit
+        fro = float(np.linalg.norm(M))
         reports.append(TraceAuditReport(
             nuclear_trace=tr,
             spectral_sum=ssum,

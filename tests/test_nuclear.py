@@ -191,7 +191,7 @@ class TestRepresentationStack:
         assert not np.shares_memory(z.F, F)
         lam = np.array([[2.0, 1.0], [1.0, 1.0]])
         F = np.ones((2, 2, 2))
-        z = Representation(lam, F, F, sp, sp)  # sorted rows are kept as they are
+        z = Representation(lam, F, F, sp, sp)  # sorted rows are still copied
         assert not (np.shares_memory(z.coefficients, lam) or np.shares_memory(z.F, F))
 
     def test_empty_rows(self):
@@ -218,6 +218,22 @@ class TestRepresentationStack:
         with pytest.raises(ValueError):
             # a stack cannot drop a zero atom from one row only
             Representation([[1.0, 0.0], [1.0, 1.0]], np.ones((2, 2, 2)), np.ones((2, 2, 2)), sp, sp)
+
+    def test_single_representation_functions_refuse_a_stack(self):
+        # rebalance would otherwise merge the rows' atoms into one representation
+        rng = np.random.default_rng(4)
+        reps = [random_rep(rng, 3, 1.5, atoms=3) for _ in range(2)]
+        stack = Representation.stack(reps)
+        R = OperatorMatrix(np.eye(3), stack.codomain, stack.codomain)
+        for call in (
+            lambda: rebalance(stack),
+            lambda: improve_representation(stack, NuclearIndex.bracket_lower(1.0, 1.5)),
+            lambda: improve_representation(stack, NuclearIndex.absolutely_summable(0.6)),
+            lambda: split_representation(stack, 0.5),
+            lambda: trace_perturbation_bound(stack, R, 0.5),
+        ):
+            with pytest.raises(ValueError, match="not a stack"):
+                call()
 
 
 class TestInducedMatrix:
