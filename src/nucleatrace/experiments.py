@@ -246,8 +246,9 @@ def _run_holder(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     if np.any(a != 0.0):
         wit = sharpness_witness(a, s)
         wl, _, _ = holder_product_bound(a, wit, s)
-        witness_gap = abs(wl - float(np.sum(np.abs(a))))
-        witness_ok = witness_gap <= 1e-9 * max(1.0, float(np.sum(np.abs(a))))
+        l1 = float(np.sum(np.abs(a)))
+        witness_gap = abs(wl - l1)
+        witness_ok = witness_gap <= 1e-9 * l1
     ok = bool(holds and defect >= -floor and witness_ok)
     rec = {
         "trial": trial,
@@ -275,9 +276,8 @@ def _run_lorentz(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     norm_perm = lorentz_quasi_norm(a[perm], index)
     c = float(rng.uniform(0.1, 10.0))
     norm_scaled = lorentz_quasi_norm(c * a, index)
-    tol = 1e-9 * max(1.0, norm)
-    invariant = abs(norm - norm_perm) <= tol
-    homogeneous = abs(norm_scaled - c * norm) <= 1e-9 * max(1.0, c * norm)
+    invariant = abs(norm - norm_perm) <= 1e-9 * norm
+    homogeneous = abs(norm_scaled - c * norm) <= 1e-9 * (c * norm)
     ok = bool(invariant and homogeneous)
     rec = {
         "trial": trial,

@@ -276,13 +276,16 @@ def _weak_brackets(Y: np.ndarray, p_prime: float, home: AmbientSpace, pairing_br
 
     `pairing_brackets()` gives the operator-norm brackets of the pairing
     maps.  One vector is exact; otherwise the l_{p'} sum of the vector
-    norms also bounds from above.
+    norms also bounds from above, and the largest vector norm from below
+    (pair that vector with its norming functional).
     """
     if Y.shape[-2] == 1:
         nv = lp_norm(Y[..., 0, :], home.exponent, axis=-1)
         return nv, nv
     lo, hi = pairing_brackets()
-    hi = np.minimum(hi, lp_norm(lp_norm(Y, home.exponent, axis=-1), p_prime, axis=-1))
+    nv = lp_norm(Y, home.exponent, axis=-1)
+    hi = np.minimum(hi, lp_norm(nv, p_prime, axis=-1))
+    lo = np.maximum(lo, nv.max(axis=-1))
     return np.minimum(lo, hi), hi
 
 

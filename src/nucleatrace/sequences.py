@@ -305,6 +305,11 @@ class FactorizationCertificate:
     final_to_quarter_ratio: float
 
 
+# relative backoffs below a target, tried in order, each followed by a few ulp steps down
+_SCALES = (0.0,) + tuple(2.0 ** -e for e in range(43, 8, -1))
+_ULP_STEPS = 6
+
+
 def _exact_pair_down(d: float, target: float) -> tuple[float, float]:
     """Find (alpha, beta) with alpha * beta == d exactly and beta <= target.
 
@@ -314,19 +319,55 @@ def _exact_pair_down(d: float, target: float) -> tuple[float, float]:
     """
     if d == 0.0:
         return 0.0, target
-    scales = [0.0] + [2.0 ** -e for e in range(43, 8, -1)]
-    for t in scales:
+    for t in _SCALES:
         base = target * (1.0 - t)
         if base <= 0.0:
             continue
         b = base
-        for _ in range(6):
+        for _ in range(_ULP_STEPS):
             a0 = d / b
             for a in (a0, math.nextafter(a0, math.inf), math.nextafter(a0, 0.0)):
                 if a * b == d:
                     return a, b
             b = math.nextafter(b, 0.0)
     raise RuntimeError("no exactly representable factor pair near target")
+
+
+def _exact_pairs_down(d: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_exact_pair_down` over arrays of positive d, nan where no pair is found.
+
+    Every entry tries the scalar search's candidates in the scalar order
+    and keeps its first hit, so each pair has the scalar result's bits;
+    after each candidate only the unresolved entries go on.
+    """
+    a_out = np.full(d.size, np.nan)
+    b_out = np.full(d.size, np.nan)
+    todo = np.arange(d.size)
+    # at extreme scales a candidate overflows or divides by a b stepped down
+    # to zero; it then just misses, as it does in the scalar search
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in _SCALES:
+            base = target[todo] * (1.0 - t)
+            live = todo[base > 0.0]
+            b = base[base > 0.0]
+            dl = d[live]
+            for _ in range(_ULP_STEPS):
+                a0 = dl / b
+                for toward in (None, math.inf, 0.0):
+                    a = a0 if toward is None else np.nextafter(a0, toward)
+                    hit = a * b == dl
+                    if hit.any():
+                        a_out[live[hit]] = a[hit]
+                        b_out[live[hit]] = b[hit]
+                        miss = ~hit
+                        live, b, dl, a0 = live[miss], b[miss], dl[miss], a0[miss]
+                if not live.size:
+                    break
+                b = np.nextafter(b, 0.0)
+            todo = todo[np.isnan(b_out[todo])]
+            if not todo.size:
+                break
+    return a_out, b_out
 
 
 def factor_l1_lorentz(
@@ -362,11 +403,21 @@ def factor_l1_lorentz(
     -----
     The default envelope is epsilon_k = sqrt(k**(1/q) d_k / d_1) clipped
     to be non-increasing, which balances the two factors for power-decay
-    input.  Exactness is achieved by a per-entry search: each beta_k is
-    nudged at most a few ulps below its envelope target until the
-    rounding of d_k / beta_k multiplies back bitwise, and a running cap
-    min over k'<=k of k'**(1/q) beta_k' clips later targets so the
-    weighted tail is non-increasing by construction.
+    input.  Exactness is achieved by a search for each entry: beta_k is
+    stepped down from its target through a few relative backoffs and ulp
+    steps until the rounding of d_k / beta_k multiplies back bitwise, and
+    a running cap min over k'<=k of k'**(1/q) beta_k' clips later targets
+    so the weighted tail is non-increasing by construction.
+
+    The search first runs over whole arrays: every positive entry is
+    paired at once with its uncapped target epsilon_k / k**(1/q), trying
+    candidates in the order a single entry does, and keeps its first hit.
+    That is the sequential result up to the first index where the running
+    cap of these pairs falls below epsilon_k.  From that index on, the
+    entries are paired one at a time against the capped target.  The
+    default and gamma envelopes on power-decay input rarely meet the cap,
+    so they run almost wholly as arrays; a flat explicit epsilon meets it
+    at once and runs almost wholly in sequence.
     """
     dv = as_values(d)
     if dv.size == 0:
@@ -403,10 +454,21 @@ def factor_l1_lorentz(
             eps = np.sqrt(w * dv / dv[0])
             eps = np.minimum.accumulate(eps)
 
+    # Speculate that the running cap never binds: each entry then pairs with
+    # its uncapped target eps_k / w_k, independently of the others.
+    beta = np.where(eps == 0.0, 0.0, eps / w)
     alpha = np.zeros(L)
-    beta = np.zeros(L)
-    cap = math.inf
-    for i in range(L):
+    pos = np.flatnonzero(dv > 0.0)
+    alpha[pos], beta[pos] = _exact_pairs_down(dv[pos], beta[pos])
+    # cap[k] is the running cap after entry k.  The speculation holds up to
+    # the first entry left unpaired (nan) or whose target is the cap, not
+    # eps[k]; from there on the entries are paired in sequence.
+    cap = np.minimum.accumulate(np.where(beta > 0.0, w * beta, math.inf))
+    late = np.isnan(beta)
+    late[1:] |= cap[:-1] < eps[1:]
+    start = int(np.argmax(late)) if late.any() else L
+    cap = cap[start - 1] if start else math.inf
+    for i in range(start, L):
         target = min(eps[i], cap)
         if dv[i] == 0.0:
             beta[i] = 0.0 if eps[i] == 0.0 else target / w[i]

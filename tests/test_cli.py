@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nucleatrace import NuclearIndex, induced_matrix
+from nucleatrace import FiniteSequence, NuclearIndex, induced_matrix
+from nucleatrace import experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
     _ORACLE_CROSS_CHECK_DIM,
@@ -89,6 +90,37 @@ class TestRun:
         assert rec["lhs"] == 1.0 and rec["rhs"] == 1.0
         assert rec["pass"]
         assert not report.failed
+
+    def test_holder_witness_check_is_scale_free(self, monkeypatch):
+        # at scale 1e-14 a floor of 1e-9 on the witness gap passed any witness
+        real = experiments.sharpness_witness
+        monkeypatch.setattr(
+            experiments,
+            "sharpness_witness",
+            lambda a, s: FiniteSequence(real(a, s).values * (1.0 + 1e-6)),
+        )
+        cfg = ExperimentConfig(
+            subcommand="holder", trials=1, s=2.0 / 3.0, a=(3e-14, 1e-14), b=(2e-14, 1e-14)
+        )
+        rec = run(cfg).records[0]
+        assert rec["lhs"] <= rec["rhs"]
+        assert not rec["pass"]
+
+    @pytest.mark.parametrize("call, flag", [(1, "rearrangement_invariant"), (2, "homogeneous")])
+    def test_lorentz_checks_are_scale_free(self, monkeypatch, call, flag):
+        # norms near 1e-13, one of them off by 1e-6 relative: a floor of 1e-9 passed it
+        real = experiments.lorentz_quasi_norm
+        calls = []
+
+        def tiny(a, index):
+            off = 1e-6 if len(calls) == call else 0.0
+            calls.append(off)
+            return 1e-13 * real(a, index) * (1.0 + off)
+
+        monkeypatch.setattr(experiments, "lorentz_quasi_norm", tiny)
+        rec = run(ExperimentConfig(subcommand="lorentz", trials=1)).records[0]
+        assert not rec[flag]
+        assert not rec["pass"]
 
     def test_trace_audit_seeded_ensemble(self):
         cfg = ExperimentConfig(

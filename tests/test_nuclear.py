@@ -376,6 +376,22 @@ class TestWeakNorm:
         crude = sum(Vector(y, sp).norm() ** 1.5 for y in rows) ** (1.0 / 1.5)
         assert hi <= crude + 1e-12
 
+    @pytest.mark.parametrize(
+        "seed",
+        # the functionals of the norm_brackets benchmark's op 1457 at seed 833
+        # (n = 6, p = 4): the ascent's lower end alone is 3.2501 there, below
+        # the largest row norm 3.3300
+        [[833, 1457]] + [[41, i] for i in range(6)],
+    )
+    @pytest.mark.parametrize("p, p_prime", [(4.0 / 3.0, 4.0), (3.0, 1.5)])
+    def test_lower_end_at_least_largest_row_norm(self, seed, p, p_prime):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng.uniform(0.0, 1.0, size=6)  # the coefficients, drawn first
+        rows = rng.standard_normal((6, 6))
+        sp = AmbientSpace(6, p)
+        lo, hi = weak_norm_bracket(rows, p_prime, sp)
+        assert max(Vector(y, sp).norm() for y in rows) <= lo <= hi
+
     @pytest.mark.parametrize("k", [40, 60])
     def test_power_of_two_scaling_is_exact(self, k):
         # the bracket is loose (4.0585 to 4.4850 at scale 1); an absolute floor

@@ -336,6 +336,123 @@ class TestFactorization:
         assert cert.final_to_quarter_ratio <= 0.5
 
 
+def _reference_pair_down(d, target):
+    # one entry at a time, Python floats: the search factor_l1_lorentz vectorizes
+    if d == 0.0:
+        return 0.0, target
+    for t in [0.0] + [2.0 ** -e for e in range(43, 8, -1)]:
+        base = target * (1.0 - t)
+        if base <= 0.0:
+            continue
+        b = base
+        for _ in range(6):
+            a0 = d / b
+            for a in (a0, math.nextafter(a0, math.inf), math.nextafter(a0, 0.0)):
+                if a * b == d:
+                    return a, b
+            b = math.nextafter(b, 0.0)
+    raise RuntimeError("no exactly representable factor pair near target")
+
+
+def _reference_factor(d, s, eps):
+    """factor_l1_lorentz's pairing loop, one entry at a time, with its certificate fields."""
+    L = d.size
+    w = _weights(L, s)
+    alpha = np.zeros(L)
+    beta = np.zeros(L)
+    cap = math.inf
+    for i in range(L):
+        target = min(eps[i], cap)
+        if d[i] == 0.0:
+            beta[i] = 0.0 if eps[i] == 0.0 else target / w[i]
+            alpha[i] = 0.0
+            if beta[i] > 0.0:
+                cap = min(cap, w[i] * beta[i])
+            continue
+        a, b = _reference_pair_down(d[i], target / w[i])
+        alpha[i] = a
+        beta[i] = b
+        cap = min(cap, w[i] * b)
+    weighted = w * beta
+    quarter = max(L // 4 - 1, 0)
+    ratio = float(weighted[-1] / weighted[quarter]) if weighted[quarter] > 0.0 else 0.0
+    return alpha, beta, weighted, float(np.sum(np.abs(alpha))), bool(np.all(np.diff(weighted) <= 0.0)), ratio
+
+
+def _weights(L, s):
+    q = s / (1.0 - s)
+    return np.arange(1, L + 1, dtype=float) ** (1.0 / q)
+
+
+def _default_envelope(d, s):
+    if d[0] == 0.0:
+        return np.zeros(d.size)
+    return np.minimum.accumulate(np.sqrt(_weights(d.size, s) * d / d[0]))
+
+
+_K = np.arange(1, 4097.0)
+_ZERO_TAIL = np.where(_K <= 2000, _K ** -2.0, 0.0)
+
+
+class TestFactorizationReference:
+    """factor_l1_lorentz gives the bits of its one-entry-at-a-time loop."""
+
+    @staticmethod
+    def check(d, s, epsilon=None, gamma=None):
+        d = np.asarray(d, dtype=float)
+        alpha, beta, cert = factor_l1_lorentz(d, s, epsilon=epsilon, gamma=gamma)
+        if epsilon is not None:
+            eps = np.asarray(epsilon, dtype=float)
+        elif gamma is not None:
+            eps = np.arange(1, d.size + 1, dtype=float) ** (-gamma)
+        else:
+            eps = _default_envelope(d, s)
+        ref = _reference_factor(d, s, eps)
+        got = (alpha.values, beta.values, cert.weighted_tail)
+        for g, r in zip(got, ref[:3]):
+            assert g.tobytes() == r.tobytes()
+        assert (cert.l1_alpha, cert.non_increasing, cert.final_to_quarter_ratio) == ref[3:]
+
+    @pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_envelope(self, s, seed):
+        beta_exp = np.random.default_rng([round(s * 1000), seed]).uniform(1.1, 3.0)
+        self.check(_K ** -beta_exp, s)
+
+    def test_gamma_envelope(self):
+        self.check(_K ** -1.8, 2.0 / 3.0, gamma=0.3)
+
+    def test_flat_epsilon(self):
+        # the running cap binds at almost every entry
+        self.check(_K ** -2.0, 2.0 / 3.0, epsilon=np.full(_K.size, 0.5))
+
+    def test_epsilon_flat_from_halfway(self):
+        self.check(_K ** -2.0, 2.0 / 3.0, epsilon=np.minimum(_K ** -0.25, 2048.0 ** -0.25))
+
+    def test_zero_tail_positive_epsilon(self):
+        self.check(_ZERO_TAIL, 2.0 / 3.0, epsilon=_K ** -0.25)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_tail_zero_epsilon(self, zero):
+        self.check(_ZERO_TAIL, 2.0 / 3.0, epsilon=np.where(_K <= 2000, _K ** -0.25, zero))
+
+    def test_zero_tail_default_envelope(self):
+        # the default envelope is 0 wherever the input is
+        self.check(_ZERO_TAIL, 2.0 / 3.0)
+
+    @pytest.mark.parametrize("d", [[3.0], [0.0]])
+    def test_length_one(self, d):
+        self.check(d, 0.5)
+        self.check(d, 0.5, epsilon=[0.7])
+
+    @pytest.mark.parametrize("scale", [1e-318, 1e-310, 1e300])
+    def test_extreme_scales(self, scale):
+        d = scale * _K ** -2.0
+        self.check(d, 2.0 / 3.0)
+        self.check(d, 2.0 / 3.0, gamma=0.3)
+        self.check(d, 2.0 / 3.0, epsilon=np.full(_K.size, 0.5))
+
+
 class TestDecayFamily:
     def test_sample(self):
         fam = DecayFamily(2.0, 1.0, 4)
