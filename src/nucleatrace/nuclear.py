@@ -19,7 +19,6 @@ from .spaces import (
     AmbientSpace,
     NormBracket,
     OperatorMatrix,
-    Vector,
     dual_exponent,
     lp_norm,
     operator_brackets,
@@ -31,11 +30,9 @@ __all__ = [
     "Representation",
     "induced_matrix",
     "nuclear_trace",
-    "split_representation",
     "quasi_norm",
     "weak_norm",
     "weak_norm_bracket",
-    "build_from_factorization",
     "trace_perturbation_bound",
     "rebalance",
     "improve_representation",
@@ -190,17 +187,6 @@ class Representation:
     def atom_count(self) -> int:
         return int(self.coefficients.shape[-1])
 
-    @property
-    def functionals(self) -> tuple[Vector, ...]:
-        """The rows of F as Vectors in the dual of the domain, built on request."""
-        dual = self.domain.dual()
-        return tuple(Vector(f, dual) for f in self.F.copy())
-
-    @property
-    def vectors(self) -> tuple[Vector, ...]:
-        """The rows of X as Vectors in the codomain, built on request."""
-        return tuple(Vector(x, self.codomain) for x in self.X.copy())
-
     def functional_matrix(self) -> np.ndarray:
         """A copy of F."""
         return self.F.copy()
@@ -247,28 +233,6 @@ def nuclear_trace(z: Representation) -> float | np.ndarray:
         raise ValueError("trace requires equal domain and codomain dimension")
     tr = np.sum(z.coefficients * np.einsum("...ij,...ij->...i", z.F, z.X), axis=-1)
     return float(tr) if tr.ndim == 0 else tr
-
-
-def _split(z: Representation, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights lambda_k**s |x'_k| and the rows lambda_k**(1-s) x_k."""
-    _require_single(z)
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
-    lam = z.coefficients
-    return lam ** s * z._functional_norms(), (lam ** (1.0 - s))[:, None] * z.X
-
-
-def split_representation(
-    z: Representation, s: float
-) -> tuple[FiniteSequence, tuple[Vector, ...]]:
-    """Split atoms into weights lambda_k**s |x'_k| and vectors lambda_k**(1-s) x_k.
-
-    The outer product of the two parts against normalized functionals
-    reassembles the representation; callers use the weight sequence as
-    the l_1 side of factorizations.
-    """
-    weights, scaled = _split(z, s)
-    return FiniteSequence(weights), tuple(Vector(x, z.codomain) for x in scaled)
 
 
 def _weak_brackets(Y: np.ndarray, p_prime: float, home: AmbientSpace, pairing_brackets):
@@ -379,50 +343,19 @@ def _stack_quasi_norms(z: Representation, index: NuclearIndex) -> np.ndarray:
     return _bracket_values(z, z.F, z.X, index, _weak_norms)
 
 
-def build_from_factorization(
-    A: OperatorMatrix,
-    diagonal,
-    B: OperatorMatrix,
-    mode: str,
-) -> tuple[Representation, OperatorMatrix]:
-    """Assemble a representation from a diagonal factorization B D A.
-
-    mode "lower" expects A to land in an l_inf middle space and B to
-    leave from the matching l_p middle space; mode "upper" expects B to
-    leave from an l_1 middle space.  Atoms are lambda_k = d_k with the
-    k-th row of A as functional and the k-th column of B as vector.  The
-    returned matrix is the induced matrix of the representation, which
-    coincides with the product B diag(d) A.
-    """
-    if mode not in ("lower", "upper"):
-        raise ValueError("mode must be 'lower' or 'upper'")
-    d = np.asarray(diagonal, dtype=float)
-    if d.ndim != 1:
-        raise ValueError("diagonal must be one dimensional")
-    m = d.size
-    if A.codomain.dim != m or B.domain.dim != m:
-        raise ValueError("middle dimension mismatch")
-    if np.any(d < 0.0) or np.any(np.diff(d) > 0.0):
-        raise ValueError("diagonal must be nonnegative and non-increasing")
-    if mode == "lower" and not math.isinf(A.codomain.exponent):
-        raise ValueError("lower mode expects A to land in an l_inf space")
-    if mode == "upper" and B.domain.exponent != 1.0:
-        raise ValueError("upper mode expects B to leave from an l_1 space")
-    rep = Representation.from_arrays(
-        d, A.entries, B.entries.T, A.domain, B.codomain
-    )
-    return rep, induced_matrix(rep)
-
-
 def trace_perturbation_bound(
     z: Representation, R: OperatorMatrix, s: float
 ) -> tuple[float, float]:
     """Defect |trace z - trace(R z)| and its split-based upper bound.
 
-    The bound is the l_1 mass of the split weights times the worst
-    displacement of a scaled vector under R, measured in the codomain.
+    Each atom is split into a weight lambda_k**s |x'_k| and a scaled
+    vector lambda_k**(1-s) x_k, s in (0, 1].  The bound is the l_1 mass of
+    the weights times the worst displacement of a scaled vector under R,
+    measured in the codomain.
     """
     _require_single(z)
+    if not (0.0 < s <= 1.0):
+        raise ValueError("s must lie in (0, 1]")
     if R.domain.dim != z.codomain.dim or R.codomain.dim != z.codomain.dim:
         raise ValueError("perturbation must be an endomorphism of the codomain")
     tr = nuclear_trace(z)
@@ -431,7 +364,9 @@ def trace_perturbation_bound(
         np.sum(z.coefficients * np.einsum("ij,ij->i", z.F, moved))
     )
     defect = abs(tr - tr_perturbed)
-    weights, scaled = _split(z, s)
+    lam = z.coefficients
+    weights = lam ** s * z._functional_norms()
+    scaled = (lam ** (1.0 - s))[:, None] * z.X
     resid = scaled - scaled @ R.entries.T
     worst = float(np.max(lp_norm(resid, z.codomain.exponent, axis=1), initial=0.0))
     return defect, float(np.sum(weights)) * worst

@@ -1,11 +1,11 @@
 """Finite Lorentz sequence arithmetic.
 
 Sequences are finite real vectors read as the leading terms of a sequence
-that is zero beyond the stored length.  The module computes decreasing
-rearrangements, Lorentz quasi-norms, the Holder-type bound for pointwise
-products against summable sequences, a product law check across index
-pairs, and a factorization of a non-increasing sequence through l_1 times
-a weak-type tail, with an exact reconstruction certificate.
+that is zero beyond the stored length.  The module computes Lorentz
+quasi-norms, the Holder-type bound for pointwise products against
+summable sequences with its sharpness witness, and a factorization of a
+non-increasing sequence through l_1 times a weak-type tail, with an
+exact reconstruction certificate.
 """
 from __future__ import annotations
 
@@ -15,19 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import lp_norm
-from .tolerances import slack
+from .tolerances import REL_TOL
 
 __all__ = [
     "FiniteSequence",
     "LorentzIndex",
-    "DecayFamily",
     "FactorizationCertificate",
-    "ProductLawReport",
-    "decreasing_rearrangement",
     "lorentz_quasi_norm",
     "holder_product_bound",
     "sharpness_witness",
-    "product_law_check",
     "factor_l1_lorentz",
 ]
 
@@ -67,9 +63,6 @@ class FiniteSequence:
     def __len__(self) -> int:
         return self.values.size
 
-    def abs(self) -> "FiniteSequence":
-        return FiniteSequence(np.abs(self.values))
-
 
 @dataclass(frozen=True)
 class LorentzIndex:
@@ -78,14 +71,11 @@ class LorentzIndex:
     p in (0, inf], q in (0, inf].  The pairing p = inf with finite q is
     rejected: the weight k**(1/p - 1/q) would then sum a negative power
     against a bounded rearrangement and the expression is not a norm of
-    the intended family.  small_o selects the subspace of sequences whose
-    weighted rearrangement tends to zero rather than merely staying
-    bounded; it only changes certificate reporting, not the norm value.
+    the intended family.
     """
 
     p: float
     q: float = math.inf
-    small_o: bool = False
 
     def __post_init__(self):
         if not (self.p > 0):
@@ -94,48 +84,6 @@ class LorentzIndex:
             raise ValueError("q must be positive")
         if math.isinf(self.p) and not math.isinf(self.q):
             raise ValueError("p = inf requires q = inf")
-
-
-@dataclass(frozen=True)
-class DecayFamily:
-    """Power-decay model a_k = c * k**(-beta) truncated at length L."""
-
-    c: float
-    beta: float
-    truncation: int
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
-
-    def sample(self, length: int | None = None) -> FiniteSequence:
-        n = self.truncation if length is None else int(length)
-        if n < 1:
-            raise ValueError("length must be at least 1")
-        k = np.arange(1, n + 1, dtype=float)
-        return FiniteSequence(self.c * k ** (-self.beta))
-
-
-def _rearranged(arr: np.ndarray) -> np.ndarray:
-    return np.sort(np.abs(arr))[::-1]
-
-
-def decreasing_rearrangement(a) -> FiniteSequence:
-    """Absolute values sorted in non-increasing order.
-
-    Parameters
-    ----------
-    a : FiniteSequence or array-like
-        Input sequence.
-
-    Returns
-    -------
-    FiniteSequence
-        The rearranged sequence, same length as the input.
-    """
-    return FiniteSequence(_rearranged(as_values(a)))
 
 
 def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
@@ -157,7 +105,7 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
     float
     """
     av = as_values(a)
-    star = _rearranged(av)
+    star = np.sort(np.abs(av))[::-1]
     k = np.arange(1, star.size + 1, dtype=float)
     out = lp_norm(k ** (1.0 / index.p - 1.0 / index.q) * star, index.q)
     if not math.isfinite(out):
@@ -197,7 +145,7 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
     rhs = lp_norm(av, 1.0) * lp_norm(bv, q)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         _require_finite(av, bv)
-    return lhs, rhs, bool(lhs <= rhs + slack(rhs))
+    return lhs, rhs, bool(lhs <= rhs + REL_TOL * rhs)
 
 
 def sharpness_witness(a, s: float) -> FiniteSequence:
@@ -218,75 +166,6 @@ def sharpness_witness(a, s: float) -> FiniteSequence:
     q = s / (1.0 - s)
     l1 = float(np.sum(np.abs(av)))
     return FiniteSequence(np.abs(av) ** (1.0 / q) / l1 ** (1.0 / q))
-
-
-@dataclass(frozen=True)
-class ProductLawReport:
-    """Sampled evidence that a pointwise product lands in l_{s,t}."""
-
-    target_p: float
-    target_q: float
-    truncations: tuple[int, ...]
-    norms: tuple[float, ...]
-    growth_factor: float
-    bounded: bool
-    tail_non_increasing: bool | None = None
-
-
-def _combine_exponents(x1: float, x2: float) -> float:
-    # harmonic combination 1/x = 1/x1 + 1/x2, where 1/inf = 0
-    inv = 1.0 / x1 + 1.0 / x2
-    return math.inf if inv == 0.0 else 1.0 / inv
-
-
-def product_law_check(
-    a_family: DecayFamily,
-    a_index: LorentzIndex,
-    b_family: DecayFamily,
-    b_index: LorentzIndex,
-    growth_factor: float = 1.05,
-) -> ProductLawReport:
-    """Probe whether the product of two decay families lands where expected.
-
-    The target index combines the inputs harmonically in both slots:
-    1/s = 1/p1 + 1/p2 and 1/t = 1/q1 + 1/q2.  The product sequence is
-    sampled at the larger truncation L and at 2L and 4L; the verdict is
-    bounded when no step grows the target quasi-norm by more than
-    growth_factor.  When t = inf the report also records whether the
-    weighted rearrangement k**(1/s) (ab)*_k is non-increasing over the
-    tail half at 4L, the small-o style certificate.
-    """
-    s = _combine_exponents(a_index.p, b_index.p)
-    t = _combine_exponents(a_index.q, b_index.q)
-    target = LorentzIndex(s, t, small_o=a_index.small_o and b_index.small_o)
-    base = max(a_family.truncation, b_family.truncation)
-    truncations = (base, 2 * base, 4 * base)
-    norms = []
-    for n in truncations:
-        prod = a_family.sample(n).values * b_family.sample(n).values
-        norms.append(lorentz_quasi_norm(prod, target))
-    bounded = all(
-        norms[i + 1] <= norms[i] * growth_factor + slack(norms[i])
-        for i in range(len(norms) - 1)
-    )
-    tail_flag = None
-    if math.isinf(t):
-        prod = a_family.sample(truncations[-1]).values
-        prod = prod * b_family.sample(truncations[-1]).values
-        star = _rearranged(prod)
-        k = np.arange(1, star.size + 1, dtype=float)
-        weighted = k ** (1.0 / s) * star
-        half = weighted[star.size // 2 :]
-        tail_flag = bool(np.all(np.diff(half) <= slack(weighted[0])))
-    return ProductLawReport(
-        target_p=s,
-        target_q=t,
-        truncations=truncations,
-        norms=tuple(norms),
-        growth_factor=growth_factor,
-        bounded=bounded,
-        tail_non_increasing=tail_flag,
-    )
 
 
 @dataclass(frozen=True)
@@ -390,10 +269,10 @@ def factor_l1_lorentz(
     s : float
         Product exponent in (0, 1).
     epsilon : array-like, optional
-        Explicit non-increasing positive envelope for k**(1/q) beta_k.
-        Overrides the default envelope and gamma.
+        Explicit finite, non-increasing, nonnegative envelope for
+        k**(1/q) beta_k.  Overrides the default envelope and gamma.
     gamma : float, optional
-        Power envelope epsilon_k = k**(-gamma), gamma > 0.
+        Power envelope epsilon_k = k**(-gamma), gamma > 0 and finite.
 
     Returns
     -------
@@ -439,13 +318,13 @@ def factor_l1_lorentz(
         eps = as_values(epsilon)
         if eps.size != L:
             raise ValueError("epsilon length mismatch")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("epsilon must be finite")
         if np.any(eps < 0.0) or np.any(np.diff(eps) > 0.0):
             raise ValueError("epsilon must be nonnegative and non-increasing")
-        if np.any((dv > 0.0) & (eps == 0.0)):
-            raise ValueError("epsilon vanishes where the input does not")
     elif gamma is not None:
-        if not (gamma > 0.0):
-            raise ValueError("gamma must be positive")
+        if not (0.0 < gamma < math.inf):
+            raise ValueError("gamma must be positive and finite")
         eps = k ** (-gamma)
     else:
         if dv[0] == 0.0:
@@ -453,6 +332,10 @@ def factor_l1_lorentz(
         else:
             eps = np.sqrt(w * dv / dv[0])
             eps = np.minimum.accumulate(eps)
+    # a large gamma, or a default envelope whose d_k / d_1 underflows, can
+    # vanish too; no beta_k > 0 then meets it
+    if np.any((dv > 0.0) & (eps == 0.0)):
+        raise ValueError("epsilon vanishes where the input does not")
 
     # Speculate that the running cap never binds: each entry then pairs with
     # its uncapped target eps_k / w_k, independently of the others.

@@ -156,20 +156,6 @@ class OperatorMatrix:
     def identity(cls, space: AmbientSpace) -> "OperatorMatrix":
         return cls(np.eye(space.dim), space, space)
 
-    def apply(self, v) -> Vector:
-        coords = v.coords if isinstance(v, Vector) else np.asarray(v, dtype=float)
-        if isinstance(v, Vector) and v.home.dim != self.domain.dim:
-            raise ValueError("vector dimension mismatch")
-        return Vector(self.entries @ coords, self.codomain)
-
-    def compose(self, inner: "OperatorMatrix") -> "OperatorMatrix":
-        """self after inner."""
-        if inner.codomain.dim != self.domain.dim:
-            raise ValueError("composition dimension mismatch")
-        return OperatorMatrix(
-            self.entries @ inner.entries, inner.domain, self.codomain
-        )
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries))
 

@@ -1,7 +1,8 @@
 """Shared numeric tolerances.
 
-Inequality checks use an absolute floor plus a relative term sized for
-double precision accumulation over a few thousand summands.
+Checks in this package allow REL_TOL times the compared value, which
+means the same at every scale.  `slack` adds an absolute floor on top;
+only the output checks of `perfbench/` still use it.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 
@@ -411,3 +412,23 @@ class TestCommandTable:
         assert result.exit_code == 2
         assert "Invalid value for '--w'" in result.output
         assert "Traceback" not in result.output
+
+    def test_infinite_gamma_is_clean_error(self, runner):
+        result = runner.invoke(main, ["factorize", "--trials", "1", "--gamma", "inf"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1].startswith("Error:")
+        assert "Traceback" not in result.output
+
+
+class TestExports:
+    @pytest.mark.parametrize("module", [
+        "nucleatrace", "nucleatrace.sequences", "nucleatrace.spaces", "nucleatrace.nuclear",
+        "nucleatrace.spectral", "nucleatrace.approximation", "nucleatrace.experiments",
+    ])
+    def test_star_import_resolves_every_export(self, module):
+        namespace = {}
+        exec(f"from {module} import *", namespace)
+        exported = importlib.import_module(module).__all__
+        assert len(set(exported)) == len(exported)
+        assert set(exported) <= namespace.keys()

@@ -11,13 +11,13 @@ from nucleatrace import (
     OperatorMatrix,
     Representation,
     Vector,
-    build_from_factorization,
+    dual_exponent,
     improve_representation,
     induced_matrix,
+    lp_norm,
     nuclear_trace,
     quasi_norm,
     rebalance,
-    split_representation,
     trace_perturbation_bound,
     weak_norm,
     weak_norm_bracket,
@@ -108,7 +108,7 @@ class TestRepresentation:
         np.testing.assert_array_equal(z.coefficients, [2.0, 1.0])
         assert z.atom_count == 2
         # atoms follow their coefficients through the sort
-        assert z.functionals[0].coords[2] == 1.0
+        assert z.F[0, 2] == 1.0
 
     def test_empty_representation(self):
         sp = L2(2)
@@ -143,14 +143,15 @@ class TestRepresentation:
         rng = np.random.default_rng(17)
         for p in (1.0, 1.5, 2.0, 4.0, math.inf):
             z = random_rep(rng, 5, p, atoms=4)
-            atoms = list(zip(z.coefficients, z.functionals, z.vectors))
-            mags = [l * f.norm() * x.norm() for l, f, x in atoms]
+            atoms = list(zip(z.coefficients, z.F, z.X))
+            mags = [l * lp_norm(f, dual_exponent(p)) * lp_norm(x, p) for l, f, x in atoms]
             np.testing.assert_allclose(z.magnitudes().values, mags, rtol=1e-15)
-            weights, scaled = split_representation(z, 0.5)
-            expected = [l ** 0.5 * f.norm() for l, f, _ in atoms]
-            np.testing.assert_allclose(weights.values, expected, rtol=1e-15)
-            for l, x, v in zip(z.coefficients, z.vectors, scaled):
-                np.testing.assert_allclose(v.coords, l ** 0.5 * x.coords, rtol=1e-15)
+            # with R = 0 the bound is the split weights' mass times the largest scaled vector
+            zero = OperatorMatrix(np.zeros((5, 5)), z.codomain, z.codomain)
+            weights = [l ** 0.5 * lp_norm(f, dual_exponent(p)) for l, f, _ in atoms]
+            worst = max(lp_norm(l ** 0.5 * x, p) for l, _, x in atoms)
+            _, bound = trace_perturbation_bound(z, zero, 0.5)
+            assert bound == pytest.approx(sum(weights) * worst, rel=1e-14)
 
     def test_negative_coefficient_rejected(self):
         sp = L2(2)
@@ -229,7 +230,6 @@ class TestRepresentationStack:
             lambda: rebalance(stack),
             lambda: improve_representation(stack, NuclearIndex.bracket_lower(1.0, 1.5)),
             lambda: improve_representation(stack, NuclearIndex.absolutely_summable(0.6)),
-            lambda: split_representation(stack, 0.5),
             lambda: trace_perturbation_bound(stack, R, 0.5),
         ):
             with pytest.raises(ValueError, match="not a stack"):
@@ -282,31 +282,31 @@ class TestNuclearTrace:
 
 
 class TestSplit:
+    """The atom split behind trace_perturbation_bound, seen with R = 0.
+
+    The displacement of each scaled vector lambda**(1-s) x is then the
+    vector itself, so the bound is the weights' mass times its norm.
+    """
+
+    @staticmethod
+    def bound(z, s):
+        zero = OperatorMatrix(np.zeros((2, 2)), z.codomain, z.codomain)
+        return trace_perturbation_bound(z, zero, s)
+
     def test_unit_fixed_point(self):
-        z = diag_rep([1.0], L2(2))
-        weights, scaled = split_representation(z, 2.0 / 3.0)
-        assert weights.values[0] == 1.0
-        np.testing.assert_array_equal(scaled[0].coords, [1.0, 0.0])
+        for s in (0.5, 2.0 / 3.0, 1.0):
+            assert self.bound(diag_rep([1.0], L2(2)), s) == (1.0, 1.0)
 
     def test_eighth_atom(self):
-        z = diag_rep([0.125], L2(2))
-        weights, scaled = split_representation(z, 2.0 / 3.0)
-        assert weights.values[0] == 0.25  # (1/8)^(2/3) is exact in floats
-        assert scaled[0].coords[0] == pytest.approx(0.5, rel=1e-15)
-
-    def test_reassembly(self):
-        rng = np.random.default_rng(11)
-        z = random_rep(rng, 4, 2.0)
-        weights, scaled = split_representation(z, 2.0 / 3.0)
-        M = np.zeros((4, 4))
-        for w, f, x in zip(weights.values, z.functionals, scaled):
-            f_unit = f.coords / f.norm()
-            M += w * np.outer(x.coords, f_unit)
-        np.testing.assert_allclose(M, induced_matrix(z).entries, rtol=1e-12)
+        defect, bound = self.bound(diag_rep([0.125], L2(2)), 2.0 / 3.0)
+        assert defect == 0.125
+        # weight (1/8)^(2/3) = 0.25 is exact in floats, scaled vector (1/8)^(1/3) e_1
+        assert bound == pytest.approx(0.25 * 0.5, rel=1e-15)
 
     def test_invalid_s(self):
-        with pytest.raises(ValueError):
-            split_representation(diag_rep([1.0], L2(2)), 0.0)
+        for s in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                self.bound(diag_rep([1.0], L2(2)), s)
 
 
 class TestQuasiNorm:
@@ -414,72 +414,6 @@ class TestWeakNorm:
             weak_norm(rows, 2.0, L2(2))
 
 
-class TestBuildFromFactorization:
-    def test_diagonal_diagram(self):
-        mid = AmbientSpace(2, math.inf)
-        dom = L2(2)
-        A = OperatorMatrix(np.eye(2), dom, mid)
-        B = OperatorMatrix(np.eye(2), AmbientSpace(2, 2.0), dom)
-        rep, mat = build_from_factorization(A, [0.5, 0.25], B, "lower")
-        np.testing.assert_array_equal(rep.coefficients, [0.5, 0.25])
-        np.testing.assert_array_equal(mat.entries, np.diag([0.5, 0.25]))
-
-    def test_zero_diagonal(self):
-        mid = AmbientSpace(2, math.inf)
-        dom = L2(2)
-        A = OperatorMatrix(np.eye(2), dom, mid)
-        B = OperatorMatrix(np.eye(2), AmbientSpace(2, 1.5), dom)
-        rep, mat = build_from_factorization(A, [0.0, 0.0], B, "lower")
-        assert rep.atom_count == 0
-        assert not np.any(mat.entries)
-
-    def test_triangular_product(self):
-        mid = AmbientSpace(2, math.inf)
-        dom = L2(2)
-        A = OperatorMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]), dom, mid)
-        B = OperatorMatrix(np.eye(2), AmbientSpace(2, 2.0), dom)
-        _, mat = build_from_factorization(A, [1.0, 0.5], B, "lower")
-        np.testing.assert_array_equal(mat.entries, [[1.0, 1.0], [0.0, 0.5]])
-
-    def test_matches_direct_product(self):
-        rng = np.random.default_rng(3)
-        m, n_in, n_out = 4, 3, 5
-        dom = AmbientSpace(n_in, 2.0)
-        mid_out = AmbientSpace(m, math.inf)
-        mid_in = AmbientSpace(m, 2.0)
-        cod = AmbientSpace(n_out, 2.0)
-        A = OperatorMatrix(rng.standard_normal((m, n_in)), dom, mid_out)
-        B = OperatorMatrix(rng.standard_normal((n_out, m)), mid_in, cod)
-        d = np.sort(rng.uniform(0.0, 1.0, m))[::-1]
-        rep, mat = build_from_factorization(A, d, B, "lower")
-        oracle = (B.entries * d) @ A.entries
-        np.testing.assert_allclose(mat.entries, oracle, rtol=1e-15)
-        np.testing.assert_array_equal(
-            induced_matrix(rep).entries, mat.entries
-        )
-
-    def test_mode_validation(self):
-        dom = L2(2)
-        mid_l2 = AmbientSpace(2, 2.0)
-        A = OperatorMatrix(np.eye(2), dom, mid_l2)
-        B = OperatorMatrix(np.eye(2), mid_l2, dom)
-        with pytest.raises(ValueError):
-            build_from_factorization(A, [1.0, 0.5], B, "lower")  # mid not inf
-        with pytest.raises(ValueError):
-            build_from_factorization(A, [1.0, 0.5], B, "upper")  # B not from l1
-        with pytest.raises(ValueError):
-            build_from_factorization(A, [1.0, 0.5], B, "sideways")
-
-    def test_upper_mode(self):
-        dom = L2(2)
-        mid_out = AmbientSpace(2, 4.0)
-        mid_in = AmbientSpace(2, 1.0)
-        A = OperatorMatrix(np.eye(2), dom, mid_out)
-        B = OperatorMatrix(np.eye(2), mid_in, dom)
-        rep, mat = build_from_factorization(A, [1.0, 0.5], B, "upper")
-        np.testing.assert_array_equal(mat.entries, np.diag([1.0, 0.5]))
-
-
 class TestTracePerturbation:
     def test_identity_perturbation(self):
         z = diag_rep([1.0, 0.5], L2(2))
@@ -527,10 +461,8 @@ class TestRebalance:
         np.testing.assert_allclose(
             induced_matrix(zb).entries, induced_matrix(z).entries, rtol=1e-12
         )
-        for f in zb.functionals:
-            assert f.norm() == pytest.approx(1.0, rel=1e-12)
-        for x in zb.vectors:
-            assert x.norm() == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(lp_norm(zb.F, dual_exponent(1.5), axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(lp_norm(zb.X, 1.5, axis=1), 1.0, rtol=1e-12)
 
     def test_magnitude_quasi_norms_invariant(self):
         rng = np.random.default_rng(13)

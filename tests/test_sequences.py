@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleatrace import (
-    DecayFamily,
     FiniteSequence,
     LorentzIndex,
-    decreasing_rearrangement,
     factor_l1_lorentz,
     holder_product_bound,
     lorentz_quasi_norm,
-    product_law_check,
     sharpness_witness,
 )
+from nucleatrace import sequences
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -25,26 +23,36 @@ s_values = st.sampled_from([0.5, 2.0 / 3.0, 0.9, 1.0])
 
 
 class TestRearrangement:
+    """lorentz_quasi_norm sees only the decreasing rearrangement of |a|."""
+
+    INDICES = [LorentzIndex(1.0), LorentzIndex(2.0, 1.0), LorentzIndex(0.5, 3.0),
+               LorentzIndex(math.inf)]
+
     def test_sorting(self):
-        np.testing.assert_array_equal(
-            decreasing_rearrangement([0.0, -3.0, 1.0]).values, [3.0, 1.0, 0.0]
+        # signs drop and order does not matter: a* = (3, 1, 0)
+        for index in self.INDICES:
+            assert lorentz_quasi_norm([0.0, -3.0, 1.0], index) == lorentz_quasi_norm(
+                [3.0, 1.0, 0.0], index
+            )
+        assert lorentz_quasi_norm([0.0, -3.0, 1.0], LorentzIndex(2.0, 1.0)) == (
+            3.0 + 2.0 ** -0.5
         )
 
     def test_empty(self):
-        assert len(decreasing_rearrangement([])) == 0
+        for index in self.INDICES:
+            assert lorentz_quasi_norm([], index) == 0.0
 
     def test_constant_fixed_point(self):
-        np.testing.assert_array_equal(
-            decreasing_rearrangement([5.0, 5.0, 5.0]).values, [5.0, 5.0, 5.0]
-        )
+        # ties: a* = (5, 5, 5), so weak l_1 is sup_k 5k at k = 3
+        assert lorentz_quasi_norm([5.0, 5.0, 5.0], LorentzIndex(1.0)) == 15.0
+        assert lorentz_quasi_norm([5.0, 5.0, 5.0], LorentzIndex(math.inf)) == 5.0
 
-    @given(seqs)
-    def test_permutation_invariant(self, a):
+    @given(seqs, st.sampled_from(INDICES))
+    def test_permutation_invariant(self, a, index):
         perm = np.random.default_rng(0).permutation(a.size)
-        np.testing.assert_array_equal(
-            decreasing_rearrangement(a).values,
-            decreasing_rearrangement(a[perm]).values,
-        )
+        value = lorentz_quasi_norm(a, index)
+        assert lorentz_quasi_norm(a[perm], index) == value
+        assert lorentz_quasi_norm(-a, index) == value
 
 
 class TestLorentzIndex:
@@ -174,6 +182,19 @@ class TestHolderProductBound:
             with pytest.raises(ValueError):
                 holder_product_bound([1.0], [1.0], bad)
 
+    def test_holds_is_scale_free(self, monkeypatch):
+        # an equality pair at scale 1e-14, then lhs pushed 1e-6 relative above rhs
+        a, b, s = [1e-14, 0.0], [1.0, 0.0], 2.0 / 3.0
+        lhs, rhs, holds = holder_product_bound(a, b, s)
+        assert lhs == rhs == 1e-14 and holds
+        lp_norm = sequences.lp_norm
+        monkeypatch.setattr(
+            sequences, "lp_norm",
+            lambda arr, p: lp_norm(arr, p) * (1.0 + 1e-6 if p == s else 1.0),
+        )
+        lhs, rhs, holds = holder_product_bound(a, b, s)
+        assert lhs > rhs and not holds
+
     def test_large_entries_do_not_overflow(self):
         # ||b||_9 powers 1e40 to 1e360 unless the largest entry is scaled out
         lhs, rhs, holds = holder_product_bound([1e40], [1e40], 0.9)
@@ -242,41 +263,6 @@ class TestSharpnessWitness:
         assert abs(lhs - l1) <= 1e-9 * max(1.0, l1)
 
 
-class TestProductLaw:
-    def test_weak_weak_product(self):
-        fam_a = DecayFamily(1.0, 1.0, 4096)
-        fam_b = DecayFamily(1.0, 0.6, 4096)
-        rep = product_law_check(
-            fam_a, LorentzIndex(1.0), fam_b, LorentzIndex(2.0)
-        )
-        assert rep.target_p == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert math.isinf(rep.target_q)
-        np.testing.assert_allclose(rep.norms, [1.0, 1.0, 1.0], rtol=1e-12)
-        assert rep.bounded
-        assert rep.tail_non_increasing
-
-    def test_strong_strong_product(self):
-        fam = DecayFamily(1.0, 0.55, 4096)
-        rep = product_law_check(
-            fam, LorentzIndex(2.0, 2.0), fam, LorentzIndex(2.0, 2.0)
-        )
-        assert rep.target_p == 1.0 and rep.target_q == 1.0
-        np.testing.assert_allclose(
-            rep.norms,
-            [6.231748780281602, 6.523211270590848, 6.795168612545096],
-            rtol=1e-12,
-        )
-        assert rep.bounded
-
-    def test_zero_family(self):
-        fam = DecayFamily(0.0, 1.0, 64)
-        rep = product_law_check(
-            fam, LorentzIndex(1.0), fam, LorentzIndex(2.0)
-        )
-        assert rep.norms == (0.0, 0.0, 0.0)
-        assert rep.bounded
-
-
 class TestFactorization:
     def test_power_decay_with_explicit_envelope(self):
         k = np.arange(1, 1025.0)
@@ -317,6 +303,19 @@ class TestFactorization:
         for d in ([math.nan], [1.0, math.nan]):
             with pytest.raises(ValueError):
                 factor_l1_lorentz(d, 0.5)
+
+    @pytest.mark.parametrize("d, envelope", [
+        ([1.0, 0.5, 0.25], {"epsilon": [1.0, math.nan, 0.1]}),
+        ([1.0, 0.5, 0.25], {"epsilon": [math.inf, 1.0, 0.5]}),
+        ([1.0, 0.5, 0.25], {"gamma": math.inf}),
+        ([1.0, 0.5, 0.25], {"gamma": math.nan}),
+        ([1.0, 0.5, 0.25], {"gamma": 800.0}),  # 3**-800 underflows to 0
+        ([1e300, 5e-324], {}),  # the default envelope's d_2 / d_1 underflows to 0
+    ], ids=["nan_epsilon", "inf_epsilon", "inf_gamma", "nan_gamma", "underflowing_gamma",
+            "underflowing_default"])
+    def test_rejects_bad_envelope(self, d, envelope):
+        with pytest.raises(ValueError):
+            factor_l1_lorentz(d, 0.5, **envelope)
 
     def test_gamma_envelope(self):
         k = np.arange(1, 513.0)
@@ -451,18 +450,6 @@ class TestFactorizationReference:
         self.check(d, 2.0 / 3.0)
         self.check(d, 2.0 / 3.0, gamma=0.3)
         self.check(d, 2.0 / 3.0, epsilon=np.full(_K.size, 0.5))
-
-
-class TestDecayFamily:
-    def test_sample(self):
-        fam = DecayFamily(2.0, 1.0, 4)
-        np.testing.assert_allclose(fam.sample().values, [2.0, 1.0, 2.0 / 3.0, 0.5])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DecayFamily(-1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            DecayFamily(1.0, 1.0, 0)
 
 
 class TestFiniteSequence:

@@ -375,17 +375,3 @@ class TestOperatorMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.ones((2, 3)), space(2, 2.0), space(2, 2.0))
-
-    def test_apply_and_compose(self):
-        dom = space(2, 2.0)
-        mid = space(3, 2.0)
-        A = OperatorMatrix(np.ones((3, 2)), dom, mid)
-        B = OperatorMatrix(np.ones((1, 3)), mid, space(1, 2.0))
-        out = B.compose(A).apply(Vector([1.0, 1.0], dom))
-        assert out.coords[0] == 6.0
-        assert out.home.dim == 1
-
-    def test_compose_mismatch(self):
-        A = OperatorMatrix(np.ones((3, 2)), space(2, 2.0), space(3, 2.0))
-        with pytest.raises(ValueError):
-            A.compose(A)
