@@ -319,12 +319,36 @@ def _run_factorize(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     return [rec]
 
 
-def _draw_representation(rng, n: int, p: float) -> Representation:
-    space = AmbientSpace(n, p)
-    lam = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
-    F = rng.standard_normal((n, n))
-    X = rng.standard_normal((n, n))
-    return Representation.from_arrays(lam, F, X, space, space)
+def _draw_stacks(
+    rngs: list, n: int, ps: tuple[float, ...], indices: list[NuclearIndex]
+) -> tuple[list[Representation], list[NuclearIndex]]:
+    """trace-audit's representations at dimension n, with their indices.
+
+    Each trial's generator draws one representation per exponent in turn:
+    its sorted coefficients, then F, then X.  The draws of one exponent
+    form one stack over the trials, unless a coefficient drawn is 0.0,
+    which a single representation drops and a stack refuses; that
+    exponent's draws then go in as single representations.
+    """
+    trials = len(rngs)
+    draws = [(np.empty((trials, n)), np.empty((trials, n, n)), np.empty((trials, n, n))) for _ in ps]
+    for t, rng in enumerate(rngs):
+        for lam, F, X in draws:
+            lam[t] = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
+            F[t] = rng.standard_normal((n, n))
+            X[t] = rng.standard_normal((n, n))
+    reps, rep_indices = [], []
+    for p, index in zip(ps, indices):
+        # a Representation copies its arrays: each exponent's draws are freed after the copy
+        lam, F, X = draws.pop(0)
+        space = AmbientSpace(n, p)
+        if np.all(lam > 0.0):
+            reps.append(Representation(lam, F, X, space, space))
+            rep_indices.append(index)
+        else:
+            reps += [Representation(*draw, space, space) for draw in zip(lam, F, X)]
+            rep_indices += [index] * trials
+    return reps, rep_indices
 
 
 def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
@@ -337,11 +361,11 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
     rngs = list(rngs)
     scale = cfg.tolerance if cfg.tolerance is not None else 1e-8
     exponents = [cfg.s if cfg.s is not None else trace_formula_exponent(p) for p in cfg.p]
-    indices = [NuclearIndex.absolutely_summable(s) for s in exponents] * len(rngs)
+    indices = [NuclearIndex.absolutely_summable(s) for s in exponents]
     per_trial: list[list[dict]] = [[] for _ in rngs]
     for n in cfg.dims:
-        reps = [_draw_representation(rng, n, p) for rng in rngs for p in cfg.p]
-        reports = audit_trace_formula(reps, indices, tolerance_scale=scale)
+        reps, rep_indices = _draw_stacks(rngs, n, cfg.p, indices)
+        reports = audit_trace_formula(reps, rep_indices, tolerance_scale=scale)
         checks = [(True, None)] * len(reports)
         if n <= _ORACLE_CROSS_CHECK_DIM:
             roots = characteristic_roots(np.stack([r.matrix for r in reports]))
@@ -349,8 +373,9 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
                 match_spectra(r.spectrum, rt, rel=1e-7, abs_floor=1e-7)
                 for r, rt in zip(reports, roots)
             ]
+        # reports run over exponents, then trials
         for i, (report, (matched, gap)) in enumerate(zip(reports, checks)):
-            trial, j = divmod(i, len(cfg.p))
+            j, trial = divmod(i, len(rngs))
             per_trial[trial].append({
                 "trial": trial,
                 "n": n,

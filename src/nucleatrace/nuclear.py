@@ -113,10 +113,9 @@ class Representation:
     coefficients of shape (..., m), F of shape (..., m, domain dim) and X
     of shape (..., m, codomain dim), one representation per row.  Rows are
     sorted on their own; a stack cannot drop atoms, so its coefficients
-    must be positive.  `stack` builds one from single representations;
-    `induced_matrix`, `nuclear_trace`, `magnitudes` and `quasi_norm` then
-    give one result per row, equal to the single representation's; the
-    other functions of this module refuse a stack.
+    must be positive.  `induced_matrix`, `nuclear_trace`, `magnitudes` and
+    `quasi_norm` give one result per row, equal to the single
+    representation's; the other functions of this module refuse a stack.
     """
 
     coefficients: np.ndarray
@@ -162,26 +161,6 @@ class Representation:
     ) -> "Representation":
         """Rows of `functionals` and rows of `vectors` are the atoms."""
         return cls(coefficients, functionals, vectors, domain, codomain)
-
-    @classmethod
-    def stack(cls, reps) -> "Representation":
-        """The stack of single representations that share spaces and atom count, in order."""
-        reps = list(reps)
-        if not reps:
-            raise ValueError("a stack needs at least one representation")
-        first = reps[0]
-        for z in reps:
-            if z.coefficients.ndim != 1:
-                raise ValueError("stack takes single representations")
-            if (z.domain, z.codomain, z.atom_count) != (first.domain, first.codomain, first.atom_count):
-                raise ValueError("a stack needs one pair of spaces and one atom count")
-        return cls(
-            np.stack([z.coefficients for z in reps]),
-            np.stack([z.F for z in reps]),
-            np.stack([z.X for z in reps]),
-            first.domain,
-            first.codomain,
-        )
 
     @property
     def atom_count(self) -> int:

@@ -286,17 +286,20 @@ def factor_l1_lorentz(
     stepped down from its target through a few relative backoffs and ulp
     steps until the rounding of d_k / beta_k multiplies back bitwise, and
     a running cap min over k'<=k of k'**(1/q) beta_k' clips later targets
-    so the weighted tail is non-increasing by construction.
+    so the weighted tail is non-increasing by construction.  Where the
+    found k**(1/q) beta_k still rounds above the cap, the target is
+    stepped down an ulp at a time until k**(1/q) times it is at most the
+    clipped target, and the search runs again from there.
 
     The search first runs over whole arrays: every positive entry is
     paired at once with its uncapped target epsilon_k / k**(1/q), trying
     candidates in the order a single entry does, and keeps its first hit.
     That is the sequential result up to the first index where the running
-    cap of these pairs falls below epsilon_k.  From that index on, the
-    entries are paired one at a time against the capped target.  The
-    default and gamma envelopes on power-decay input rarely meet the cap,
-    so they run almost wholly as arrays; a flat explicit epsilon meets it
-    at once and runs almost wholly in sequence.
+    cap of these pairs falls below epsilon_k or below k**(1/q) beta_k.
+    From that index on, the entries are paired one at a time against the
+    capped target.  The default and gamma envelopes on power-decay input
+    rarely meet the cap, so they run almost wholly as arrays; a flat
+    explicit epsilon meets it at once and runs almost wholly in sequence.
     """
     dv = as_values(d)
     if dv.size == 0:
@@ -344,25 +347,28 @@ def factor_l1_lorentz(
     pos = np.flatnonzero(dv > 0.0)
     alpha[pos], beta[pos] = _exact_pairs_down(dv[pos], beta[pos])
     # cap[k] is the running cap after entry k.  The speculation holds up to
-    # the first entry left unpaired (nan) or whose target is the cap, not
-    # eps[k]; from there on the entries are paired in sequence.
-    cap = np.minimum.accumulate(np.where(beta > 0.0, w * beta, math.inf))
+    # the first entry left unpaired (nan), whose target is the cap, not
+    # eps[k], or whose weighted beta exceeds the cap; from there on the
+    # entries are paired in sequence.
+    weighted = w * beta
+    cap = np.minimum.accumulate(np.where(beta > 0.0, weighted, math.inf))
     late = np.isnan(beta)
-    late[1:] |= cap[:-1] < eps[1:]
+    late[1:] |= (cap[:-1] < eps[1:]) | (weighted[1:] > cap[:-1])
     start = int(np.argmax(late)) if late.any() else L
     cap = cap[start - 1] if start else math.inf
     for i in range(start, L):
         target = min(eps[i], cap)
-        if dv[i] == 0.0:
-            beta[i] = 0.0 if eps[i] == 0.0 else target / w[i]
-            alpha[i] = 0.0
-            if beta[i] > 0.0:
-                cap = min(cap, w[i] * beta[i])
-            continue
         a, b = _exact_pair_down(dv[i], target / w[i])
+        if w[i] * b > cap:
+            # w * t rounds monotonically in t, so every b <= t keeps w * b <= target
+            t = target / w[i]
+            while w[i] * t > target:
+                t = math.nextafter(t, 0.0)
+            a, b = _exact_pair_down(dv[i], t)
         alpha[i] = a
-        beta[i] = b
-        cap = min(cap, w[i] * b)
+        beta[i] = 0.0 if eps[i] == 0.0 else b
+        if beta[i] > 0.0:
+            cap = min(cap, w[i] * beta[i])
 
     weighted = w * beta
     non_increasing = bool(np.all(np.diff(weighted) <= 0.0))

@@ -152,13 +152,6 @@ class OperatorMatrix:
             raise ValueError("entries must be finite")
         object.__setattr__(self, "entries", arr)
 
-    @classmethod
-    def identity(cls, space: AmbientSpace) -> "OperatorMatrix":
-        return cls(np.eye(space.dim), space, space)
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
 
 def _dual_map(Z: np.ndarray, p: float) -> np.ndarray:
     """Unit l_p vectors x maximizing <z, x> along the last axis, so that <z, x> = ||z||_{p'}.

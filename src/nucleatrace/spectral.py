@@ -111,6 +111,15 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     its own step that moves no root by more than 1e-16 (1 + max |root|),
     or after _DK_MAX_ITERS steps, so each gets the roots of iterating it
     alone.
+
+    A step is a fixed map of a polynomial's own roots, so once its roots
+    repeat an earlier step's bit for bit, with period m, they cycle: the
+    stop test, silent for a whole period, never fires, and the roots at
+    the cap are those m steps back.  Such a row leaves after only
+    (cap - step) mod m more steps, with the roots it would have at the
+    cap.  Repeats are found as in Brent's cycle detection: the roots
+    after each step are compared with those saved at the last step that
+    was a power of two.
     """
     k, n = coeffs.shape[0], coeffs.shape[-1] - 1
     if n == 0:
@@ -120,7 +129,11 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
     W = radius[:, None] * np.exp(2j * np.pi * (j + 0.25) / n)
     C = coeffs.astype(complex)
     live = np.arange(k)
-    for _ in range(_DK_MAX_ITERS):
+    cap = _DK_MAX_ITERS
+    # the bits of each live row's roots at step `saved_step`, row for row with `live`
+    saved, saved_step = W.copy().view(np.int64), 0
+    last_step = None
+    for step in range(1, cap + 1):
         w, c = W[live], C[live]
         pw = np.zeros_like(w)
         for i in range(n + 1):
@@ -131,9 +144,23 @@ def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
         w = w - delta
         W[live] = w
         done = np.max(np.abs(delta), axis=-1) <= 1e-16 * (1.0 + np.max(np.abs(w), axis=-1))
-        live = live[~done]
-        if live.size == 0:
-            break
+        bits = w.view(np.int64)
+        # a repeat needs the first root's real part to repeat; most steps stop there
+        first = bits[:, 0] == saved[:, 0]
+        if np.count_nonzero(first):
+            rows = live[first & np.all(bits == saved, axis=-1)]
+            if rows.size:
+                if last_step is None:
+                    last_step = np.full(k, cap)
+                last_step[rows] = np.minimum(last_step[rows], step + (cap - step) % (step - saved_step))
+        if last_step is not None:
+            done |= last_step[live] == step
+        if step & (step - 1) == 0:
+            saved, saved_step = bits, step
+        if np.count_nonzero(done):
+            live, saved = live[~done], saved[~done]
+            if live.size == 0:
+                break
     return W
 
 
@@ -230,16 +257,16 @@ def audit_trace_formula(
     the induced matrix).  ratio is the l_1 eigenvalue mass divided by the
     quasi-norm, or None when the quasi-norm vanishes.
 
-    The stack form takes a sequence of single representations, all
-    endomorphisms of one dimension n, with a sequence of as many indices,
-    and returns a tuple of reports in the same order.  The induced
+    The stack form takes a sequence of representations, each single or a
+    stack, all endomorphisms of one dimension n, with one index for each,
+    and returns a tuple of one report per row, in order.  The induced
     matrices form one (k, n, n) stack: one eigenvalue call, and row-wise
-    spectral sums and eigenvalue masses.  Representations that share
-    spaces, atom count and index form one Representation stack for their
-    traces, matrices and quasi-norms.  A single representation and index
-    give the report of the stack of one.
+    spectral sums and eigenvalue masses.  A single representation and
+    index give the report of the stack of one.
     """
     if isinstance(z, Representation):
+        if z.coefficients.ndim != 1:
+            raise ValueError("expected a single representation, not a stack")
         return _audit_stack([z], [index], tolerance_scale)[0]
     return _audit_stack(list(z), list(index), tolerance_scale)
 
@@ -255,17 +282,15 @@ def _audit_stack(
     n = reps[0].domain.dim
     if any(r.domain.dim != n or r.codomain.dim != n for r in reps):
         raise ValueError("a stack needs endomorphisms of one dimension")
-    groups: dict[tuple, list[int]] = {}
-    for i, (r, idx) in enumerate(zip(reps, indices)):
-        groups.setdefault((r.domain, r.codomain, r.atom_count, idx), []).append(i)
-    traces = np.empty(len(reps))
-    quasi_norms = np.empty(len(reps))
-    mats = np.empty((len(reps), n, n))
-    for (*_, idx), pos in groups.items():
-        stack = Representation.stack(reps[i] for i in pos)
-        traces[pos] = nuclear_trace(stack)
-        mats[pos] = induced_matrix(stack)
-        quasi_norms[pos] = representation_quasi_norm(stack, idx)
+    # rows a:b of the stack are those of reps[i]: one, or all of a stack's
+    bounds = np.cumsum([0] + [math.prod(z.coefficients.shape[:-1]) for z in reps])
+    traces = np.empty(bounds[-1])
+    quasi_norms = np.empty(bounds[-1])
+    mats = np.empty((bounds[-1], n, n))
+    for z, idx, a, b in zip(reps, indices, bounds, bounds[1:]):
+        traces[a:b] = np.ravel(nuclear_trace(z))
+        mats[a:b] = _as_square(induced_matrix(z), stack=True).reshape(-1, n, n)
+        quasi_norms[a:b] = np.ravel(representation_quasi_norm(z, idx))
     es = eigenvalues(mats)
     sums = spectral_sum(es)
     eigen_l1 = np.sum(es.moduli(), axis=-1)
@@ -273,8 +298,8 @@ def _audit_stack(
     for i, M in enumerate(mats):
         tr, ssum, qn, l1 = float(traces[i]), complex(sums[i]), float(quasi_norms[i]), float(eigen_l1[i])
         defect = abs(tr - ssum)
-        # per matrix, as OperatorMatrix.frobenius: np.linalg.norm over a
-        # stack sums the squares another way and can differ in the last bit
+        # per matrix: np.linalg.norm over a stack sums the squares
+        # another way and can differ in the last bit
         fro = float(np.linalg.norm(M))
         reports.append(TraceAuditReport(
             nuclear_trace=tr,

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nucleatrace import FiniteSequence, NuclearIndex, induced_matrix
+from nucleatrace import AmbientSpace, FiniteSequence, NuclearIndex, Representation, induced_matrix
 from nucleatrace import experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
     _ORACLE_CROSS_CHECK_DIM,
     SUBCOMMANDS,
     ExperimentConfig,
-    _draw_representation,
     _jsonable,
     _trial_rng,
     run,
@@ -188,6 +187,14 @@ class TestDeterminism:
         assert "wall_time_s" in json.loads(report.to_json_text())
 
 
+def _draw_representation(rng, n, p):
+    space = AmbientSpace(n, p)
+    lam = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
+    F = rng.standard_normal((n, n))
+    X = rng.standard_normal((n, n))
+    return Representation.from_arrays(lam, F, X, space, space)
+
+
 def _reference_trace_audit(cfg, trial, rng):
     """trace-audit one trial at a time, one representation at a time."""
     out = []
@@ -245,8 +252,11 @@ class TestTraceAuditStacks:
             {"seed": 4, "trials": 3, "dims": (32, 4, 4), "p": (1.5, math.inf)},
             {"seed": 5, "trials": 6, "dims": (1, 2, 5, 6, 7), "p": (3.0,)},
             {"seed": 6, "trials": 1, "dims": (4, 8), "p": BENCHMARK_P},
+            # an oracle row of this config runs to the iteration cap
+            {"seed": 1, "trials": 2, "dims": (4,), "p": BENCHMARK_P},
         ],
-        ids=["bench-0", "bench-1", "bench-2", "s-tolerance", "repeated-dims", "one-p", "one-trial"],
+        ids=["bench-0", "bench-1", "bench-2", "s-tolerance", "repeated-dims", "one-p", "one-trial",
+             "capped-oracle"],
     )
     def test_records_match_per_trial_reference(self, fields):
         cfg = ExperimentConfig(subcommand="trace-audit", **fields)
@@ -254,6 +264,33 @@ class TestTraceAuditStacks:
             rec for t in range(cfg.trials)
             for rec in _reference_trace_audit(cfg, t, _trial_rng(cfg.seed, t))
         ]
+        got = run(cfg).records
+        assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
+
+    def test_zero_coefficient_draw_goes_in_alone(self, monkeypatch):
+        # uniform(0, 1) returns 0.0 with probability 2**-53 per entry; a single
+        # representation drops that atom, where a stack would refuse it
+        class ZeroOnThirdUniform:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def uniform(self, *args, **kwargs):
+                self.calls += 1
+                draw = self.rng.uniform(*args, **kwargs)
+                if self.calls == 3:
+                    draw[1] = 0.0
+                return draw
+
+            def standard_normal(self, *args, **kwargs):
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def rngs(seed, trial):
+            return ZeroOnThirdUniform(_trial_rng(seed, trial))
+
+        # every trial's third draw, n = 8 and p = 1, holds the zero
+        cfg = ExperimentConfig(subcommand="trace-audit", seed=2, trials=3, dims=(4, 8), p=(1.0, 2.0))
+        expected = [rec for t in range(cfg.trials) for rec in _reference_trace_audit(cfg, t, rngs(cfg.seed, t))]
+        monkeypatch.setattr(experiments, "_trial_rng", rngs)
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
 

@@ -323,6 +323,17 @@ class TestFactorization:
         assert np.all(alpha.values * beta.values == k ** -1.8)
         assert cert.non_increasing
 
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_weighted_tail_never_rises_where_the_cap_binds(self, scale):
+        # a flat envelope clips every target to the running cap, where
+        # k**(1/q) * (cap / k**(1/q)) can round one ulp above the cap
+        k = np.arange(1, 4097.0)
+        d = scale * k ** -2.0
+        alpha, beta, cert = factor_l1_lorentz(d, 2.0 / 3.0, epsilon=np.full(k.size, 0.5))
+        assert np.all(alpha.values * beta.values == d)
+        assert cert.non_increasing
+        assert np.all(np.diff(cert.weighted_tail) <= 0.0)
+
     @pytest.mark.parametrize("beta_exp", [1.6, 2.0, 2.5, 3.0])
     def test_default_envelope_bit_exact(self, beta_exp):
         k = np.arange(1, 4097.0)
@@ -362,16 +373,17 @@ def _reference_factor(d, s, eps):
     cap = math.inf
     for i in range(L):
         target = min(eps[i], cap)
-        if d[i] == 0.0:
-            beta[i] = 0.0 if eps[i] == 0.0 else target / w[i]
-            alpha[i] = 0.0
-            if beta[i] > 0.0:
-                cap = min(cap, w[i] * beta[i])
-            continue
         a, b = _reference_pair_down(d[i], target / w[i])
+        if w[i] * b > cap:
+            # search again below the largest t with w * t <= target
+            t = target / w[i]
+            while w[i] * t > target:
+                t = math.nextafter(t, 0.0)
+            a, b = _reference_pair_down(d[i], t)
         alpha[i] = a
-        beta[i] = b
-        cap = min(cap, w[i] * b)
+        beta[i] = 0.0 if eps[i] == 0.0 else b
+        if beta[i] > 0.0:
+            cap = min(cap, w[i] * beta[i])
     weighted = w * beta
     quarter = max(L // 4 - 1, 0)
     ratio = float(weighted[-1] / weighted[quarter]) if weighted[quarter] > 0.0 else 0.0
@@ -424,6 +436,12 @@ class TestFactorizationReference:
     def test_flat_epsilon(self):
         # the running cap binds at almost every entry
         self.check(_K ** -2.0, 2.0 / 3.0, epsilon=np.full(_K.size, 0.5))
+
+    @pytest.mark.parametrize("s", [0.5, 2.0 / 3.0])
+    def test_flat_epsilon_low(self, s):
+        # here some pairs found against the uncapped target round above the
+        # running cap without the cap clipping their target
+        self.check(_K ** -3.0, s, epsilon=np.full(_K.size, 0.1))
 
     def test_epsilon_flat_from_halfway(self):
         self.check(_K ** -2.0, 2.0 / 3.0, epsilon=np.minimum(_K ** -0.25, 2048.0 ** -0.25))

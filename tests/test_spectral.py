@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -272,7 +273,30 @@ class TestStackForms:
             M = induced_matrix(z)
             np.testing.assert_array_equal(r.matrix, M.entries)
             np.testing.assert_array_equal(r.spectrum, one.spectrum)
-            assert r.frobenius == M.frobenius() and r.nuclear_trace == nuclear_trace(z)
+            assert r.frobenius == np.linalg.norm(M.entries) and r.nuclear_trace == nuclear_trace(z)
+
+    def test_audit_of_stacks_gives_each_rows_report(self):
+        rng = np.random.default_rng(8)
+        reps, indices, rows = [], [], []
+        for p, shape, atoms, idx in (
+            (1.5, (3,), 4, NuclearIndex.absolutely_summable(0.75)),
+            (2.0, (), 2, NuclearIndex.absolutely_summable(1.0)),
+            (math.inf, (2, 2), 3, NuclearIndex.lorentz(0.5, 2.0)),
+            (1.0, (1,), 4, NuclearIndex.bracket_lower(1.0, 1.5)),
+        ):
+            space = AmbientSpace(4, p)
+            lam = np.sort(rng.uniform(0.1, 1.0, shape + (atoms,)), axis=-1)[..., ::-1]
+            F = rng.standard_normal(shape + (atoms, 4))
+            X = rng.standard_normal(shape + (atoms, 4))
+            reps.append(Representation(lam, F, X, space, space))
+            indices.append(idx)
+            for l, f, x in zip(lam.reshape(-1, atoms), F.reshape(-1, atoms, 4), X.reshape(-1, atoms, 4)):
+                rows.append(audit_trace_formula(Representation(l, f, x, space, space), idx))
+        reports = audit_trace_formula(reps, indices)
+        assert reports == tuple(rows)
+        for r, one in zip(reports, rows):
+            np.testing.assert_array_equal(r.matrix, one.matrix)
+            np.testing.assert_array_equal(r.spectrum, one.spectrum)
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_audit_stack_frobenius_is_each_matrix_norm(self, n):
@@ -286,7 +310,7 @@ class TestStackForms:
             for _ in range(40)
         ]
         reports = audit_trace_formula(reps, [NuclearIndex.absolutely_summable(0.75)] * 40)
-        assert [r.frobenius for r in reports] == [induced_matrix(z).frobenius() for z in reps]
+        assert [r.frobenius for r in reports] == [np.linalg.norm(induced_matrix(z).entries) for z in reps]
 
     def test_audit_stack_validation(self):
         rng = np.random.default_rng(6)
@@ -302,8 +326,96 @@ class TestStackForms:
             audit_trace_formula([z4, z4], [idx])
         with pytest.raises(ValueError):
             audit_trace_formula([z4, z3], [idx, idx])
+        stack = Representation(np.ones((2, 1)), np.stack([z4.F, z4.F]), np.stack([z4.X, z4.X]), L2(4), L2(4))
         with pytest.raises(ValueError):
-            audit_trace_formula(Representation.stack([z4, z4]), idx)
+            audit_trace_formula(stack, idx)
+        with pytest.raises(ValueError):
+            audit_trace_formula([stack, z3], [idx, idx])
+
+
+def _reference_durand_kerner(coeffs, cap):
+    """Durand-Kerner without the cycle exit: each row runs to its stop test or to `cap`.
+
+    Returns the roots and the step each row stopped at.
+    """
+    k, n = coeffs.shape[0], coeffs.shape[-1] - 1
+    radius = 1.0 + np.max(np.abs(coeffs[:, 1:]), axis=-1)
+    j = np.arange(n)
+    W = radius[:, None] * np.exp(2j * np.pi * (j + 0.25) / n)
+    C = coeffs.astype(complex)
+    live = np.arange(k)
+    steps = np.full(k, cap)
+    for step in range(1, cap + 1):
+        w, c = W[live], C[live]
+        pw = np.zeros_like(w)
+        for i in range(n + 1):
+            pw = pw * w + c[:, i, None]
+        D = w[:, :, None] - w[:, None, :]
+        D[:, j, j] = 1.0
+        delta = pw / np.prod(D, axis=-1)
+        w = w - delta
+        W[live] = w
+        done = np.max(np.abs(delta), axis=-1) <= 1e-16 * (1.0 + np.max(np.abs(w), axis=-1))
+        steps[live[done]] = step
+        live = live[~done]
+        if live.size == 0:
+            break
+    return W, steps
+
+
+def _trace_audit_matrix(seed, trial, j, n=4):
+    """The induced matrix of trace-audit's j-th draw at the first entry n of dims."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    for _ in range(j + 1):
+        lam = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
+        F = rng.standard_normal((n, n))
+        X = rng.standard_normal((n, n))
+    return (X.T * lam) @ F
+
+
+def _oracle_coeffs(mats):
+    """The scaled characteristic polynomials characteristic_roots iterates on."""
+    scale = np.max(np.abs(mats), axis=(-2, -1))
+    return spectral._char_poly_coeffs(mats / scale[:, None, None])
+
+
+# rows of the benchmark's trace-audit draws (p = 1, 1.5, 2, 4, inf): one stops at
+# step 13; two never meet the stop test and repeat an earlier step's roots from
+# step 32 with period 2, and from step 17 with period 78
+STOPS = _trace_audit_matrix(1, 0, 0)
+PERIOD_2 = _trace_audit_matrix(1, 1, 4)
+PERIOD_78 = _trace_audit_matrix(116, 2, 1)
+
+
+class TestCycleExit:
+    """Rows whose roots cycle leave early with the roots they have at the cap."""
+
+    @pytest.mark.parametrize("cap", [499, 500, 501])
+    def test_matches_the_loop_without_cycle_exit(self, cap, monkeypatch):
+        monkeypatch.setattr(spectral, "_DK_MAX_ITERS", cap)
+        benchmark_rows = np.stack([STOPS, PERIOD_2, PERIOD_78])
+        _, steps = _reference_durand_kerner(_oracle_coeffs(benchmark_rows), cap)
+        assert steps[0] < 20 and list(steps[1:]) == [cap, cap]
+        mixed = _mixed_stack()
+        for mats in (benchmark_rows, mixed[np.any(mixed != 0.0, axis=(-2, -1))]):
+            coeffs = _oracle_coeffs(mats)
+            want, _ = _reference_durand_kerner(coeffs, cap)
+            assert spectral._durand_kerner(coeffs).tobytes() == want.tobytes()
+            for i in range(len(coeffs)):
+                assert spectral._durand_kerner(coeffs[i:i + 1]).tobytes() == want[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("mat, period", [(PERIOD_2, 2), (PERIOD_78, 78)])
+    def test_a_cycling_row_leaves_long_before_a_huge_cap(self, mat, period, monkeypatch):
+        coeffs = _oracle_coeffs(mat[None])
+        cap = 10 ** 7
+        monkeypatch.setattr(spectral, "_DK_MAX_ITERS", cap)
+        start = time.perf_counter()
+        got = spectral._durand_kerner(coeffs)
+        assert time.perf_counter() - start < 1.0
+        # the roots repeat with `period` well before step 500, so the cap's
+        # roots are those of the congruent cap near 500
+        want, _ = _reference_durand_kerner(coeffs, 500 + (cap - 500) % period)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEigenvalueTypeProbe:
@@ -361,7 +473,7 @@ class TestEigenvalueTypeProbe:
 class TestSimilarity:
     def test_identity_pair(self):
         sp = L2(3)
-        I = OperatorMatrix.identity(sp)
+        I = OperatorMatrix(np.eye(3), sp, sp)
         report = similarity_spectrum_check(I, I)
         assert report.matched and report.max_mismatch <= 1e-14
 
