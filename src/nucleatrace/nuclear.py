@@ -246,7 +246,8 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
     pairing map from the dual of `home` into l_{p'}^m.  Exact in the home
     spaces l_2 (with p' = 2), l_inf, and small l_1 systems; otherwise the
     attained ascent value (the p-norm power method run from all starts at
-    once for a fixed number of steps) and the best cheap upper bound.
+    once for at most 60 steps, ending early once its iterate repeats
+    exactly) and the best cheap upper bound.
     """
     Y = np.asarray(vectors, dtype=float)
     if Y.ndim != 2 or Y.shape[0] == 0:
@@ -273,18 +274,17 @@ def _weak_norms(Y: np.ndarray, p_prime: float, home: AmbientSpace) -> np.ndarray
     return _tight_or_lower(lo, hi)
 
 
-def _bracket_values(z: Representation, F, X, index: NuclearIndex, weak):
-    """BRACKET_LOWER or BRACKET_UPPER value of z's coefficients with atoms F and X.
+def _bracket_values(z: Representation, index: NuclearIndex, weak):
+    """BRACKET_LOWER or BRACKET_UPPER value of z, one per row of a stack.
 
-    F and X may be stacks (..., m, n) of atom arrays, giving one value per
-    pair; `weak` evaluates the weak p'-norms.
+    `weak` evaluates the weak p'-norms of the atom systems.
     """
     p_prime = dual_exponent(index.p)
     if index.variant == BRACKET_LOWER:
-        side = z.coefficients * lp_norm(F, dual_exponent(z.domain.exponent), axis=-1)
-        return lp_norm(side, index.r, axis=-1) * weak(X, p_prime, z.codomain)
-    side = z.coefficients * lp_norm(X, z.codomain.exponent, axis=-1)
-    return lp_norm(side, index.r, axis=-1) * weak(F, p_prime, z.domain.dual())
+        side = z.coefficients * lp_norm(z.F, dual_exponent(z.domain.exponent), axis=-1)
+        return lp_norm(side, index.r, axis=-1) * weak(z.X, p_prime, z.codomain)
+    side = z.coefficients * lp_norm(z.X, z.codomain.exponent, axis=-1)
+    return lp_norm(side, index.r, axis=-1) * weak(z.F, p_prime, z.domain.dual())
 
 
 def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
@@ -304,7 +304,7 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
         return lorentz_quasi_norm(z.magnitudes(), LorentzIndex(index.r, index.w))
     if z.atom_count == 0:
         return 0.0
-    return float(_bracket_values(z, z.F, z.X, index, weak_norm))
+    return float(_bracket_values(z, index, weak_norm))
 
 
 def _stack_quasi_norms(z: Representation, index: NuclearIndex) -> np.ndarray:
@@ -319,7 +319,7 @@ def _stack_quasi_norms(z: Representation, index: NuclearIndex) -> np.ndarray:
         return np.array(rows, dtype=float).reshape(mags.shape[:-1])
     if z.atom_count == 0:
         return np.zeros(z.coefficients.shape[:-1])
-    return _bracket_values(z, z.F, z.X, index, _weak_norms)
+    return _bracket_values(z, index, _weak_norms)
 
 
 def trace_perturbation_bound(
@@ -373,6 +373,35 @@ def rebalance(z: Representation) -> Representation:
     )
 
 
+# the rescalings of one atom, tried in this order
+_GRID = np.array([0.25, 0.5, 0.75, 1.5, 2.0, 4.0])
+
+
+def _rescalings(
+    heads: list[Representation], current: Representation, ahead: np.ndarray
+) -> Representation:
+    """The stack of `heads`, then `current` rescaled at each flat sweep position of `ahead`.
+
+    Position k multiplies the functional of atom k // 6 by _GRID[k % 6]
+    and divides its vector by the same factor, which keeps the induced
+    matrix.
+    """
+    rows = np.arange(ahead.size)
+    atoms, factors = ahead // _GRID.size, _GRID[ahead % _GRID.size, None]
+    F = np.repeat(current.F[None], ahead.size, axis=0)
+    X = np.repeat(current.X[None], ahead.size, axis=0)
+    F[rows, atoms] *= factors
+    X[rows, atoms] /= factors
+    lam = np.repeat(current.coefficients[None], ahead.size, axis=0)
+    return Representation(
+        np.concatenate([h.coefficients[None] for h in heads] + [lam]),
+        np.concatenate([h.F[None] for h in heads] + [F]),
+        np.concatenate([h.X[None] for h in heads] + [X]),
+        current.domain,
+        current.codomain,
+    )
+
+
 def improve_representation(
     z: Representation, index: NuclearIndex, sweeps: int = 2
 ) -> tuple[Representation, float, float]:
@@ -383,44 +412,59 @@ def improve_representation(
     is rescaled by a grid of factors applied to the functional and undone
     on the vector, keeping the induced matrix fixed while trading mass
     between the l_r side and the weak side; a rescaling is kept when its
-    value is below the best so far.  The candidates of one atom are
-    evaluated as one stack, with the result of taking them one at a time.
+    value is below the best so far.  Each round evaluates, as one stacked
+    quasi-norm, every rescaling still ahead in the sweep (atom by atom,
+    each through the grid), all taken from the current representation,
+    and keeps the first that beats the best value; the next round starts
+    right after it.  The first round also evaluates z and rebalance(z)
+    (z alone beforehand if rebalancing dropped atoms).  The result is
+    that of trying the rescalings one at a time.  `sweeps` must be a
+    non-negative integer.
 
     Returns (swept representation, old value, min(old value, best value)).
     The swept representation's own bracket value can exceed the old value,
     since rebalancing can raise it when no rescaling wins back the
-    difference (ROADMAP item 3(d)).
+    difference (ROADMAP item 2).
     """
     _require_single(z)
-    before = quasi_norm(z, index)
+    if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 0:
+        raise ValueError(f"sweeps must be a non-negative integer, not {sweeps!r}")
     if index.variant in (S_VARIANT, LORENTZ_VARIANT):
         zb = rebalance(z)
-        return zb, before, quasi_norm(zb, index)
+        return zb, quasi_norm(z, index), quasi_norm(zb, index)
     current = rebalance(z)
-    best_val = quasi_norm(current, index)
-    grid = np.array([0.25, 0.5, 0.75, 1.5, 2.0, 4.0])
-    for _ in range(max(sweeps, 0)):
-        changed = False
-        for i in range(current.atom_count):
-            factors = grid
-            while factors.size:
-                # the rest of the grid, all from `current`: the first value below
-                # best_val is the rescaling a one-at-a-time sweep accepts next
-                F = np.repeat(current.F[None], factors.size, axis=0)
-                X = np.repeat(current.X[None], factors.size, axis=0)
-                F[:, i] *= factors[:, None]
-                X[:, i] /= factors[:, None]
-                vals = _bracket_values(current, F, X, index, _weak_norms)
-                better = np.flatnonzero(vals < best_val)
-                if better.size == 0:
-                    break
-                j = better[0]
-                best_val = float(vals[j])
-                current = Representation(
-                    current.coefficients, F[j], X[j], current.domain, current.codomain
-                )
-                changed = True
-                factors = factors[j + 1:]
-        if not changed:
-            break
+    heads = [z, current]
+    if current.atom_count != z.atom_count:
+        # rebalancing dropped atoms, so z cannot share current's stack
+        before = quasi_norm(z, index)
+        heads = [current]
+    size = current.atom_count * _GRID.size
+    start, left, changed = 0, sweeps, False
+    while True:
+        ahead = np.arange(start, size if left else start)
+        stack = _rescalings(heads, current, ahead)
+        vals = quasi_norm(stack, index)
+        first = len(heads)
+        if first == 2:
+            before = float(vals[0])
+        if first:
+            best_val = float(vals[first - 1])
+        heads = []
+        better = np.flatnonzero(vals[first:] < best_val)
+        if better.size:
+            # the first rescaling below best_val: the one a sweep taking them
+            # one at a time accepts next
+            j = better[0]
+            row = first + j
+            best_val = float(vals[row])
+            current = Representation(
+                stack.coefficients[row], stack.F[row], stack.X[row], current.domain, current.codomain
+            )
+            start, changed = int(ahead[j]) + 1, True
+        if better.size == 0 or start == size:
+            # the sweep is over
+            left -= 1
+            if left <= 0 or not changed:
+                break
+            start, changed = 0, False
     return current, before, min(before, best_val)

@@ -182,10 +182,19 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     iterates at once; a 2-d A is the stack of one, with a 0-d result.
     Every row of every iterate is a nonzero vector, so the best ratio
     seen is attained.
+
+    The start and up to _ASCENT_ITERS updates are evaluated.  The loop
+    ends sooner once the next stacked iterate is bit-equal to the current
+    or the previous one: each iterate is a fixed function of the one
+    before, so every later ratio repeats one already seen and the best is
+    final.
     """
     n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
-    order = np.argsort(-np.linalg.norm(A, axis=-2), axis=-1)
+    # column norms of A scaled by an exact power of two, so that they neither
+    # overflow nor underflow and their order scales exactly with A
+    _, e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
+    order = np.argsort(-np.linalg.norm(np.ldexp(A, -e), axis=-2), axis=-1)
     rng = np.random.default_rng(_ASCENT_SEED)
     draws = rng.standard_normal((_ASCENT_RANDOM_STARTS, n_in))
     stack = A.shape[:-2]
@@ -196,12 +205,17 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     ], axis=-2)
     At = np.swapaxes(A, -1, -2)
     best = np.zeros(stack)
-    # the start and all _ASCENT_ITERS updates are evaluated; the last update is unused
+    # the bytes of the last two iterates
+    recent = (X.tobytes(),)
     for _ in range(_ASCENT_ITERS + 1):
         Y = X @ At
         ratios = lp_norm(Y, p_out, axis=-1) / lp_norm(X, p_in, axis=-1)
         best = np.maximum(best, ratios.max(axis=-1))
         X = _dual_map(_dual_map(Y, q_dual) @ A, p_in)
+        key = X.tobytes()
+        if key in recent:
+            break
+        recent = (recent[-1], key)
     return best
 
 
@@ -287,9 +301,10 @@ def operator_norm(A: OperatorMatrix) -> NormBracket:
     with codomain inf, or with at most 16 columns) return a degenerate
     bracket.  Otherwise the lower end is attained by ascent: the p-norm
     power method, run from 15 starts at once (the rows of one matrix) for
-    a fixed number of steps.  The upper end is the least of the exact
-    routes inflated by dimension factors and, for p -> p, the
-    Riesz-Thorin bound; each exact route norm is computed once.
+    at most 60 steps, ending early once its iterate repeats exactly.  The
+    upper end is the least of the exact routes inflated by dimension
+    factors and, for p -> p, the Riesz-Thorin bound; each exact route
+    norm is computed once.
     """
     lower, upper = operator_brackets(A.entries, A.domain.exponent, A.codomain.exponent)
     return NormBracket(float(lower), float(upper))

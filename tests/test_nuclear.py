@@ -53,12 +53,16 @@ def stack_of(reps):
     )
 
 
-def _reference_improve(z, index, sweeps=2):
-    """The bracket sweep of improve_representation, one candidate at a time through quasi_norm."""
+def _reference_improve(z, index, sweeps=2, accepted=None):
+    """The bracket sweep of improve_representation, one candidate at a time through quasi_norm.
+
+    Each accepted rescaling is appended to `accepted`, if given, as
+    (sweep, atom, factor).
+    """
     before = quasi_norm(z, index)
     current = rebalance(z)
     best_val = quasi_norm(current, index)
-    for _ in range(max(sweeps, 0)):
+    for sweep in range(max(sweeps, 0)):
         changed = False
         for i in range(current.atom_count):
             for c in [0.25, 0.5, 0.75, 1.5, 2.0, 4.0]:
@@ -74,6 +78,8 @@ def _reference_improve(z, index, sweeps=2):
                     best_val = val
                     current = cand
                     changed = True
+                    if accepted is not None:
+                        accepted.append((sweep, i, c))
         if not changed:
             break
     return current, before, min(before, best_val)
@@ -534,11 +540,49 @@ class TestImprove:
         rng = np.random.default_rng([n, atoms, sweeps])
         z = random_rep(rng, n, home, atoms=atoms)
         idx = (NuclearIndex.bracket_upper if upper else NuclearIndex.bracket_lower)(0.8, p)
+        self.assert_matches_reference(z, idx, sweeps)
+
+    @staticmethod
+    def assert_matches_reference(z, idx, sweeps):
+        """improve_representation equals _reference_improve bit for bit; returns the accepted steps."""
+        accepted = []
         got = improve_representation(z, idx, sweeps=sweeps)
-        ref = _reference_improve(z, idx, sweeps=sweeps)
+        ref = _reference_improve(z, idx, sweeps=sweeps, accepted=accepted)
         for name in ("coefficients", "F", "X"):
             np.testing.assert_array_equal(getattr(got[0], name), getattr(ref[0], name))
         assert got[1:] == ref[1:]
+        return accepted
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_matches_one_candidate_at_a_time_when_rebalance_drops_an_atom(self, upper):
+        z = random_rep(np.random.default_rng(1), 3, 3.0, atoms=4)
+        F = z.F.copy()
+        F[1] = 0.0
+        z = Representation(z.coefficients, F, z.X, z.domain, z.codomain)
+        assert rebalance(z).atom_count == 3
+        idx = (NuclearIndex.bracket_upper if upper else NuclearIndex.bracket_lower)(0.8, 1.5)
+        self.assert_matches_reference(z, idx, sweeps=2)
+
+    @pytest.mark.parametrize(
+        "upper, sweeps, seed, steps",
+        [
+            # two rescalings of atom 0 and one of atom 2, in one sweep
+            pytest.param(False, 1, 1, [(0, 0, 0.5), (0, 0, 1.5), (0, 2, 1.5)], id="two-atoms"),
+            # BRACKET_UPPER whose second sweep accepts rescalings of two atoms
+            pytest.param(True, 2, 9, [(0, 0, 1.5), (1, 0, 0.75), (1, 2, 0.75)], id="upper-two-sweeps"),
+        ],
+    )
+    def test_matches_one_candidate_at_a_time_over_rounds(self, upper, sweeps, seed, steps):
+        z = random_rep(np.random.default_rng([seed]), 3, 3.0, atoms=3)
+        idx = (NuclearIndex.bracket_upper if upper else NuclearIndex.bracket_lower)(0.8, 1.5)
+        assert self.assert_matches_reference(z, idx, sweeps=sweeps) == steps
+
+    @pytest.mark.parametrize("sweeps", [True, 1.5, -1, "2", None])
+    def test_rejects_bad_sweeps(self, sweeps):
+        z = random_rep(np.random.default_rng(3), 3, 2.0)
+        for idx in (NuclearIndex.bracket_lower(0.8, 1.5), NuclearIndex.absolutely_summable(0.5)):
+            with pytest.raises(ValueError, match="sweeps"):
+                improve_representation(z, idx, sweeps=sweeps)
 
     def test_magnitude_variant_rebalances(self):
         rng = np.random.default_rng(22)

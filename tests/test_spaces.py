@@ -88,6 +88,44 @@ def _reference_ascent_lower(A, p_in, p_out):
     return best
 
 
+def _fixed_pass_ascent_lower(A, p_in, p_out):
+    """The stacked ascent with no exit test: the start and all 60 updates are evaluated."""
+    n_in = A.shape[-1]
+    q_dual = dual_exponent(p_out)
+    order = np.argsort(-np.linalg.norm(A, axis=-2), axis=-1)
+    rng = np.random.default_rng(0x5EED0F42)
+    draws = rng.standard_normal((6, n_in))
+    stack = A.shape[:-2]
+    X = np.concatenate([
+        np.eye(n_in)[order[..., :8]],
+        np.broadcast_to(np.ones(n_in), stack + (1, n_in)),
+        np.broadcast_to(draws, stack + draws.shape),
+    ], axis=-2)
+    At = np.swapaxes(A, -1, -2)
+    best = np.zeros(stack)
+    for _ in range(61):
+        Y = X @ At
+        ratios = lp_norm(Y, p_out, axis=-1) / lp_norm(X, p_in, axis=-1)
+        best = np.maximum(best, ratios.max(axis=-1))
+        X = spaces._dual_map(spaces._dual_map(Y, q_dual) @ A, p_in)
+    return best
+
+
+def _ascent_passes(monkeypatch, A, p_in, p_out):
+    """_ascent_lower's result and the number of passes it ran (two dual maps each)."""
+    calls = []
+    dual_map = spaces._dual_map
+
+    def counting(*args):
+        calls.append(None)
+        return dual_map(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(spaces, "_dual_map", counting)
+        best = _ascent_lower(A, p_in, p_out)
+    return best, len(calls) // 2
+
+
 class TestVectorNorm:
     @pytest.mark.parametrize("p", P_GRID)
     def test_unit_vector(self, p):
@@ -375,3 +413,54 @@ class TestOperatorMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.ones((2, 3)), space(2, 2.0), space(2, 2.0))
+
+
+class TestAscentExit:
+    """The ascent stops at its first exact repeat with the bits of the full 61 passes."""
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            pytest.param(np.diag([3.0, 2.0, 1.0, 0.5]), id="diagonal"),
+            pytest.param(np.outer([1.0, -2.0, 0.5], [0.3, 1.0, -1.0, 2.0]), id="rank-one"),
+        ],
+    )
+    @pytest.mark.parametrize("p_in, p_out", [(1.5, 3.0), (1.2, 1.7), (2.0, 4.0)])
+    def test_settled_iterate_ends_early(self, monkeypatch, A, p_in, p_out):
+        best, passes = _ascent_passes(monkeypatch, A, p_in, p_out)
+        assert passes < 20
+        assert best.tobytes() == _fixed_pass_ascent_lower(A, p_in, p_out).tobytes()
+
+    @pytest.mark.parametrize("p_in, p_out", [(1.5, 3.0), (3.0, 3.0), (1.2, 1.7)])
+    def test_stack_whose_slices_settle_apart(self, monkeypatch, p_in, p_out):
+        rng = np.random.default_rng(6)
+        # three kinds of slice, which repeat at different passes or not at all
+        A = np.stack([
+            np.diag([3.0, 2.0, 1.0, 0.5, 0.25, 0.1]),
+            rng.standard_normal((6, 6)),
+            np.outer(rng.standard_normal(6), rng.standard_normal(6)) + 0.1 * np.eye(6),
+        ])
+        singles = [_ascent_passes(monkeypatch, a, p_in, p_out) for a in A]
+        best, passes = _ascent_passes(monkeypatch, A, p_in, p_out)
+        assert passes <= 61
+        assert passes >= max(n for _, n in singles)
+        assert len({n for _, n in singles}) > 1
+        assert best.tobytes() == _fixed_pass_ascent_lower(A, p_in, p_out).tobytes()
+        assert [float(b) for b in best] == [float(b) for b, _ in singles]
+
+    def test_stack_that_never_repeats_runs_every_pass(self, monkeypatch):
+        A = np.random.default_rng(7).standard_normal((2, 32, 32))
+        best, passes = _ascent_passes(monkeypatch, A, 1.5, 3.0)
+        assert passes == 61
+        assert best.tobytes() == _fixed_pass_ascent_lower(A, 1.5, 3.0).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [900, 1000, -900, -1000])
+    def test_lower_end_scales_exactly_at_extreme_scales(self, k):
+        # the column norms of seeds 26 and 40, unscaled, overflow to inf at
+        # 2**900 and above, and underflow to 0 at 2**-900 and below
+        for seed in (0, 1, 2, 26, 40):
+            A = np.random.default_rng([12, seed]).standard_normal((12, 12))
+            scaled = np.ldexp(A, k)
+            assert np.array_equal(np.ldexp(scaled, -k), A)
+            assert _ascent_lower(scaled, 1.5, 3.0) == np.ldexp(_ascent_lower(A, 1.5, 3.0), k)
