@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import FiniteSequence, LorentzIndex, lorentz_quasi_norm
+from .sequences import LorentzIndex, lorentz_quasi_norm
 from .spaces import (
     AmbientSpace,
     NormBracket,
@@ -22,7 +22,6 @@ from .spaces import (
     dual_exponent,
     lp_norm,
     operator_brackets,
-    operator_norm,
 )
 
 __all__ = [
@@ -113,9 +112,10 @@ class Representation:
     coefficients of shape (..., m), F of shape (..., m, domain dim) and X
     of shape (..., m, codomain dim), one representation per row.  Rows are
     sorted on their own; a stack cannot drop atoms, so its coefficients
-    must be positive.  `induced_matrix`, `nuclear_trace`, `magnitudes` and
-    `quasi_norm` give one result per row, equal to the single
-    representation's; the other functions of this module refuse a stack.
+    must be positive.  A single representation is the stack of one.
+    `induced_matrix`, `nuclear_trace`, `magnitudes` and `quasi_norm` give
+    one result per row, equal to the single representation's; the other
+    functions of this module refuse a stack.
     """
 
     coefficients: np.ndarray
@@ -182,13 +182,9 @@ class Representation:
         """|x_k| in the codomain, one per atom."""
         return lp_norm(self.X, self.codomain.exponent, axis=-1)
 
-    def magnitudes(self) -> FiniteSequence | np.ndarray:
-        """The sequence lambda_k |x'_k| |x_k| driving every quasi-norm.
-
-        For a stack, the (..., m) array of one such sequence per row.
-        """
-        values = self.coefficients * self._functional_norms() * self._vector_norms()
-        return FiniteSequence(values) if values.ndim == 1 else values
+    def magnitudes(self) -> np.ndarray:
+        """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm."""
+        return self.coefficients * self._functional_norms() * self._vector_norms()
 
 
 def _require_single(z: Representation) -> None:
@@ -214,52 +210,44 @@ def nuclear_trace(z: Representation) -> float | np.ndarray:
     return float(tr) if tr.ndim == 0 else tr
 
 
-def _weak_brackets(Y: np.ndarray, p_prime: float, home: AmbientSpace, pairing_brackets):
-    """Lower and upper weak l_{p'} norms of each system of a stack Y (..., m, n).
-
-    `pairing_brackets()` gives the operator-norm brackets of the pairing
-    maps.  One vector is exact; otherwise the l_{p'} sum of the vector
-    norms also bounds from above, and the largest vector norm from below
-    (pair that vector with its norming functional).
-    """
-    if Y.shape[-2] == 1:
-        nv = lp_norm(Y[..., 0, :], home.exponent, axis=-1)
-        return nv, nv
-    lo, hi = pairing_brackets()
-    nv = lp_norm(Y, home.exponent, axis=-1)
-    hi = np.minimum(hi, lp_norm(nv, p_prime, axis=-1))
-    lo = np.maximum(lo, nv.max(axis=-1))
-    return np.minimum(lo, hi), hi
-
-
 def _tight_or_lower(lo, hi):
     """The upper end of a bracket tight to 1e-12 relative, else the lower end."""
     return np.where(hi - lo <= 1e-12 * hi, hi, lo)
 
 
 def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracket:
-    """Bracket for the weak l_{p'} norm of a finite vector system.
+    """Bracket for the weak l_{p'} norm of a finite vector system, or of each of a stack.
 
-    The system is the rows of a 2-d array of coordinates in `home`.  The
-    value is sup over unit functionals y' of the l_{p'} norm of the
-    pairing sequence (<y', y_i>)_i, equivalently the operator norm of the
-    pairing map from the dual of `home` into l_{p'}^m.  Exact in the home
-    spaces l_2 (with p' = 2), l_inf, and small l_1 systems; otherwise the
-    attained ascent value (the p-norm power method run from all starts at
-    once for at most 60 steps, ending early once its iterate repeats
-    exactly) and the best cheap upper bound.
+    The system is the rows of a 2-d array of coordinates in `home`; a
+    (..., m, n) stack of systems gives a bracket of (...) arrays, a 2-d
+    array the bracket of the stack of one.  The value is sup over unit
+    functionals y' of the l_{p'} norm of the pairing sequence
+    (<y', y_i>)_i, equivalently the operator norm of the pairing map from
+    the dual of `home` into l_{p'}^m, bracketed by `operator_brackets`
+    (exact in the home spaces l_2 with p' = 2, l_inf, and l_1 of dimension
+    at most 16).  One vector is exact; otherwise the l_{p'} sum of the
+    vector norms also bounds from above, and the largest vector norm from
+    below (pair that vector with its norming functional).
     """
     Y = np.asarray(vectors, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] == 0:
+    if Y.ndim < 2 or Y.shape[-2] == 0:
         raise ValueError("weak norm needs at least one vector, one per row")
-    # rows are the vectors; the constructors check shape, finiteness and p' >= 1
-    pairing = OperatorMatrix(
-        Y,
-        AmbientSpace(home.dim, dual_exponent(home.exponent)),
-        AmbientSpace(Y.shape[0], p_prime),
-    )
-    lo, hi = _weak_brackets(Y, p_prime, home, lambda: operator_norm(pairing))
-    return NormBracket(float(lo), float(hi))
+    if Y.shape[-1] != home.dim:
+        raise ValueError("vector length must match the home space")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("vectors must be finite")
+    # the pairing's codomain l_{p'}^m checks p' >= 1
+    p_prime = AmbientSpace(Y.shape[-2], p_prime).exponent
+    nv = lp_norm(Y, home.exponent, axis=-1)
+    if Y.shape[-2] == 1:
+        lo = hi = nv[..., 0]
+    else:
+        lo, hi = operator_brackets(Y, dual_exponent(home.exponent), p_prime)
+        hi = np.minimum(hi, lp_norm(nv, p_prime, axis=-1))
+        lo = np.minimum(np.maximum(lo, nv.max(axis=-1)), hi)
+    if Y.ndim == 2:
+        return NormBracket(float(lo), float(hi))
+    return NormBracket(lo, hi)
 
 
 def weak_norm(vectors, p_prime: float, home: AmbientSpace) -> float:
@@ -267,59 +255,41 @@ def weak_norm(vectors, p_prime: float, home: AmbientSpace) -> float:
     return float(_tight_or_lower(*weak_norm_bracket(vectors, p_prime, home)))
 
 
-def _weak_norms(Y: np.ndarray, p_prime: float, home: AmbientSpace) -> np.ndarray:
-    """`weak_norm` of each system of a stack Y (..., m, n), with one stacked ascent."""
-    p_in = dual_exponent(home.exponent)
-    lo, hi = _weak_brackets(Y, p_prime, home, lambda: operator_brackets(Y, p_in, p_prime))
-    return _tight_or_lower(lo, hi)
-
-
-def _bracket_values(z: Representation, index: NuclearIndex, weak):
-    """BRACKET_LOWER or BRACKET_UPPER value of z, one per row of a stack.
-
-    `weak` evaluates the weak p'-norms of the atom systems.
-    """
+def _bracket_values(z: Representation, index: NuclearIndex) -> np.ndarray:
+    """BRACKET_LOWER or BRACKET_UPPER value of each row of z."""
     p_prime = dual_exponent(index.p)
     if index.variant == BRACKET_LOWER:
         side = z.coefficients * lp_norm(z.F, dual_exponent(z.domain.exponent), axis=-1)
-        return lp_norm(side, index.r, axis=-1) * weak(z.X, p_prime, z.codomain)
-    side = z.coefficients * lp_norm(z.X, z.codomain.exponent, axis=-1)
-    return lp_norm(side, index.r, axis=-1) * weak(z.F, p_prime, z.domain.dual())
+        weak = weak_norm_bracket(z.X, p_prime, z.codomain)
+    else:
+        side = z.coefficients * lp_norm(z.X, z.codomain.exponent, axis=-1)
+        weak = weak_norm_bracket(z.F, p_prime, z.domain.dual())
+    return lp_norm(side, index.r, axis=-1) * _tight_or_lower(*weak)
 
 
 def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
-    """Evaluate the selected quasi-norm of the representation.
+    """Evaluate the selected quasi-norm of the representation, or of each row of a stack.
 
     S and LORENTZ act on the magnitude sequence lambda_k |x'_k| |x_k|.
     BRACKET_LOWER multiplies the l_r mass of (lambda_k x'_k) by the weak
-    p'-norm of the vector system; BRACKET_UPPER swaps the roles.  A stack
+    p'-norm of the vector system; BRACKET_UPPER swaps the roles.  A
+    single representation is the stack of one and gives a float; a stack
     gives the array of its rows' values: S as one row-wise norm, LORENTZ
     row by row, the bracket variants with one stacked ascent.
     """
-    if z.coefficients.ndim > 1:
-        return _stack_quasi_norms(z, index)
     if index.variant == S_VARIANT:
-        return lp_norm(z.magnitudes().values, index.s)
-    if index.variant == LORENTZ_VARIANT:
-        return lorentz_quasi_norm(z.magnitudes(), LorentzIndex(index.r, index.w))
-    if z.atom_count == 0:
-        return 0.0
-    return float(_bracket_values(z, index, weak_norm))
-
-
-def _stack_quasi_norms(z: Representation, index: NuclearIndex) -> np.ndarray:
-    """`quasi_norm` of each row of a stack."""
-    if index.variant == S_VARIANT:
-        return lp_norm(z.magnitudes(), index.s, axis=-1)
-    if index.variant == LORENTZ_VARIANT:
+        out = lp_norm(z.magnitudes(), index.s, axis=-1)
+    elif index.variant == LORENTZ_VARIANT:
         mags = z.magnitudes()
         lorentz = LorentzIndex(index.r, index.w)
         flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)
-        rows = [lorentz_quasi_norm(FiniteSequence(row), lorentz) for row in flat]
-        return np.array(rows, dtype=float).reshape(mags.shape[:-1])
-    if z.atom_count == 0:
-        return np.zeros(z.coefficients.shape[:-1])
-    return _bracket_values(z, index, _weak_norms)
+        rows = [lorentz_quasi_norm(row, lorentz) for row in flat]
+        out = np.reshape(rows, mags.shape[:-1])
+    elif z.atom_count == 0:
+        out = np.zeros(z.coefficients.shape[:-1])
+    else:
+        out = _bracket_values(z, index)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def trace_perturbation_bound(
@@ -424,7 +394,7 @@ def improve_representation(
     Returns (swept representation, old value, min(old value, best value)).
     The swept representation's own bracket value can exceed the old value,
     since rebalancing can raise it when no rescaling wins back the
-    difference (ROADMAP item 2).
+    difference (ROADMAP item 4).
     """
     _require_single(z)
     if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 0:

@@ -219,44 +219,55 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     return best
 
 
-def _exact_norm(A: np.ndarray, p_in: float, p_out: float) -> float | None:
-    """Closed-form operator norm where one is known, else None."""
-    n_out, n_in = A.shape
+def _exact_norm(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray | None:
+    """Closed-form operator norm of each matrix of a stack A (k, n_out, n_in), else None.
+
+    Whether a closed form is known depends on the exponents and n_in only.
+    """
+    n_in = A.shape[-1]
     if p_in == 1.0:
-        return float(np.max(lp_norm(A, p_out, axis=0)))
+        return lp_norm(A, p_out, axis=-2).max(axis=-1)
     if p_in == 2.0 and p_out == 2.0:
-        return float(np.linalg.norm(A, 2))
+        return np.linalg.norm(A, 2, axis=(-2, -1))
     if math.isinf(p_in) and math.isinf(p_out):
-        return float(np.max(lp_norm(A, 1.0, axis=1)))
+        return lp_norm(A, 1.0, axis=-1).max(axis=-1)
     if math.isinf(p_in) and n_in <= _SIGN_ENUM_LIMIT:
         # sign vertices of the unit cube, one per row, first coordinate pinned
         # by symmetry: bit j of the row index flips coordinate j + 1
         masks = np.arange(2 ** (n_in - 1))[:, None] << 1
         signs = 1.0 - 2.0 * ((masks >> np.arange(n_in)) & 1)
-        return float(np.max(lp_norm(signs @ A.T, p_out, axis=1)))
+        # chunks of 2**(16 - n_in) matrices: the vertex images of a chunk are
+        # no more than those of one 16-column matrix
+        chunk = 2 ** (_SIGN_ENUM_LIMIT - n_in)
+        out = np.empty(len(A))
+        for i in range(0, len(A), chunk):
+            images = signs @ np.swapaxes(A[i:i + chunk], -1, -2)
+            out[i:i + chunk] = lp_norm(images, p_out, axis=-1).max(axis=-1)
+        return out
     return None
 
 
-def _upper(A: np.ndarray, p_in: float, p_out: float) -> float:
-    """Least upper bound from the exact routes, each norm computed once.
+def _upper(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
+    """Least upper bound of each matrix of a stack A (k, n_out, n_in) from the exact routes.
 
-    An exact route (a, b) is inflated by inclusion factors: moving the
-    domain exponent from p_in down to a costs n_in**max(1/a - 1/p_in, 0),
-    moving the codomain from b to p_out costs n_out**max(1/p_out - 1/b, 0).
-    For p -> p, p in (1, 2) or (2, inf) (the other p -> p norms are exact),
-    the Riesz-Thorin bound between the exact endpoints around p also counts.
+    Each route's norms are computed once.  An exact route (a, b) is
+    inflated by inclusion factors: moving the domain exponent from p_in
+    down to a costs n_in**max(1/a - 1/p_in, 0), moving the codomain from b
+    to p_out costs n_out**max(1/p_out - 1/b, 0).  For p -> p, p in (1, 2)
+    or (2, inf) (the other p -> p norms are exact), the Riesz-Thorin bound
+    between the exact endpoints around p also counts.
     """
-    n_out, n_in = A.shape
+    n_out, n_in = A.shape[-2:]
     routes = [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, 2.0),
               (1.0, math.inf), (1.0, p_out)]
     if n_in <= _SIGN_ENUM_LIMIT:
         routes.append((math.inf, p_out))
     norms = {route: _exact_norm(A, *route) for route in routes}
-    best = min(
+    best = np.min([
         n_in ** max(1.0 / a - 1.0 / p_in, 0.0) * base
         * n_out ** max(1.0 / p_out - 1.0 / b, 0.0)
         for (a, b), base in norms.items()
-    )
+    ], axis=0)
     if p_in == p_out:
         if p_in < 2.0:
             theta = 2.0 * (1.0 - 1.0 / p_in)
@@ -264,7 +275,9 @@ def _upper(A: np.ndarray, p_in: float, p_out: float) -> float:
         else:
             theta = 1.0 - 2.0 / p_in
             near, far = norms[2.0, 2.0], norms[math.inf, math.inf]
-        best = min(best, near ** (1.0 - theta) * far ** theta)
+        # Python's float power: numpy's array power can round differently
+        rt = [x ** (1.0 - theta) * y ** theta for x, y in zip(near.tolist(), far.tolist())]
+        best = np.minimum(best, rt)
     return best
 
 
@@ -273,20 +286,24 @@ def operator_brackets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ends of the l_p_in -> l_p_out norm of each matrix of a stack.
 
-    `mats` has shape (..., n_out, n_in); both ends have shape (...).  The
-    routes are those of `operator_norm`, whose 2-d case this is; the
-    ascent runs on the whole stack at once.
+    `mats` has shape (..., n_out, n_in); both ends have shape (...).
+    Exact cases (domain exponent 1; the 2 -> 2 case; domain exponent inf
+    with codomain inf, or with at most 16 columns) give equal ends.
+    Otherwise the lower end is attained by ascent: the p-norm power
+    method, run on the whole stack at once from 15 starts per matrix for
+    at most 60 steps, ending early once its iterate repeats exactly.  The
+    upper end is the least of the exact routes inflated by dimension
+    factors and, for p -> p, the Riesz-Thorin bound.
     """
     mats = np.asarray(mats, dtype=float)
     stack = mats.shape[:-2]
     flat = mats.reshape((-1,) + mats.shape[-2:])
-    exact = [_exact_norm(a, p_in, p_out) for a in flat]
-    # whether a route is exact depends on the exponents and n_in only
-    if None not in exact:
-        exact = np.array(exact, dtype=float).reshape(stack)
+    exact = _exact_norm(flat, p_in, p_out)
+    if exact is not None:
+        exact = exact.reshape(stack)
         return exact, exact
     lower = _ascent_lower(mats, p_in, p_out)
-    upper = np.array([_upper(a, p_in, p_out) for a in flat]).reshape(stack)
+    upper = _upper(flat, p_in, p_out).reshape(stack)
     # an attained iterate can overshoot a tight upper bound by rounding only,
     # a relative amount at every scale
     if np.any(lower - upper > REL_TOL * upper):
@@ -297,14 +314,8 @@ def operator_brackets(
 def operator_norm(A: OperatorMatrix) -> NormBracket:
     """Bracket for the operator norm of A between its ambient spaces.
 
-    Exact cases (domain exponent 1; the 2 -> 2 case; domain exponent inf
-    with codomain inf, or with at most 16 columns) return a degenerate
-    bracket.  Otherwise the lower end is attained by ascent: the p-norm
-    power method, run from 15 starts at once (the rows of one matrix) for
-    at most 60 steps, ending early once its iterate repeats exactly.  The
-    upper end is the least of the exact routes inflated by dimension
-    factors and, for p -> p, the Riesz-Thorin bound; each exact route
-    norm is computed once.
+    The matrix is the stack of one for `operator_brackets`; an exact
+    route gives a degenerate bracket.
     """
     lower, upper = operator_brackets(A.entries, A.domain.exponent, A.codomain.exponent)
     return NormBracket(float(lower), float(upper))

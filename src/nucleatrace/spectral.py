@@ -422,6 +422,9 @@ def nilpotent_check(A, tolerance: float = 0.0) -> NilpotentReport:
 
     Matrices with ||A^2|| above the tolerance are skipped rather than
     failed; the check only speaks about genuinely 2-nilpotent input.
+    Both tests are relative to ||A||_F, with no absolute floor: |trace|
+    at most n eps ||A||_F, and every computed eigenvalue modulus at most
+    n sqrt(eps) ||A||_F, the rounding of a defective zero eigenvalue.
     """
     mat = _as_square(A)
     sq = mat @ mat
@@ -439,9 +442,8 @@ def nilpotent_check(A, tolerance: float = 0.0) -> NilpotentReport:
     tr = float(np.trace(mat))
     es = eigenvalues(mat)
     max_mod = float(np.max(es.moduli())) if es.values.size else 0.0
-    passed = bool(
-        abs(tr) <= 1e-12 * (1.0 + scale) and max_mod <= max(1e-8, 1e-12 * scale)
-    )
+    n, eps = mat.shape[0], np.finfo(float).eps
+    passed = bool(abs(tr) <= n * eps * scale and max_mod <= n * math.sqrt(eps) * scale)
     return NilpotentReport(
         applied=True,
         square_norm=sq_norm,

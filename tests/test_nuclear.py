@@ -163,7 +163,7 @@ class TestRepresentation:
             z = random_rep(rng, 5, p, atoms=4)
             atoms = list(zip(z.coefficients, z.F, z.X))
             mags = [l * lp_norm(f, dual_exponent(p)) * lp_norm(x, p) for l, f, x in atoms]
-            np.testing.assert_allclose(z.magnitudes().values, mags, rtol=1e-15)
+            np.testing.assert_allclose(z.magnitudes(), mags, rtol=1e-15)
             # with R = 0 the bound is the split weights' mass times the largest scaled vector
             zero = OperatorMatrix(np.zeros((5, 5)), z.codomain, z.codomain)
             weights = [l ** 0.5 * lp_norm(f, dual_exponent(p)) for l, f, _ in atoms]
@@ -196,7 +196,7 @@ class TestRepresentationStack:
         assert stack.coefficients.shape == (4, atoms) and stack.atom_count == atoms
         np.testing.assert_array_equal(nuclear_trace(stack), [nuclear_trace(z) for z in reps])
         np.testing.assert_array_equal(induced_matrix(stack), [induced_matrix(z).entries for z in reps])
-        np.testing.assert_array_equal(stack.magnitudes(), [z.magnitudes().values for z in reps])
+        np.testing.assert_array_equal(stack.magnitudes(), [z.magnitudes() for z in reps])
         for idx in self.INDICES:
             np.testing.assert_array_equal(quasi_norm(stack, idx), [quasi_norm(z, idx) for z in reps])
 
@@ -361,6 +361,16 @@ class TestQuasiNorm:
         assert math.isfinite(val)
         assert val == pytest.approx(2.0 ** 1.5 * 1e200, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_s_value_of_overflowing_magnitudes_is_inf(self):
+        # finite atoms whose magnitude 1e320 overflows: one representation and
+        # the stack of it alike
+        sp = L2(2)
+        z = Representation.from_arrays([1e300], [[1e10, 0.0]], [[1e10, 0.0]], sp, sp)
+        idx = NuclearIndex.absolutely_summable(0.5)
+        assert quasi_norm(z, idx) == math.inf
+        assert quasi_norm(stack_of([z, z]), idx).tolist() == [math.inf, math.inf]
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_bracket_pair_encloses_nothing_negative(self, seed):
@@ -428,6 +438,37 @@ class TestWeakNorm:
     def test_wrong_shape_rejected(self, rows):
         with pytest.raises(ValueError):
             weak_norm(rows, 2.0, L2(2))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("p_prime", [0.5, math.nan])
+    def test_bad_exponent_rejected(self, shape, p_prime):
+        # one vector is exact, but its p' is still checked
+        with pytest.raises(ValueError):
+            weak_norm_bracket(np.ones(shape), p_prime, L2(2))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entries_rejected(self, shape, bad):
+        rows = np.ones(shape)
+        rows[..., -1, 1] = bad
+        with pytest.raises(ValueError):
+            weak_norm_bracket(rows, 2.0, L2(2))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 3, 3)])
+    def test_last_axis_other_than_home_dim_rejected(self, shape):
+        with pytest.raises(ValueError):
+            weak_norm_bracket(np.ones(shape), 2.0, L2(2))
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("p, p_prime", [(3.0, 1.5), (2.0, 2.0), (1.5, 4.0)])
+    def test_stack_gives_each_systems_bracket(self, m, p, p_prime):
+        sp = AmbientSpace(3, p)
+        Y = np.random.default_rng([9, m]).standard_normal((2, 3, m, 3))
+        lo, hi = weak_norm_bracket(Y, p_prime, sp)
+        assert lo.shape == hi.shape == (2, 3)
+        singles = [weak_norm_bracket(y, p_prime, sp) for y in Y.reshape(6, m, 3)]
+        assert lo.ravel().tolist() == [b.lower for b in singles]
+        assert hi.ravel().tolist() == [b.upper for b in singles]
 
 
 class TestTracePerturbation:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,92 @@ class TestProjection:
                 P.entries @ v.coords, v.coords, atol=1e-9
             )
         assert bracket.lower <= bracket.upper + 1e-12
+
+
+def _reference_exact_norm(A, p_in, p_out):
+    """One matrix at a time: closed-form operator norm where one is known, else None."""
+    n_out, n_in = A.shape
+    if p_in == 1.0:
+        return float(np.max(lp_norm(A, p_out, axis=0)))
+    if p_in == 2.0 and p_out == 2.0:
+        return float(np.linalg.norm(A, 2))
+    if math.isinf(p_in) and math.isinf(p_out):
+        return float(np.max(lp_norm(A, 1.0, axis=1)))
+    if math.isinf(p_in) and n_in <= 16:
+        masks = np.arange(2 ** (n_in - 1))[:, None] << 1
+        signs = 1.0 - 2.0 * ((masks >> np.arange(n_in)) & 1)
+        return float(np.max(lp_norm(signs @ A.T, p_out, axis=1)))
+    return None
+
+
+def _reference_upper(A, p_in, p_out):
+    """One matrix at a time: least of the inflated exact routes and the Riesz-Thorin bound."""
+    n_out, n_in = A.shape
+    routes = [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, 2.0),
+              (1.0, math.inf), (1.0, p_out)]
+    if n_in <= 16:
+        routes.append((math.inf, p_out))
+    norms = {route: _reference_exact_norm(A, *route) for route in routes}
+    best = min(
+        n_in ** max(1.0 / a - 1.0 / p_in, 0.0) * base
+        * n_out ** max(1.0 / p_out - 1.0 / b, 0.0)
+        for (a, b), base in norms.items()
+    )
+    if p_in == p_out:
+        if p_in < 2.0:
+            theta = 2.0 * (1.0 - 1.0 / p_in)
+            near, far = norms[1.0, 1.0], norms[2.0, 2.0]
+        else:
+            theta = 1.0 - 2.0 / p_in
+            near, far = norms[2.0, 2.0], norms[math.inf, math.inf]
+        best = min(best, near ** (1.0 - theta) * far ** theta)
+    return best
+
+
+class TestStackedRoutes:
+    """Every route runs on a whole stack, with each matrix's bits of the per-matrix reference."""
+
+    EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
+
+    @pytest.mark.parametrize("n_in", range(1, 18))
+    def test_routes_match_per_matrix_reference(self, n_in):
+        # the sign route is on up to 16 columns and off at 17; 1.5 -> 1.5 and
+        # 3 -> 3 take the Riesz-Thorin bound on either side of 2
+        rng = np.random.default_rng([21, n_in])
+        A = rng.standard_normal((3 if n_in > 12 else 5, int(rng.integers(1, 7)), n_in))
+        A[1] = np.abs(A[1])
+        A[2][:, rng.integers(n_in)] = 0.0
+        for p_in, p_out in itertools.product(self.EXPONENTS, repeat=2):
+            exact = spaces._exact_norm(A, p_in, p_out)
+            refs = [_reference_exact_norm(a, p_in, p_out) for a in A]
+            lo, hi = spaces.operator_brackets(A, p_in, p_out)
+            if exact is None:
+                assert refs == [None] * len(A)
+                upper = np.array([_reference_upper(a, p_in, p_out) for a in A])
+                assert spaces._upper(A, p_in, p_out).tobytes() == upper.tobytes()
+                assert hi.tobytes() == upper.tobytes()
+                lower = np.minimum(_ascent_lower(A, p_in, p_out), upper)
+                assert lo.tobytes() == lower.tobytes()
+            else:
+                assert exact.tobytes() == np.array(refs).tobytes()
+                assert lo.tobytes() == hi.tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("p_in", [1.5, math.inf])
+    def test_empty_stack_gives_empty_ends(self, p_in):
+        lo, hi = spaces.operator_brackets(np.zeros((0, 3, 3)), p_in, 3.0)
+        assert lo.shape == hi.shape == (0,)
+
+    def test_sign_route_memory_stays_that_of_one_matrix(self):
+        # the per-matrix route peaked at 20.5 MB on this stack; the vertex images of
+        # all 200 matrices at once would take over 3 GB
+        A = np.random.default_rng(0).standard_normal((200, 16, 16))
+        tracemalloc.start()
+        try:
+            spaces.operator_brackets(A, 1.5, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 20.5e6
 
 
 class TestOperatorMatrix:

@@ -527,6 +527,31 @@ class TestNilpotentCheck:
         assert report.trace == 0.0
         assert report.passed
 
+    def test_outer_product_square_zero(self):
+        # not triangular, so eigvals returns +-2.0e-8 rather than exact zeros
+        report = nilpotent_check(np.outer([1.0, 2.0, 3.0], [3.0, 0.0, -1.0]))
+        assert report.applied and report.square_norm == 0.0 and report.trace == 0.0
+        assert report.passed
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 20, 2.0 ** -20, 1e6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_square_zero_products_pass(self, n, scale):
+        # A = U W^t with W^t U = 0 in integers: W = det(G) V - U adj(G) U^t V,
+        # G = U^t U; the entries stay small enough for A @ A to be exactly 0
+        # at these scales
+        rng = np.random.default_rng([31, n])
+        for _ in range(12):
+            U = rng.integers(-1, 2, size=(n, max(1, n // 3))).astype(float)
+            V = rng.integers(-1, 2, size=U.shape).astype(float)
+            G = U.T @ U
+            det = np.linalg.det(G)
+            adj = np.round(det * np.linalg.inv(G)) if det else np.zeros_like(G)
+            W = np.round(det) * V - U @ adj @ (U.T @ V)
+            mat = scale * (U @ W.T)
+            report = nilpotent_check(mat)
+            assert report.applied and report.square_norm == 0.0
+            assert report.passed
+
     def test_unit_trace_configuration_never_applies(self):
         # any matrix with square zero has trace zero; probe a family
         rng = np.random.default_rng(1)
