@@ -4,7 +4,6 @@ finite l_p spaces."""
 
 from .sequences import (
     FactorizationCertificate,
-    FiniteSequence,
     LorentzIndex,
     factor_l1_lorentz,
     holder_product_bound,
@@ -31,11 +30,9 @@ from .nuclear import (
     quasi_norm,
     rebalance,
     trace_perturbation_bound,
-    weak_norm,
     weak_norm_bracket,
 )
 from .spectral import (
-    EigenSystem,
     NilpotentReport,
     ProbeReport,
     SimilarityReport,
@@ -47,7 +44,6 @@ from .spectral import (
     match_spectra,
     nilpotent_check,
     similarity_spectrum_check,
-    spectral_sum,
     trace_formula_exponent,
 )
 from .approximation import (
@@ -63,10 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientSpace",
     "ApproximationCertificate",
-    "EigenSystem",
     "ExperimentConfig",
     "FactorizationCertificate",
-    "FiniteSequence",
     "LorentzIndex",
     "NilpotentReport",
     "NormBracket",
@@ -101,11 +95,9 @@ __all__ = [
     "select_rank",
     "sharpness_witness",
     "similarity_spectrum_check",
-    "spectral_sum",
     "trace_formula_exponent",
     "trace_perturbation_bound",
     "lp_norm",
     "vector_norm",
-    "weak_norm",
     "weak_norm_bracket",
 ]

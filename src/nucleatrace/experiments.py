@@ -17,7 +17,6 @@ import numpy as np
 from .approximation import build_approximant
 from .nuclear import NuclearIndex, Representation
 from .sequences import (
-    FiniteSequence,
     LorentzIndex,
     factor_l1_lorentz,
     holder_product_bound,
@@ -300,8 +299,8 @@ def _run_factorize(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     s = cfg.s if cfg.s is not None else 2.0 / 3.0
     k = np.arange(1, cfg.truncation + 1, dtype=float)
     d = k ** (-beta)
-    alpha_seq, beta_seq, cert = factor_l1_lorentz(d, s, gamma=cfg.gamma)
-    exact = bool(np.all(alpha_seq.values * beta_seq.values == d))
+    alpha, weak, cert = factor_l1_lorentz(d, s, gamma=cfg.gamma)
+    exact = bool(np.all(alpha * weak == d))
     half = cert.weighted_tail[cfg.truncation // 2 :]
     tail_ok = bool(np.all(np.diff(half) <= 0.0))
     decayed = bool(cert.final_to_quarter_ratio <= 0.5)
@@ -408,7 +407,7 @@ def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
 
     probe = eigenvalue_type_probe(generator, index, cfg.dims)
     out = []
-    for i, n in enumerate(probe.dims):
+    for n, report in zip(probe.dims, probe.reports):
         out.append(
             {
                 "trial": trial,
@@ -416,9 +415,9 @@ def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
                 "p": p,
                 "s": s,
                 "beta": beta,
-                "eigen_l1": probe.eigen_l1[i],
-                "quasi_norm": probe.quasi_norms[i],
-                "ratio": probe.ratios[i],
+                "eigen_l1": report.eigen_l1,
+                "quasi_norm": report.quasi_norm,
+                "ratio": report.ratio,
                 "verdict": probe.verdict,
                 "pass": probe.verdict in ("BOUNDED", "SKIPPED"),
             }
@@ -468,6 +467,8 @@ def _run_approx(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
 
 def _run_similarity(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     max_dim = max(cfg.dims)
+    if max_dim < 2:
+        raise ValueError("similarity needs a dimension of at least 2")
     m = int(rng.integers(2, max_dim + 1))
     n = int(rng.integers(2, max_dim + 1))
     A_mat = rng.standard_normal((m, n))

@@ -30,7 +30,6 @@ __all__ = [
     "induced_matrix",
     "nuclear_trace",
     "quasi_norm",
-    "weak_norm",
     "weak_norm_bracket",
     "trace_perturbation_bound",
     "rebalance",
@@ -250,11 +249,6 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
     return NormBracket(lo, hi)
 
 
-def weak_norm(vectors, p_prime: float, home: AmbientSpace) -> float:
-    """Weak l_{p'} norm of the rows in `home`; the lower end when the bracket is loose."""
-    return float(_tight_or_lower(*weak_norm_bracket(vectors, p_prime, home)))
-
-
 def _bracket_values(z: Representation, index: NuclearIndex) -> np.ndarray:
     """BRACKET_LOWER or BRACKET_UPPER value of each row of z."""
     p_prime = dual_exponent(index.p)
@@ -275,7 +269,9 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
     p'-norm of the vector system; BRACKET_UPPER swaps the roles.  A
     single representation is the stack of one and gives a float; a stack
     gives the array of its rows' values: S as one row-wise norm, LORENTZ
-    row by row, the bracket variants with one stacked ascent.
+    row by row, the bracket variants with one stacked ascent.  The atoms
+    are finite, so an infinite magnitude is overflow, and its row's S or
+    LORENTZ value is inf.
     """
     if index.variant == S_VARIANT:
         out = lp_norm(z.magnitudes(), index.s, axis=-1)
@@ -283,7 +279,8 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
         mags = z.magnitudes()
         lorentz = LorentzIndex(index.r, index.w)
         flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)
-        rows = [lorentz_quasi_norm(row, lorentz) for row in flat]
+        overflow = np.isinf(flat).any(axis=-1)
+        rows = [math.inf if o else lorentz_quasi_norm(row, lorentz) for row, o in zip(flat, overflow)]
         out = np.reshape(rows, mags.shape[:-1])
     elif z.atom_count == 0:
         out = np.zeros(z.coefficients.shape[:-1])

@@ -18,7 +18,6 @@ from .spaces import lp_norm
 from .tolerances import REL_TOL
 
 __all__ = [
-    "FiniteSequence",
     "LorentzIndex",
     "FactorizationCertificate",
     "lorentz_quasi_norm",
@@ -29,9 +28,7 @@ __all__ = [
 
 
 def as_values(a) -> np.ndarray:
-    """Coerce a FiniteSequence or array-like to a 1-d float array."""
-    if isinstance(a, FiniteSequence):
-        return a.values
+    """Coerce an array-like to a 1-d float array."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a one dimensional sequence")
@@ -39,29 +36,12 @@ def as_values(a) -> np.ndarray:
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
-    # callers run this only once a result came out non-finite, to tell
-    # non-finite input (an error) from overflow of finite input (inf)
+    # the norms run this only once a result came out non-finite, to tell
+    # non-finite input (an error) from overflow of finite input (inf);
+    # sharpness_witness runs it up front, where overflow cannot happen
     for arr in arrays:
         if not np.all(np.isfinite(arr)):
             raise ValueError("sequence entries must be finite")
-
-
-@dataclass(frozen=True)
-class FiniteSequence:
-    """A finite real sequence, zero beyond its stored length."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("expected a one dimensional sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sequence entries must be finite")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -97,7 +77,7 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
 
     Parameters
     ----------
-    a : FiniteSequence or array-like
+    a : array-like
     index : LorentzIndex
 
     Returns
@@ -123,7 +103,7 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
 
     Parameters
     ----------
-    a, b : FiniteSequence or array-like
+    a, b : array-like
     s : float
         Product exponent in (0, 1].
 
@@ -148,24 +128,26 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
     return lhs, rhs, bool(lhs <= rhs + REL_TOL * rhs)
 
 
-def sharpness_witness(a, s: float) -> FiniteSequence:
+def sharpness_witness(a, s: float) -> np.ndarray:
     """Companion sequence making the product bound an equality.
 
     For s < 1 returns b_k = |a_k|**(1/q) / ||a||_1**(1/q) with
     q = s/(1-s), which has unit l_q norm whenever a is nonzero and turns
     the bound into lhs = rhs = ||a||_1.  For s = 1 the all-ones sequence
-    plays the same role against the sup norm.
+    plays the same role against the sup norm.  NaN or infinite entries
+    raise ValueError.
     """
     av = as_values(a)
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
+    _require_finite(av)
     if av.size == 0 or not np.any(av != 0.0):
         raise ValueError("witness requires a nonzero sequence")
     if s == 1.0:
-        return FiniteSequence(np.ones_like(av))
+        return np.ones_like(av)
     q = s / (1.0 - s)
     l1 = float(np.sum(np.abs(av)))
-    return FiniteSequence(np.abs(av) ** (1.0 / q) / l1 ** (1.0 / q))
+    return np.abs(av) ** (1.0 / q) / l1 ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -254,7 +236,7 @@ def factor_l1_lorentz(
     s: float,
     epsilon=None,
     gamma: float | None = None,
-) -> tuple[FiniteSequence, FiniteSequence, FactorizationCertificate]:
+) -> tuple[np.ndarray, np.ndarray, FactorizationCertificate]:
     """Split a non-increasing sequence as d = alpha * beta pointwise.
 
     alpha is summable and beta sits in the weak space with exponent q
@@ -264,7 +246,7 @@ def factor_l1_lorentz(
 
     Parameters
     ----------
-    d : FiniteSequence or array-like
+    d : array-like
         Non-increasing, nonnegative.
     s : float
         Product exponent in (0, 1).
@@ -384,4 +366,4 @@ def factor_l1_lorentz(
         non_increasing=non_increasing,
         final_to_quarter_ratio=ratio,
     )
-    return FiniteSequence(alpha), FiniteSequence(beta), cert
+    return alpha, beta, cert

@@ -24,14 +24,12 @@ from .nuclear import quasi_norm as representation_quasi_norm
 from .spaces import OperatorMatrix
 
 __all__ = [
-    "EigenSystem",
     "TraceAuditReport",
     "SimilarityReport",
     "NilpotentReport",
     "ProbeReport",
     "eigenvalues",
     "characteristic_roots",
-    "spectral_sum",
     "match_spectra",
     "audit_trace_formula",
     "eigenvalue_type_probe",
@@ -59,32 +57,13 @@ def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, order, axis=-1)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues sorted by non-increasing modulus, then by argument.
+def eigenvalues(A) -> np.ndarray:
+    """Spectrum of a square matrix or operator, by non-increasing modulus, then by argument.
 
-    For a stack of n x n matrices, `values` has shape (..., n), one sorted
-    spectrum per matrix.
+    A stack (..., n, n) of matrices takes one LAPACK call and gives the
+    (..., n) complex array of one sorted spectrum per matrix.
     """
-
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _sort_spectrum(self.values))
-
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
-def eigenvalues(A) -> EigenSystem:
-    """Spectrum of a square matrix or operator as an EigenSystem.
-
-    A stack (..., n, n) of matrices takes one LAPACK call and gives one
-    EigenSystem whose values hold a row per matrix.
-    """
-    mat = _as_square(A, stack=True)
-    return EigenSystem(np.linalg.eigvals(mat), mat.shape[-1])
+    return _sort_spectrum(np.linalg.eigvals(_as_square(A, stack=True)))
 
 
 def _char_poly_coeffs(mat: np.ndarray) -> np.ndarray:
@@ -187,15 +166,6 @@ def characteristic_roots(A) -> np.ndarray:
     return _sort_spectrum(roots.reshape(mat.shape[:-1]))
 
 
-def spectral_sum(es: EigenSystem) -> complex | np.ndarray:
-    """Sum of eigenvalues; imaginary part is rounding noise for real input.
-
-    For a stack, the array of one sum per matrix.
-    """
-    total = np.sum(es.values, axis=-1)
-    return complex(total) if total.ndim == 0 else total
-
-
 def match_spectra(
     u, v, rel: float = 1e-6, abs_floor: float = 1e-8
 ) -> tuple[bool, float]:
@@ -291,9 +261,9 @@ def _audit_stack(
         traces[a:b] = np.ravel(nuclear_trace(z))
         mats[a:b] = _as_square(induced_matrix(z), stack=True).reshape(-1, n, n)
         quasi_norms[a:b] = np.ravel(representation_quasi_norm(z, idx))
-    es = eigenvalues(mats)
-    sums = spectral_sum(es)
-    eigen_l1 = np.sum(es.moduli(), axis=-1)
+    spectra = eigenvalues(mats)
+    sums = np.sum(spectra, axis=-1)
+    eigen_l1 = np.sum(np.abs(spectra), axis=-1)
     reports = []
     for i, M in enumerate(mats):
         tr, ssum, qn, l1 = float(traces[i]), complex(sums[i]), float(quasi_norms[i]), float(eigen_l1[i])
@@ -311,7 +281,7 @@ def _audit_stack(
             frobenius=fro,
             passed=bool(defect <= tolerance_scale * (1.0 + fro)),
             matrix=M,
-            spectrum=es.values[i],
+            spectrum=spectra[i],
         ))
     return tuple(reports)
 
@@ -322,9 +292,6 @@ class ProbeReport:
 
     dims: tuple[int, ...]
     reports: tuple["TraceAuditReport", ...]
-    ratios: tuple[float | None, ...]
-    quasi_norms: tuple[float, ...]
-    eigen_l1: tuple[float, ...]
     verdict: str
 
 
@@ -346,8 +313,6 @@ def eigenvalue_type_probe(
         raise ValueError("probe needs at least one dimension")
     reports = tuple(audit_trace_formula(generator(n), index) for n in dims)
     ratios = [r.ratio for r in reports]
-    qns = [r.quasi_norm for r in reports]
-    l1s = [r.eigen_l1 for r in reports]
     usable = [(i, r) for i, r in enumerate(ratios) if r is not None]
     if not usable:
         verdict = "SKIPPED"
@@ -363,14 +328,7 @@ def eigenvalue_type_probe(
                 if max(second) <= growth_factor * max(first)
                 else "UNBOUNDED"
             )
-    return ProbeReport(
-        dims=dims,
-        reports=reports,
-        ratios=tuple(ratios),
-        quasi_norms=tuple(qns),
-        eigen_l1=tuple(l1s),
-        verdict=verdict,
-    )
+    return ProbeReport(dims=dims, reports=reports, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -394,9 +352,7 @@ def similarity_spectrum_check(A: OperatorMatrix, B: OperatorMatrix) -> Similarit
         raise ValueError("pair is not composable both ways")
     ab = A.entries @ B.entries
     ba = B.entries @ A.entries
-    eig_ab = eigenvalues(ab)
-    eig_ba = eigenvalues(ba)
-    matched, worst = match_spectra(eig_ab.values, eig_ba.values)
+    matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba))
     return SimilarityReport(
         dim_ab=ab.shape[0],
         dim_ba=ba.shape[0],
@@ -440,8 +396,7 @@ def nilpotent_check(A, tolerance: float = 0.0) -> NilpotentReport:
             note="not 2-nilpotent, skipped",
         )
     tr = float(np.trace(mat))
-    es = eigenvalues(mat)
-    max_mod = float(np.max(es.moduli())) if es.values.size else 0.0
+    max_mod = float(np.max(np.abs(eigenvalues(mat)), initial=0.0))
     n, eps = mat.shape[0], np.finfo(float).eps
     passed = bool(abs(tr) <= n * eps * scale and max_mod <= n * math.sqrt(eps) * scale)
     return NilpotentReport(

@@ -95,7 +95,7 @@ def test_criterion_2_factorization_suite():
     for beta in betas:
         d = k ** (-beta)
         alpha, gamma, cert = factor_l1_lorentz(d, 2.0 / 3.0)
-        if not np.all(alpha.values * gamma.values == d):
+        if not np.all(alpha * gamma == d):
             ok = False
         half = cert.weighted_tail[L // 2 :]
         if not np.all(np.diff(half) <= 0.0):
@@ -148,7 +148,7 @@ def test_criterion_4_eigenvalue_type_probe():
 
     dims = (8, 16, 32, 64, 128, 256, 512)
     probe = eigenvalue_type_probe(gen, index, dims)
-    ratios = list(probe.ratios)
+    ratios = [r.ratio for r in probe.reports]
     first_max = max(ratios[: (len(dims) + 1) // 2])
     upper = ratios[(len(dims) + 1) // 2 :]
     ok = probe.verdict == "BOUNDED" and max(upper) <= 1.05 * first_max
@@ -170,8 +170,7 @@ def test_criterion_5_nilpotent_exclusion():
             mat = mat.T  # strictly lower triangular half the time
         if float(np.trace(mat)) != 0.0:
             ok = False
-        es = eigenvalues(mat)
-        if float(np.max(es.moduli())) > 1e-8:
+        if float(np.max(np.abs(eigenvalues(mat)))) > 1e-8:
             ok = False
         check = nilpotent_check(mat)
         if check.applied and check.square_norm == 0.0 and check.trace == 1.0:

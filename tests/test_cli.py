@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nucleatrace import AmbientSpace, FiniteSequence, NuclearIndex, Representation, induced_matrix
+from nucleatrace import AmbientSpace, NuclearIndex, Representation, induced_matrix
 from nucleatrace import experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
@@ -97,7 +97,7 @@ class TestRun:
         monkeypatch.setattr(
             experiments,
             "sharpness_witness",
-            lambda a, s: FiniteSequence(real(a, s).values * (1.0 + 1e-6)),
+            lambda a, s: real(a, s) * (1.0 + 1e-6),
         )
         cfg = ExperimentConfig(
             subcommand="holder", trials=1, s=2.0 / 3.0, a=(3e-14, 1e-14), b=(2e-14, 1e-14)
@@ -211,7 +211,7 @@ def _reference_trace_audit(cfg, trial, rng):
             if n <= _ORACLE_CROSS_CHECK_DIM:
                 M = induced_matrix(z)
                 matched, worst = match_spectra(
-                    eigenvalues(M).values,
+                    eigenvalues(M),
                     characteristic_roots(M.entries),
                     rel=1e-7,
                     abs_floor=1e-7,
@@ -381,6 +381,13 @@ class TestCli:
             main, ["similarity", "--config", str(config)]
         )
         assert result.exit_code != 0
+
+    def test_similarity_of_dimension_one_is_clean_error(self, runner):
+        result = runner.invoke(main, ["similarity", "--dims", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == "Error: similarity needs a dimension of at least 2"
+        assert "Traceback" not in result.output
 
     def test_inadmissible_lorentz_index_fails(self, runner):
         result = runner.invoke(main, ["lorentz", "--r", "1.0", "--w", "2.0"])

@@ -19,7 +19,6 @@ from nucleatrace import (
     quasi_norm,
     rebalance,
     trace_perturbation_bound,
-    weak_norm,
     weak_norm_bracket,
 )
 
@@ -371,6 +370,19 @@ class TestQuasiNorm:
         assert quasi_norm(z, idx) == math.inf
         assert quasi_norm(stack_of([z, z]), idx).tolist() == [math.inf, math.inf]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_lorentz_value_of_overflowing_magnitudes_is_inf(self):
+        # the same overflow under the LORENTZ index: inf, not a ValueError
+        # about infinite input; a finite row of the stack keeps its bits
+        sp = L2(2)
+        z = Representation.from_arrays([1e300], [[1e10, 0.0]], [[1e10, 0.0]], sp, sp)
+        w = Representation.from_arrays([0.75], [[0.5, 1.0]], [[2.0, -1.0]], sp, sp)
+        idx = NuclearIndex.lorentz(0.5, 1.0)
+        assert quasi_norm(z, idx) == math.inf
+        vals = quasi_norm(stack_of([z, w]), idx)
+        assert vals[0] == math.inf and vals[1] == quasi_norm(w, idx)
+        assert math.isfinite(vals[1])
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_bracket_pair_encloses_nothing_negative(self, seed):
@@ -382,16 +394,21 @@ class TestQuasiNorm:
 
 
 class TestWeakNorm:
+    # one vector, and l_2 with p' = 2, are exact routes: both ends agree
+
     def test_single_vector(self):
-        assert weak_norm([[3.0, 4.0]], 1.7, L2(2)) == 5.0
+        lo, hi = weak_norm_bracket([[3.0, 4.0]], 1.7, L2(2))
+        assert lo == hi == 5.0
 
     def test_orthonormal_pair(self):
         rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        assert weak_norm(rows, 2.0, L2(3)) == pytest.approx(1.0, rel=1e-12)
+        lo, hi = weak_norm_bracket(rows, 2.0, L2(3))
+        assert lo == hi == pytest.approx(1.0, rel=1e-12)
 
     def test_repeated_vector(self):
         rows = [[1.0, 0.0, 0.0]] * 2
-        assert weak_norm(rows, 2.0, L2(3)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        lo, hi = weak_norm_bracket(rows, 2.0, L2(3))
+        assert lo == hi == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_bracket_sound(self):
         rng = np.random.default_rng(5)
@@ -427,7 +444,8 @@ class TestWeakNorm:
         F = np.random.default_rng([3, 1]).standard_normal((4, 4))
         lam = [1.0, 0.75, 0.5, 0.25]
         scale = 2.0 ** -k
-        assert weak_norm(Y * scale, 2.5, sp) == weak_norm(Y, 2.5, sp) * scale
+        lo, hi = weak_norm_bracket(Y, 2.5, sp)
+        assert tuple(weak_norm_bracket(Y * scale, 2.5, sp)) == (lo * scale, hi * scale)
         lower = NuclearIndex.bracket_lower(1.0, 5.0 / 3.0)
         upper = NuclearIndex.bracket_upper(1.0, 5.0 / 3.0)
         rep = lambda F, X: Representation.from_arrays(lam, F, X, sp, sp)
@@ -437,7 +455,7 @@ class TestWeakNorm:
     @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0]], [[1.0], [0.0]], [1.0, 0.0], []])
     def test_wrong_shape_rejected(self, rows):
         with pytest.raises(ValueError):
-            weak_norm(rows, 2.0, L2(2))
+            weak_norm_bracket(rows, 2.0, L2(2))
 
     @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1, 2), (2, 3, 2)])
     @pytest.mark.parametrize("p_prime", [0.5, math.nan])

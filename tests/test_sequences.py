@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucleatrace import (
-    FiniteSequence,
     LorentzIndex,
     factor_l1_lorentz,
     holder_product_bound,
@@ -227,22 +226,22 @@ class TestHolderProductBound:
 class TestSharpnessWitness:
     def test_unit_mass(self):
         np.testing.assert_array_equal(
-            sharpness_witness([1.0, 0.0], 2.0 / 3.0).values, [1.0, 0.0]
+            sharpness_witness([1.0, 0.0], 2.0 / 3.0), [1.0, 0.0]
         )
 
     def test_split_mass(self):
-        b = sharpness_witness([0.5, 0.5], 2.0 / 3.0).values
+        b = sharpness_witness([0.5, 0.5], 2.0 / 3.0)
         np.testing.assert_allclose(b, [2.0 ** -0.5, 2.0 ** -0.5], rtol=1e-15)
         assert float(np.sum(b ** 2)) == pytest.approx(1.0, rel=1e-14)
 
     def test_q_one(self):
-        b = sharpness_witness([3.0, 1.0], 0.5).values
+        b = sharpness_witness([3.0, 1.0], 0.5)
         np.testing.assert_array_equal(b, [0.75, 0.25])
         lhs, _, _ = holder_product_bound([3.0, 1.0], b, 0.5)
         assert lhs == 4.0
 
     def test_s_one_uses_flat_witness(self):
-        b = sharpness_witness([2.0, 1.0], 1.0).values
+        b = sharpness_witness([2.0, 1.0], 1.0)
         np.testing.assert_array_equal(b, [1.0, 1.0])
         lhs, rhs, _ = holder_product_bound([2.0, 1.0], b, 1.0)
         assert lhs == rhs == 3.0
@@ -250,6 +249,12 @@ class TestSharpnessWitness:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             sharpness_witness([0.0, 0.0], 0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_nonfinite_rejected(self, s, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sharpness_witness([bad, 1.0], s)
 
     @given(seqs, s_values)
     @settings(max_examples=200)
@@ -270,22 +275,22 @@ class TestFactorization:
             k ** -2.0, 2.0 / 3.0, epsilon=k ** -0.25
         )
         # alpha ~ k^(-5/4), beta ~ k^(-3/4), product exact
-        np.testing.assert_allclose(alpha.values, k ** -1.25, rtol=1e-12)
-        np.testing.assert_allclose(beta.values, k ** -0.75, rtol=1e-12)
-        assert np.all(alpha.values * beta.values == k ** -2.0)
+        np.testing.assert_allclose(alpha, k ** -1.25, rtol=1e-12)
+        np.testing.assert_allclose(beta, k ** -0.75, rtol=1e-12)
+        assert np.all(alpha * beta == k ** -2.0)
         assert cert.non_increasing
         assert np.isfinite(cert.l1_alpha)
 
     def test_single_atom(self):
         alpha, beta, cert = factor_l1_lorentz([1.0, 0.0, 0.0], 2.0 / 3.0)
-        np.testing.assert_array_equal(alpha.values, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(beta.values, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(alpha, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(beta, [1.0, 0.0, 0.0])
         assert cert.l1_alpha == 1.0
 
     def test_zero_sequence(self):
         alpha, beta, _ = factor_l1_lorentz([0.0, 0.0], 0.5)
-        assert not np.any(alpha.values)
-        assert not np.any(beta.values)
+        assert not np.any(alpha)
+        assert not np.any(beta)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -320,7 +325,7 @@ class TestFactorization:
     def test_gamma_envelope(self):
         k = np.arange(1, 513.0)
         alpha, beta, cert = factor_l1_lorentz(k ** -1.8, 2.0 / 3.0, gamma=0.3)
-        assert np.all(alpha.values * beta.values == k ** -1.8)
+        assert np.all(alpha * beta == k ** -1.8)
         assert cert.non_increasing
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
@@ -330,7 +335,7 @@ class TestFactorization:
         k = np.arange(1, 4097.0)
         d = scale * k ** -2.0
         alpha, beta, cert = factor_l1_lorentz(d, 2.0 / 3.0, epsilon=np.full(k.size, 0.5))
-        assert np.all(alpha.values * beta.values == d)
+        assert np.all(alpha * beta == d)
         assert cert.non_increasing
         assert np.all(np.diff(cert.weighted_tail) <= 0.0)
 
@@ -339,7 +344,7 @@ class TestFactorization:
         k = np.arange(1, 4097.0)
         d = k ** -beta_exp
         alpha, beta, cert = factor_l1_lorentz(d, 2.0 / 3.0)
-        assert np.all(alpha.values * beta.values == d)
+        assert np.all(alpha * beta == d)
         assert cert.non_increasing
         half = cert.weighted_tail[k.size // 2 :]
         assert np.all(np.diff(half) <= 0.0)
@@ -419,7 +424,7 @@ class TestFactorizationReference:
         else:
             eps = _default_envelope(d, s)
         ref = _reference_factor(d, s, eps)
-        got = (alpha.values, beta.values, cert.weighted_tail)
+        got = (alpha, beta, cert.weighted_tail)
         for g, r in zip(got, ref[:3]):
             assert g.tobytes() == r.tobytes()
         assert (cert.l1_alpha, cert.non_increasing, cert.final_to_quarter_ratio) == ref[3:]
@@ -470,11 +475,19 @@ class TestFactorizationReference:
         self.check(d, 2.0 / 3.0, epsilon=np.full(_K.size, 0.5))
 
 
-class TestFiniteSequence:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            FiniteSequence(np.array([1.0, math.nan]))
+class TestArrayInput:
+    """Every sequence function takes a 1-d array of finite entries and refuses the rest."""
 
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            FiniteSequence(np.ones((2, 2)))
+    CALLS = {
+        "lorentz_quasi_norm": lambda a: lorentz_quasi_norm(a, LorentzIndex(0.5, 1.0)),
+        "holder_product_bound": lambda a: holder_product_bound(a, [1.0, 0.5], 0.5),
+        "sharpness_witness": lambda a: sharpness_witness(a, 0.5),
+        "factor_l1_lorentz": lambda a: factor_l1_lorentz(a, 0.5),
+    }
+
+    @pytest.mark.parametrize("bad", ["matrix", "nan"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_rejects(self, name, bad):
+        a = np.ones((2, 2)) if bad == "matrix" else np.array([1.0, math.nan])
+        with pytest.raises(ValueError, match="one dimensional" if bad == "matrix" else "finite"):
+            self.CALLS[name](a)
