@@ -10,7 +10,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .spectral import (
     trace_formula_exponent,
 )
 
-__all__ = ["ExperimentConfig", "RunReport", "run", "SUBCOMMANDS"]
+__all__ = ["ExperimentConfig", "RunReport", "run", "COMMANDS", "FIELDS"]
 
 RNG_NAME = "pcg64"
 RNG_CONTRACT_VERSION = 1
@@ -47,35 +47,72 @@ def parse_exponent(x) -> float:
 
     Anything else, a bool included, raises ValueError.
     """
-    if isinstance(x, str):
+    return _entry("exponent", "exponent", x)
+
+
+# config field -> (kind, bound, flag help).  A kind is "int", "number",
+# "exponent" (a number, or a string naming one as parse_exponent reads it),
+# "ints" or "exponents" (lists of those), or "choice".  The bound is the
+# least value of an int or of a list's entries, and makes a list nonempty;
+# a choice's bound is its options.  Only a field whose default is None may be None.
+FIELDS: dict[str, tuple[str, Any, str]] = {
+    "seed": ("int", 0, "Base RNG seed."),
+    "trials": ("int", 1, "Number of seeded trials."),
+    "dims": ("ints", 1, "Comma separated dimensions, e.g. 4,8,16."),
+    "p": ("exponents", 1.0, "Comma separated exponents, inf allowed, e.g. 1,2,inf."),
+    "s": ("number", None, "Summability exponent."),
+    "r": ("number", None, "Lorentz index r."),
+    "w": ("exponent", None, "Lorentz index w, inf allowed."),
+    "alpha": ("number", None, "Projection growth exponent in [0, 1/2]."),
+    "tolerance": ("number", None, "Override the subcommand's default tolerance."),
+    "epsilon": ("number", None, "Target sup error."),
+    "beta": ("number", None, "Decay exponent; unset, the subcommand's default or a seeded draw."),
+    "beta_min": ("number", None, "Least decay exponent drawn when beta is unset."),
+    "beta_max": ("number", None, "Largest decay exponent drawn when beta is unset."),
+    "length": ("int", 1, "Sequence length per draw (holder: the largest)."),
+    "truncation": ("int", 1, "Sequence length."),
+    "gamma": ("number", None, "Envelope exponent for the weak factor."),
+    "profile": ("choice", ("coordinate", "random"), "Deterministic coordinate family or seeded random directions."),
+    "a": ("exponents", None, "Fixed left sequence, comma separated; needs --b."),
+    "b": ("exponents", None, "Fixed right sequence, comma separated; needs --a."),
+}
+
+
+def _entry(name: str, kind: str, x):
+    """`x` checked as an "int", a "number" or an "exponent"; bools are neither."""
+    if kind == "exponent" and isinstance(x, str):
         return math.inf if x.strip().lower() in ("inf", "infinity", "oo") else float(x)
-    _require_number("exponent", x)
-    return float(x)
+    types = (int, np.integer) if kind == "int" else (int, float, np.integer, np.floating)
+    if isinstance(x, bool) or not isinstance(x, types):
+        raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, not {x!r}")
+    return float(x) if kind == "exponent" else x
 
 
-def _require_integer(name: str, x) -> None:
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {x!r}")
-
-
-def _require_number(name: str, x) -> None:
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, not {x!r}")
+def _checked(name: str, value):
+    """`value` of config field `name` checked as its kind in FIELDS says; lists become tuples."""
+    kind, bound, _ = FIELDS[name]
+    if kind == "choice":
+        if value not in bound:
+            raise ValueError(f"{name} must be one of {', '.join(bound)}")
+        return value
+    many = kind in ("ints", "exponents")
+    if many and not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list")
+    entries = tuple(_entry(name, kind[:-1] if many else kind, x) for x in (value if many else [value]))
+    if bound is not None and not (entries and all(x >= bound for x in entries)):
+        raise ValueError(f"{name} must be {'a nonempty list of values ' if many else ''}at least {bound}")
+    return entries if many else entries[0]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs steering one experiment run.
 
-    Unused fields are ignored by subcommands that do not read them; the
-    config echo in the report records every field.  ``dims``, ``p``, ``a``
-    and ``b`` must be lists and are stored as tuples, their exponents
-    parsed to floats ("inf" allowed, as for ``w``), and each exponent must
-    be a number or a string naming one; ``seed``, ``trials``, ``length``,
-    ``truncation`` and the entries of ``dims`` must be integers; ``s``,
-    ``r``, ``alpha``, ``tolerance``, ``epsilon``, ``beta``, ``beta_min``,
-    ``beta_max`` and ``gamma`` must be numbers (None where that is the
-    default).  Bools count as neither.  A wrong type raises ValueError.
+    Each field is checked as its kind in `FIELDS` says, lists stored as
+    tuples and exponents as floats; a field the subcommand's row in
+    `COMMANDS` does not read must keep its default, and ``a`` and ``b``
+    go together.  A bad value raises ValueError.  The config echo in the
+    report records every field.
     """
 
     subcommand: str
@@ -100,39 +137,20 @@ class ExperimentConfig:
     b: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in COMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        for name in ("seed", "trials", "length", "truncation"):
-            _require_integer(name, getattr(self, name))
-        for name in ("s", "r", "alpha", "tolerance", "epsilon", "beta",
-                     "beta_min", "beta_max", "gamma"):
-            value = getattr(self, name)
-            if value is not None or name in ("epsilon", "beta_min", "beta_max"):
-                _require_number(name, value)
-        for name in ("dims", "p", "a", "b"):
-            value = getattr(self, name)
-            if value is None and name in ("a", "b"):
-                continue
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{name} must be a list")
-            if name == "dims":
-                for n in value:
-                    _require_integer(name, n)
-            else:
-                value = [parse_exponent(x) for x in value]
-            object.__setattr__(self, name, tuple(value))
-        if self.w is not None:
-            object.__setattr__(self, "w", parse_exponent(self.w))
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if len(self.dims) == 0 or any(n < 1 for n in self.dims):
-            raise ValueError("dims must be positive")
-        if len(self.p) == 0 or any(not (x >= 1.0) for x in self.p):
-            raise ValueError("exponents must satisfy p >= 1")
-        if self.profile not in ("coordinate", "random"):
-            raise ValueError("profile must be 'coordinate' or 'random'")
+        row = COMMANDS[self.subcommand]
+        for f in fields(self)[1:]:  # every field after subcommand
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                value = _checked(f.name, value)
+                object.__setattr__(self, f.name, value)
+            if f.name not in row.fields and value != f.default:
+                raise ValueError(f"{self.subcommand} does not read {f.name}")
+            if f.name in row.one_value and len(value) != 1:
+                raise ValueError(f"{self.subcommand} takes exactly one value of {f.name}")
+        if (self.a is None) != (self.b is None):
+            raise ValueError("a and b must be given together")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -228,7 +246,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _run_holder(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
-    if cfg.a is not None and cfg.b is not None:
+    if cfg.a is not None:
         a = np.asarray(cfg.a, dtype=float)
         b = np.asarray(cfg.b, dtype=float)
     else:
@@ -303,7 +321,8 @@ def _run_factorize(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     exact = bool(np.all(alpha * weak == d))
     half = cert.weighted_tail[cfg.truncation // 2 :]
     tail_ok = bool(np.all(np.diff(half) <= 0.0))
-    decayed = bool(cert.final_to_quarter_ratio <= 0.5)
+    # below 4 entries the quarter point is the first entry: no decay to check
+    decayed = cfg.truncation < 4 or cert.final_to_quarter_ratio <= 0.5
     ok = exact and cert.non_increasing and tail_ok and decayed
     rec = {
         "trial": trial,
@@ -498,21 +517,32 @@ def _per_trial(runner: Callable[[ExperimentConfig, int, Any], list[dict]]):
     return run_trials
 
 
-# each runner takes the config and the generators of trials 0, 1, ... in order
-_RUNNERS: dict[str, Callable[[ExperimentConfig, Iterable], list[dict]]] = {
-    "holder": _per_trial(_run_holder),
-    "lorentz": _per_trial(_run_lorentz),
-    "factorize": _per_trial(_run_factorize),
-    "trace-audit": _run_trace_audit,
-    "eigen-type": _per_trial(_run_eigen_type),
-    "approx": _per_trial(_run_approx),
-    "similarity": _per_trial(_run_similarity),
+class Subcommand(NamedTuple):
+    """A row of COMMANDS: a runner of the config and the trials' generators, the fields it reads."""
+
+    help: str
+    runner: Callable[[ExperimentConfig, Iterable], list[dict]]
+    fields: tuple[str, ...]
+    one_value: tuple[str, ...] = ()  # list fields the runner reads one entry of
+
+
+COMMANDS: dict[str, Subcommand] = {
+    "holder": Subcommand("Product bound against l_1, with sharpness witnesses.", _per_trial(_run_holder),
+                         ("seed", "trials", "tolerance", "s", "length", "a", "b")),
+    "lorentz": Subcommand("Lorentz quasi-norm sanity checks on random sequences.", _per_trial(_run_lorentz),
+                          ("seed", "trials", "r", "w", "length")),
+    "factorize": Subcommand("Exact l_1 times weak-tail splits of power-decay sequences.", _per_trial(_run_factorize),
+                            ("seed", "trials", "s", "beta", "beta_min", "beta_max", "truncation", "gamma")),
+    "trace-audit": Subcommand("Nuclear trace versus eigenvalue sum on random representations.", _run_trace_audit,
+                              ("seed", "trials", "tolerance", "dims", "p", "s")),
+    # a deterministic family: one trial tells the whole story, and it draws nothing from the seed
+    "eigen-type": Subcommand("Ratio sweep of eigenvalue mass against the quasi-norm.", _per_trial(_run_eigen_type),
+                             ("dims", "p", "s", "beta"), one_value=("p",)),
+    "approx": Subcommand("Finite-rank approximation certificates for decaying systems.", _per_trial(_run_approx),
+                         ("seed", "trials", "dims", "p", "epsilon", "alpha", "beta", "profile"), one_value=("dims", "p")),
+    "similarity": Subcommand("Nonzero spectrum of AB against BA for random rectangular pairs.", _per_trial(_run_similarity),
+                             ("seed", "trials", "dims")),
 }
-
-SUBCOMMANDS = tuple(sorted(_RUNNERS))
-
-# eigen-type sweeps a deterministic family, so one trial tells the whole story
-_SINGLE_TRIAL = frozenset({"eigen-type"})
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -522,15 +552,14 @@ def run(config: ExperimentConfig) -> RunReport:
     with SeedSequence([seed, t]), so the report body is byte-identical
     across repeat runs.
     """
-    runner = _RUNNERS[config.subcommand]
-    trials = 1 if config.subcommand in _SINGLE_TRIAL else config.trials
+    runner = COMMANDS[config.subcommand].runner
     start = time.perf_counter()
-    records = runner(config, (_trial_rng(config.seed, t) for t in range(trials)))
+    records = runner(config, (_trial_rng(config.seed, t) for t in range(config.trials)))
 
     pass_count = sum(1 for r in records if r.get("pass"))
     fail_count = len(records) - pass_count
     aggregate: dict[str, Any] = {
-        "trials": trials,
+        "trials": config.trials,
         "records": len(records),
         "pass_count": pass_count,
         "fail_count": fail_count,

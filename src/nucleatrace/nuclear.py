@@ -182,8 +182,15 @@ class Representation:
         return lp_norm(self.X, self.codomain.exponent, axis=-1)
 
     def magnitudes(self) -> np.ndarray:
-        """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm."""
-        return self.coefficients * self._functional_norms() * self._vector_norms()
+        """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm.
+
+        An atom with a zero norm has magnitude 0, also where the product
+        of the other two factors overflows to inf.
+        """
+        f, x = self._functional_norms(), self._vector_norms()
+        with np.errstate(invalid="ignore"):
+            mags = self.coefficients * f * x
+        return np.where((f == 0.0) | (x == 0.0), 0.0, mags)
 
 
 def _require_single(z: Representation) -> None:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import math
@@ -12,7 +11,8 @@ from nucleatrace import experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
     _ORACLE_CROSS_CHECK_DIM,
-    SUBCOMMANDS,
+    COMMANDS,
+    FIELDS,
     ExperimentConfig,
     _jsonable,
     _trial_rng,
@@ -36,6 +36,24 @@ def invoke(runner, args, env=None):
     return runner.invoke(main, args, env=env, catch_exceptions=False)
 
 
+# a valid value off the default for each config field
+OFF_DEFAULT = {
+    "seed": 1, "trials": 2, "dims": (4,), "p": (1.0,), "s": 0.5, "r": 0.5,
+    "w": 1.0, "alpha": 0.25, "tolerance": 1e-6, "epsilon": 0.2, "beta": 2.0,
+    "beta_min": 1.7, "beta_max": 2.9, "length": 8, "truncation": 8,
+    "gamma": 1.5, "profile": "random", "a": (1.0,), "b": (1.0,),
+}
+
+# (subcommand, config field it does not read)
+UNREAD = [(sub, name) for sub, row in COMMANDS.items() for name in FIELDS if name not in row.fields]
+
+
+def _flag(name):
+    value = OFF_DEFAULT[name]
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return ["--" + name.replace("_", "-"), text]
+
+
 class TestConfig:
     def test_unknown_subcommand(self):
         with pytest.raises(ValueError):
@@ -50,18 +68,25 @@ class TestConfig:
             {"subcommand": "trace-audit", "p": [1, "inf", 2.5]}
         )
         assert cfg.p == (1.0, math.inf, 2.5)
+        cfg = ExperimentConfig.from_dict({"subcommand": "lorentz", "w": "oo"})
+        assert cfg.w == math.inf
         cfg = ExperimentConfig.from_dict(
-            {"subcommand": "lorentz", "w": "oo", "a": [1, "Infinity"], "b": ["oo"]}
+            {"subcommand": "holder", "a": [1, "Infinity"], "b": ["oo"]}
         )
-        assert cfg.w == math.inf and cfg.a == (1.0, math.inf) and cfg.b == (math.inf,)
+        assert cfg.a == (1.0, math.inf) and cfg.b == (math.inf,)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(subcommand="holder", trials=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(subcommand="holder", dims=())
-        with pytest.raises(ValueError):
-            ExperimentConfig(subcommand="holder", p=(0.5,))
+        cases = [
+            ("holder", {"trials": 0}), ("trace-audit", {"dims": ()}),
+            ("trace-audit", {"p": (0.5,)}), ("holder", {"seed": -1}),
+            ("trace-audit", {"dims": (4, 0)}), ("trace-audit", {"p": (2.0, math.nan)}),
+            # lorentz at length 0 passed vacuously, and holder failed inside numpy
+            ("lorentz", {"length": 0}), ("holder", {"length": 0}),
+            ("factorize", {"truncation": 0}), ("approx", {"profile": "diagonal"}),
+        ]
+        for subcommand, bad in cases:
+            with pytest.raises(ValueError, match="must"):
+                ExperimentConfig(subcommand=subcommand, **bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -74,10 +99,32 @@ class TestConfig:
          {"w": [1]}, {"w": False}],
     )
     def test_wrong_types_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_dict({"subcommand": "holder", **bad})
-        with pytest.raises(ValueError):
-            ExperimentConfig(subcommand="holder", **bad)
+        # run each case on a subcommand that reads the field, so the type is what fails
+        (name,) = bad
+        subcommand = next(sub for sub, row in COMMANDS.items() if name in row.fields)
+        with pytest.raises(ValueError, match="must"):
+            ExperimentConfig.from_dict({"subcommand": subcommand, **bad})
+        with pytest.raises(ValueError, match="must"):
+            ExperimentConfig(subcommand=subcommand, **bad)
+
+    @pytest.mark.parametrize("subcommand, name", UNREAD)
+    def test_unread_field_off_its_default_rejected(self, subcommand, name):
+        with pytest.raises(ValueError, match=f"{subcommand} does not read {name}"):
+            ExperimentConfig(subcommand=subcommand, **{name: OFF_DEFAULT[name]})
+
+    @pytest.mark.parametrize(
+        "subcommand, name",
+        [("approx", "dims"), ("approx", "p"), ("eigen-type", "p")],
+    )
+    def test_one_value_fields(self, subcommand, name):
+        ExperimentConfig(subcommand=subcommand, **{name: OFF_DEFAULT[name]})
+        with pytest.raises(ValueError, match=f"exactly one value of {name}"):
+            ExperimentConfig(subcommand=subcommand, **{name: OFF_DEFAULT[name] * 2})
+
+    @pytest.mark.parametrize("given", [{"a": (1.0, 2.0)}, {"b": (0.5,)}])
+    def test_a_and_b_go_together(self, given):
+        with pytest.raises(ValueError, match="a and b must be given together"):
+            ExperimentConfig(subcommand="holder", **given)
 
 
 class TestRun:
@@ -164,6 +211,14 @@ class TestRun:
         report = run(cfg)
         assert all(r["exact_reconstruction"] for r in report.records)
         assert all(r["pass"] for r in report.records)
+
+    @pytest.mark.parametrize("truncation", range(1, 9))
+    def test_factorize_short_truncations_pass(self, truncation):
+        # below 4 entries the quarter point was the first entry, and exact splits failed
+        cfg = ExperimentConfig(subcommand="factorize", trials=200, truncation=truncation)
+        report = run(cfg)
+        assert all(r["exact_reconstruction"] and r["tail_non_increasing"] for r in report.records)
+        assert report.aggregate["fail_count"] == 0
 
     def test_similarity_records(self):
         cfg = ExperimentConfig(subcommand="similarity", trials=5, dims=(8,))
@@ -389,6 +444,18 @@ class TestCli:
         assert result.output.splitlines()[-1] == "Error: similarity needs a dimension of at least 2"
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_lone_a_or_b_is_clean_error(self, runner, flag):
+        # a lone --a was ignored, and holder ran on random draws
+        result = runner.invoke(main, ["holder", "--trials", "1", flag, "1,2"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "Error: a and b must be given together"
+
+    def test_second_value_of_one_value_field_is_clean_error(self, runner):
+        result = runner.invoke(main, ["approx", "--dims", "8,16"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "Error: approx takes exactly one value of dims"
+
     def test_inadmissible_lorentz_index_fails(self, runner):
         result = runner.invoke(main, ["lorentz", "--r", "1.0", "--w", "2.0"])
         assert result.exit_code != 0
@@ -426,16 +493,48 @@ class TestCli:
 
 class TestCommandTable:
     def test_commands_are_the_subcommands(self):
-        assert sorted(main.commands) == sorted(SUBCOMMANDS)
+        assert sorted(main.commands) == sorted(COMMANDS)
 
-    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_parameters_are_config_fields(self, name):
-        allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        allowed |= {"config_path", "out_path", "fmt"}
-        params = {param.name for param in main.commands[name].params}
-        assert params <= allowed
+        params = [param.name for param in main.commands[name].params]
+        assert sorted(params) == sorted(COMMANDS[name].fields + ("config_path", "out_path", "fmt"))
 
-    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    @pytest.mark.parametrize("subcommand, name", UNREAD)
+    def test_unread_field_has_no_flag(self, runner, subcommand, name):
+        result = runner.invoke(main, [subcommand, *_flag(name)])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_field_is_echoed(self, name):
+        assert set(run(ExperimentConfig(subcommand=name)).config) == {"subcommand", *FIELDS}
+
+    @pytest.mark.parametrize(
+        "subcommand, fields",
+        [("holder", {}), ("holder", {"s": 0.5, "tolerance": 1e-6, "length": 8}),
+         ("holder", {"a": (1.0, 2.0), "b": (0.5,)}),
+         ("lorentz", {}), ("lorentz", {"r": 0.8, "w": 1.0, "length": 8}),
+         ("factorize", {"truncation": 64}), ("factorize", {"truncation": 8, "beta": 2.0, "s": 0.5, "gamma": 1.5}),
+         ("trace-audit", {"dims": (4,)}), ("trace-audit", {"dims": (4, 8), "p": (1.0, math.inf), "s": 0.8, "tolerance": 1e-10}),
+         ("eigen-type", {}), ("eigen-type", {"dims": (4, 8), "p": (1.5,), "s": 0.8, "beta": 2.0}),
+         ("approx", {}), ("approx", {"profile": "random", "dims": (16,), "p": (4.0,), "alpha": 0.25, "epsilon": 0.2}),
+         ("approx", {"beta": 2.0}), ("similarity", {"dims": (4,)})],
+    )
+    def test_runner_reads_only_its_fields(self, subcommand, fields):
+        class Recorder:
+            def __init__(self, cfg):
+                self.cfg, self.read = cfg, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.cfg, name)
+
+        cfg = Recorder(ExperimentConfig(subcommand=subcommand, **fields))
+        COMMANDS[subcommand].runner(cfg, (_trial_rng(0, t) for t in range(2)))
+        assert cfg.read <= set(COMMANDS[subcommand].fields)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_help(self, runner, name):
         result = invoke(runner, [name, "--help"])
         assert result.exit_code == 0

@@ -383,6 +383,20 @@ class TestQuasiNorm:
         assert vals[0] == math.inf and vals[1] == quasi_norm(w, idx)
         assert math.isfinite(vals[1])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("index", [NuclearIndex.absolutely_summable(0.5), NuclearIndex.lorentz(0.5, 1.0)])
+    def test_zero_vector_atom_with_overflowing_factors_is_zero(self, index):
+        # lambda |x'| overflows to inf before it meets |x| = 0: the magnitude
+        # was NaN, the S value NaN and the LORENTZ value a ValueError
+        sp = L2(2)
+        z = Representation.from_arrays([1e300], [[1e10, 0.0]], [[0.0, 0.0]], sp, sp)
+        w = Representation.from_arrays([0.75], [[0.5, 1.0]], [[2.0, -1.0]], sp, sp)
+        assert z.magnitudes().tolist() == [0.0]
+        assert quasi_norm(z, index) == 0.0
+        stack = stack_of([z, w])
+        assert stack.magnitudes().tolist() == [[0.0], w.magnitudes().tolist()]
+        assert quasi_norm(stack, index).tolist() == [0.0, quasi_norm(w, index)]
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_bracket_pair_encloses_nothing_negative(self, seed):
