@@ -16,8 +16,8 @@ import numpy as np
 from .spaces import (
     AmbientSpace,
     NormBracket,
-    OperatorMatrix,
     Vector,
+    lp_norm,
     projection_onto_span,
     vector_norm,
 )
@@ -91,14 +91,14 @@ def build_approximant(
     epsilon: float,
     space: AmbientSpace,
     alpha: float,
-) -> tuple[OperatorMatrix, ApproximationCertificate]:
+) -> tuple[np.ndarray, ApproximationCertificate]:
     """Project the system onto the span of its largest members.
 
     The vectors are sorted internally by non-increasing norm (original
     order recorded in the certificate), the cutoff comes from
-    select_rank, and the returned operator projects onto the span of the
-    first min(cutoff, len(xs)) sorted vectors.  sup_error is measured
-    over the entire system.
+    select_rank, and the returned (dim, dim) array projects onto the span
+    of the first min(cutoff, len(xs)) sorted vectors.  sup_error is the
+    largest l_p norm of a residual x - P x over the entire system.
     """
     vectors = list(xs)
     if len(vectors) == 0:
@@ -113,11 +113,10 @@ def build_approximant(
     N = select_rank(sorted_norms, epsilon, alpha)
     span = sorted_vecs[: min(N, len(sorted_vecs))]
     P, bracket = projection_onto_span(span, space)
-    rank = int(round(float(np.trace(P.entries))))
+    rank = int(round(float(np.trace(P))))
     sup_error = 0.0
     for v in vectors:
-        resid = v.coords - P.entries @ v.coords
-        sup_error = max(sup_error, vector_norm(Vector(resid, space)))
+        sup_error = max(sup_error, lp_norm(v.coords - P @ v.coords, space.exponent))
     guarantee = bool(
         N <= len(vectors)
         and bracket.upper <= N ** alpha * (1.0 + 1e-12) + 1e-12

@@ -23,7 +23,7 @@ from .sequences import (
     lorentz_quasi_norm,
     sharpness_witness,
 )
-from .spaces import AmbientSpace, OperatorMatrix, Vector
+from .spaces import AmbientSpace, Vector, lp_norm
 from .spectral import (
     audit_trace_formula,
     characteristic_roots,
@@ -50,11 +50,11 @@ def parse_exponent(x) -> float:
     return _entry("exponent", "exponent", x)
 
 
-# config field -> (kind, bound, flag help).  A kind is "int", "number",
-# "exponent" (a number, or a string naming one as parse_exponent reads it),
-# "ints" or "exponents" (lists of those), or "choice".  The bound is the
-# least value of an int or of a list's entries, and makes a list nonempty;
-# a choice's bound is its options.  Only a field whose default is None may be None.
+# config field -> (kind, bound, flag help).  A kind is "int", "number" (finite),
+# "exponent" (inf allowed, or a string naming one as parse_exponent reads it),
+# "ints" or "exponents" (lists of those), or "choice".  The bound is the least
+# value of a number or of a list's entries, and makes a list nonempty; a
+# choice's bound is its options.  Only a field whose default is None may be None.
 FIELDS: dict[str, tuple[str, Any, str]] = {
     "seed": ("int", 0, "Base RNG seed."),
     "trials": ("int", 1, "Number of seeded trials."),
@@ -64,7 +64,7 @@ FIELDS: dict[str, tuple[str, Any, str]] = {
     "r": ("number", None, "Lorentz index r."),
     "w": ("exponent", None, "Lorentz index w, inf allowed."),
     "alpha": ("number", None, "Projection growth exponent in [0, 1/2]."),
-    "tolerance": ("number", None, "Override the subcommand's default tolerance."),
+    "tolerance": ("number", 0.0, "Override the subcommand's default tolerance."),
     "epsilon": ("number", None, "Target sup error."),
     "beta": ("number", None, "Decay exponent; unset, the subcommand's default or a seeded draw."),
     "beta_min": ("number", None, "Least decay exponent drawn when beta is unset."),
@@ -79,12 +79,14 @@ FIELDS: dict[str, tuple[str, Any, str]] = {
 
 
 def _entry(name: str, kind: str, x):
-    """`x` checked as an "int", a "number" or an "exponent"; bools are neither."""
+    """`x` checked as an "int", a finite "number" or an "exponent"; bools are neither."""
     if kind == "exponent" and isinstance(x, str):
         return math.inf if x.strip().lower() in ("inf", "infinity", "oo") else float(x)
     types = (int, np.integer) if kind == "int" else (int, float, np.integer, np.floating)
     if isinstance(x, bool) or not isinstance(x, types):
         raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, not {x!r}")
+    if kind == "number" and not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, not {x!r}")
     return float(x) if kind == "exponent" else x
 
 
@@ -110,9 +112,9 @@ class ExperimentConfig:
 
     Each field is checked as its kind in `FIELDS` says, lists stored as
     tuples and exponents as floats; a field the subcommand's row in
-    `COMMANDS` does not read must keep its default, and ``a`` and ``b``
-    go together.  A bad value raises ValueError.  The config echo in the
-    report records every field.
+    `COMMANDS` does not read must keep its default, ``a`` and ``b`` go
+    together, and ``beta_min`` is at most ``beta_max``.  A bad value
+    raises ValueError naming its field.  The report echoes every field.
     """
 
     subcommand: str
@@ -151,6 +153,8 @@ class ExperimentConfig:
                 raise ValueError(f"{self.subcommand} takes exactly one value of {f.name}")
         if (self.a is None) != (self.b is None):
             raise ValueError("a and b must be given together")
+        if self.beta_min > self.beta_max:
+            raise ValueError("beta_min must be at most beta_max")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -461,7 +465,7 @@ def _run_approx(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
         xs = []
         for n in range(1, dim + 1):
             g = rng.standard_normal(dim)
-            g = g / Vector(g, space).norm()
+            g = g / lp_norm(g, p)
             xs.append(Vector(float(n) ** (-beta) * g, space))
     _, cert = build_approximant(xs, cfg.epsilon, space, alpha)
     ok = (not cert.guarantee_regime) or cert.sup_error <= cfg.epsilon + 1e-10
@@ -490,10 +494,8 @@ def _run_similarity(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
         raise ValueError("similarity needs a dimension of at least 2")
     m = int(rng.integers(2, max_dim + 1))
     n = int(rng.integers(2, max_dim + 1))
-    A_mat = rng.standard_normal((m, n))
-    B_mat = rng.standard_normal((n, m))
-    A = OperatorMatrix(A_mat, AmbientSpace(n, 2.0), AmbientSpace(m, 2.0))
-    B = OperatorMatrix(B_mat, AmbientSpace(m, 2.0), AmbientSpace(n, 2.0))
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((n, m))
     report = similarity_spectrum_check(A, B)
     rec = {
         "trial": trial,
@@ -503,8 +505,8 @@ def _run_similarity(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
         "pass": bool(report.matched),
     }
     if not report.matched:
-        rec["A"] = A_mat.tolist()
-        rec["B"] = B_mat.tolist()
+        rec["A"] = A.tolist()
+        rec["B"] = B.tolist()
     return [rec]
 
 

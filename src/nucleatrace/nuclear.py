@@ -18,7 +18,6 @@ from .sequences import LorentzIndex, lorentz_quasi_norm
 from .spaces import (
     AmbientSpace,
     NormBracket,
-    OperatorMatrix,
     dual_exponent,
     lp_norm,
     operator_brackets,
@@ -199,13 +198,9 @@ def _require_single(z: Representation) -> None:
         raise ValueError("expected a single representation, not a stack")
 
 
-def induced_matrix(z: Representation) -> OperatorMatrix | np.ndarray:
-    """Dense matrix of the representation as a map domain -> codomain.
-
-    For a stack, the (..., codomain dim, domain dim) array of entries.
-    """
-    entries = (np.swapaxes(z.X, -1, -2) * z.coefficients[..., None, :]) @ z.F
-    return OperatorMatrix(entries, z.domain, z.codomain) if entries.ndim == 2 else entries
+def induced_matrix(z: Representation) -> np.ndarray:
+    """The (codomain dim, domain dim) array of the map domain -> codomain; a stack's, one per row."""
+    return (np.swapaxes(z.X, -1, -2) * z.coefficients[..., None, :]) @ z.F
 
 
 def nuclear_trace(z: Representation) -> float | np.ndarray:
@@ -297,22 +292,24 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
 
 
 def trace_perturbation_bound(
-    z: Representation, R: OperatorMatrix, s: float
+    z: Representation, R: np.ndarray, s: float
 ) -> tuple[float, float]:
     """Defect |trace z - trace(R z)| and its split-based upper bound.
 
-    Each atom is split into a weight lambda_k**s |x'_k| and a scaled
-    vector lambda_k**(1-s) x_k, s in (0, 1].  The bound is the l_1 mass of
-    the weights times the worst displacement of a scaled vector under R,
+    R is a finite (n, n) array, n the codomain dimension.  Each atom is
+    split into a weight lambda_k**s |x'_k| and a scaled vector
+    lambda_k**(1-s) x_k, s in (0, 1].  The bound is the l_1 mass of the
+    weights times the worst displacement of a scaled vector under R,
     measured in the codomain.
     """
     _require_single(z)
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
-    if R.domain.dim != z.codomain.dim or R.codomain.dim != z.codomain.dim:
-        raise ValueError("perturbation must be an endomorphism of the codomain")
+    R = np.asarray(R, dtype=float)
+    if R.shape != (z.codomain.dim,) * 2 or not np.all(np.isfinite(R)):
+        raise ValueError("perturbation must be a finite endomorphism of the codomain")
     tr = nuclear_trace(z)
-    moved = z.X @ R.entries.T
+    moved = z.X @ R.T
     tr_perturbed = float(
         np.sum(z.coefficients * np.einsum("ij,ij->i", z.F, moved))
     )
@@ -320,7 +317,7 @@ def trace_perturbation_bound(
     lam = z.coefficients
     weights = lam ** s * z._functional_norms()
     scaled = (lam ** (1.0 - s))[:, None] * z.X
-    resid = scaled - scaled @ R.entries.T
+    resid = scaled - scaled @ R.T
     worst = float(np.max(lp_norm(resid, z.codomain.exponent, axis=1), initial=0.0))
     return defect, float(np.sum(weights)) * worst
 

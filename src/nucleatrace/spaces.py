@@ -91,25 +91,24 @@ def lp_norm(arr, p: float, axis: int | None = None):
     for p = 1 and p = inf the largest entry is scaled out before powering,
     so entries near the overflow or underflow threshold give a finite,
     accurate result.  An infinite entry gives inf, a NaN entry NaN.  Empty
-    input has norm 0.  Without an axis the result is a float, with one it
-    is an array of per-slice norms.
+    input has norm 0.  Without an axis the array, flattened in memory
+    order, is one slice with a float norm; with one, norms per slice.
     """
     if not (p > 0.0):
         raise ValueError("exponent must satisfy p > 0")
     a = np.abs(np.asarray(arr, dtype=float))
+    whole = axis is None
+    if whole:
+        a, axis = a.ravel(order="K"), 0
     if math.isinf(p):
         out = a.max(axis=axis, initial=0.0)
     elif p == 1.0:
         out = a.sum(axis=axis)
-    elif axis is None:
-        m = a.max(initial=_TINY)
-        # np.power, not **: a scalar ** can round the root differently from an array's
-        out = m * np.power(np.sum((a / min(m, _HUGE)) ** p), 1.0 / p)
     else:
         m = a.max(axis=axis, initial=_TINY, keepdims=True)
-        total = np.sum((a / np.minimum(m, _HUGE)) ** p, axis=axis)
-        out = np.squeeze(m, axis) * np.power(total, 1.0 / p)
-    return float(out) if axis is None else out
+        total = ((a / np.minimum(m, _HUGE)) ** p).sum(axis=axis)
+        out = m.squeeze(axis) * np.power(total, 1.0 / p)
+    return float(out) if whole else out
 
 
 def vector_norm(v: Vector) -> float:
@@ -136,7 +135,7 @@ class NormBracket(NamedTuple):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix acting between two ambient spaces."""
+    """Dense matrix between two ambient spaces, the input of `operator_norm`; elsewhere matrices are arrays."""
 
     entries: np.ndarray
     domain: AmbientSpace
@@ -253,13 +252,14 @@ def _upper(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     Each route's norms are computed once.  An exact route (a, b) is
     inflated by inclusion factors: moving the domain exponent from p_in
     down to a costs n_in**max(1/a - 1/p_in, 0), moving the codomain from b
-    to p_out costs n_out**max(1/p_out - 1/b, 0).  For p -> p, p in (1, 2)
-    or (2, inf) (the other p -> p norms are exact), the Riesz-Thorin bound
-    between the exact endpoints around p also counts.
+    to p_out costs n_out**max(1/p_out - 1/b, 0).  No route (1, b) is below
+    (1, p_out), by the inclusion of l_b in l_p_out; (1, 1) stays as an
+    endpoint: for p -> p, p in (1, 2) or (2, inf) (the other p -> p norms
+    are exact), the Riesz-Thorin bound between the exact endpoints around
+    p also counts.
     """
     n_out, n_in = A.shape[-2:]
-    routes = [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, 2.0),
-              (1.0, math.inf), (1.0, p_out)]
+    routes = [(1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (1.0, p_out)]
     if n_in <= _SIGN_ENUM_LIMIT:
         routes.append((math.inf, p_out))
     norms = {route: _exact_norm(A, *route) for route in routes}
@@ -323,13 +323,13 @@ def operator_norm(A: OperatorMatrix) -> NormBracket:
 
 def projection_onto_span(
     vectors: Sequence[Vector], space: AmbientSpace
-) -> tuple[OperatorMatrix, NormBracket]:
-    """Orthogonal projection onto the span of the given vectors.
+) -> tuple[np.ndarray, NormBracket]:
+    """Orthogonal projection onto the span of the given vectors, as a (dim, dim) array.
 
     The span is orthonormalized by singular value decomposition with
     singular values below 1e-10 of the largest treated as rank noise.
     The returned bracket encloses the projection's operator norm on the
-    given space; on l_2 it is exactly (1, 1).
+    given space, from `operator_norm`; on l_2 it is exactly (1, 1).
     """
     if len(vectors) == 0:
         raise ValueError("projection requires at least one vector")
@@ -342,7 +342,7 @@ def projection_onto_span(
         raise ValueError("span is degenerate after rank filtering")
     r = int(np.sum(sing > _RANK_CUTOFF * sing[0]))
     Q = U[:, :r]
-    P = OperatorMatrix(Q @ Q.T, space, space)
+    P = Q @ Q.T
     if space.exponent == 2.0:
         return P, NormBracket(1.0, 1.0)
-    return P, operator_norm(P)
+    return P, operator_norm(OperatorMatrix(P, space, space))

@@ -21,7 +21,6 @@ import numpy as np
 from .approximation import projection_growth_exponent
 from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
 from .nuclear import quasi_norm as representation_quasi_norm
-from .spaces import OperatorMatrix
 
 __all__ = [
     "TraceAuditReport",
@@ -43,8 +42,8 @@ _DK_MAX_ITERS = 500
 
 
 def _as_square(A, stack: bool = False) -> np.ndarray:
-    """The entries of a square matrix, or with `stack` of a stack (..., n, n) of them."""
-    mat = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=float)
+    """A square matrix as a float array, or with `stack` a stack (..., n, n) of them."""
+    mat = np.asarray(A, dtype=float)
     if mat.ndim < 2 or (mat.ndim > 2 and not stack) or mat.shape[-1] != mat.shape[-2]:
         raise ValueError("expected a square matrix" + (" or a stack of them" if stack else ""))
     return mat
@@ -58,7 +57,7 @@ def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(A) -> np.ndarray:
-    """Spectrum of a square matrix or operator, by non-increasing modulus, then by argument.
+    """Spectrum of a square matrix, by non-increasing modulus, then by argument.
 
     A stack (..., n, n) of matrices takes one LAPACK call and gives the
     (..., n) complex array of one sorted spectrum per matrix.
@@ -259,7 +258,7 @@ def _audit_stack(
     mats = np.empty((bounds[-1], n, n))
     for z, idx, a, b in zip(reps, indices, bounds, bounds[1:]):
         traces[a:b] = np.ravel(nuclear_trace(z))
-        mats[a:b] = _as_square(induced_matrix(z), stack=True).reshape(-1, n, n)
+        mats[a:b] = induced_matrix(z).reshape(-1, n, n)
         quasi_norms[a:b] = np.ravel(representation_quasi_norm(z, idx))
     spectra = eigenvalues(mats)
     sums = np.sum(spectra, axis=-1)
@@ -341,17 +340,18 @@ class SimilarityReport:
     max_mismatch: float
 
 
-def similarity_spectrum_check(A: OperatorMatrix, B: OperatorMatrix) -> SimilarityReport:
-    """Check that AB and BA share their nonzero spectrum.
+def similarity_spectrum_check(A, B) -> SimilarityReport:
+    """Check that AB and BA share their nonzero spectrum, for arrays A (m, n) and B (n, m).
 
     The smaller spectrum is padded with exact zeros before greedy
     matching, so rectangular pairs compare cleanly without a zero
     threshold.
     """
-    if A.domain.dim != B.codomain.dim or B.domain.dim != A.codomain.dim:
-        raise ValueError("pair is not composable both ways")
-    ab = A.entries @ B.entries
-    ba = B.entries @ A.entries
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if A.ndim != 2 or A.shape != B.shape[::-1]:
+        raise ValueError("pair must be an (m, n) and an (n, m) matrix, composable both ways")
+    ab = A @ B
+    ba = B @ A
     matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba))
     return SimilarityReport(
         dim_ab=ab.shape[0],

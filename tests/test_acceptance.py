@@ -12,7 +12,6 @@ import pytest
 from nucleatrace import (
     AmbientSpace,
     NuclearIndex,
-    OperatorMatrix,
     Representation,
     Vector,
     build_approximant,
@@ -226,11 +225,7 @@ def test_criterion_7_trace_perturbation():
         p = p_grid[i % len(p_grid)]
         s = s_grid[i % len(s_grid)]
         z = random_rep(rng, n, p, atoms=int(rng.integers(1, 6)))
-        R = OperatorMatrix(
-            rng.standard_normal((n, n)) * float(rng.uniform(0.1, 3.0)),
-            z.codomain,
-            z.codomain,
-        )
+        R = rng.standard_normal((n, n)) * float(rng.uniform(0.1, 3.0))
         defect, bound = trace_perturbation_bound(z, R, s)
         worst = max(worst, defect - bound)
         if defect > bound + 1e-10:
@@ -245,12 +240,8 @@ def test_criterion_8_ab_ba_coincidence():
     for _ in range(500):
         m = int(rng.integers(2, 13))
         n = int(rng.integers(2, 13))
-        A = OperatorMatrix(
-            rng.standard_normal((m, n)), AmbientSpace(n, 2.0), AmbientSpace(m, 2.0)
-        )
-        B = OperatorMatrix(
-            rng.standard_normal((n, m)), AmbientSpace(m, 2.0), AmbientSpace(n, 2.0)
-        )
+        A = rng.standard_normal((m, n))
+        B = rng.standard_normal((n, m))
         rep = similarity_spectrum_check(A, B)
         worst = max(worst, rep.max_mismatch)
         if not rep.matched or rep.max_mismatch > 1e-8:

@@ -11,6 +11,7 @@ from nucleatrace import (
     build_approximant,
     projection_growth_exponent,
     select_rank,
+    vector_norm,
 )
 
 
@@ -86,7 +87,7 @@ class TestBuildApproximant:
         xs = [Vector([1.0, 0.0, 0.0, 0.0], space)]
         R, cert = build_approximant(xs, 0.3, space, 0.5)
         np.testing.assert_allclose(
-            R.entries @ xs[0].coords, xs[0].coords, atol=1e-14
+            R @ xs[0].coords, xs[0].coords, atol=1e-14
         )
         assert cert.sup_error <= 1e-12
         # A unit vector exceeds eps/(1 + 1) = 0.15, so no cutoff in range
@@ -112,7 +113,7 @@ class TestBuildApproximant:
         assert cert.projection_norm_bracket == (1.0, 1.0)
         assert cert.sup_error == pytest.approx(1.0 / 121.0, rel=1e-12)
         assert cert.guarantee_regime
-        diag = np.diag(R.entries)
+        diag = np.diag(R)
         assert np.sum(diag > 0.5) == 120
 
     def test_slow_decay_exits_guarantee_regime(self):
@@ -139,6 +140,19 @@ class TestBuildApproximant:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_approximant([], 0.1, AmbientSpace(2, 2.0), 0.5)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -500, 1.0, 2.0 ** 500])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+    def test_sup_error_is_the_largest_residual_norm(self, p, scale):
+        rng = np.random.default_rng(11)
+        space = AmbientSpace(12, p)
+        xs = [Vector(scale * float(n) ** -1.5 * rng.standard_normal(12), space) for n in range(1, 13)]
+        P, cert = build_approximant(xs, 2.0 * scale, space, 0.5)
+        assert type(P) is np.ndarray and P.shape == (12, 12)
+        assert 0 < cert.rank < 12
+        # one Vector per residual, as the error used to be measured
+        reference = max(vector_norm(Vector(x.coords - P @ x.coords, space)) for x in xs)
+        assert cert.sup_error == reference
 
     @given(
         st.integers(min_value=0, max_value=2 ** 31 - 1),

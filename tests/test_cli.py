@@ -74,6 +74,9 @@ class TestConfig:
             {"subcommand": "holder", "a": [1, "Infinity"], "b": ["oo"]}
         )
         assert cfg.a == (1.0, math.inf) and cfg.b == (math.inf,)
+        # an exponent may be a float inf, where a number must be finite
+        assert ExperimentConfig(subcommand="lorentz", w=math.inf).w == math.inf
+        assert ExperimentConfig(subcommand="trace-audit", p=(1.0, math.inf)).p == (1.0, math.inf)
 
     def test_validation(self):
         cases = [
@@ -106,6 +109,25 @@ class TestConfig:
             ExperimentConfig.from_dict({"subcommand": subcommand, **bad})
         with pytest.raises(ValueError, match="must"):
             ExperimentConfig(subcommand=subcommand, **bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [name for name, (kind, _, _) in FIELDS.items() if kind == "number"])
+    def test_numbers_must_be_finite(self, name, value):
+        subcommand = next(sub for sub, row in COMMANDS.items() if name in row.fields)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ExperimentConfig(subcommand=subcommand, **{name: value})
+
+    @pytest.mark.parametrize("subcommand", ["holder", "trace-audit"])
+    def test_tolerance_is_at_least_zero(self, subcommand):
+        assert ExperimentConfig(subcommand=subcommand, tolerance=0.0).tolerance == 0.0
+        with pytest.raises(ValueError, match="^tolerance must be at least 0"):
+            ExperimentConfig(subcommand=subcommand, tolerance=-1e-12)
+
+    def test_beta_range_is_ordered(self):
+        cfg = ExperimentConfig(subcommand="factorize", beta_min=2.0, beta_max=2.0)
+        assert run(cfg).records[0]["beta"] == 2.0
+        with pytest.raises(ValueError, match="^beta_min must be at most beta_max"):
+            ExperimentConfig(subcommand="factorize", beta_min=3.0, beta_max=1.0)
 
     @pytest.mark.parametrize("subcommand, name", UNREAD)
     def test_unread_field_off_its_default_rejected(self, subcommand, name):
@@ -267,7 +289,7 @@ def _reference_trace_audit(cfg, trial, rng):
                 M = induced_matrix(z)
                 matched, worst = match_spectra(
                     eigenvalues(M),
-                    characteristic_roots(M.entries),
+                    characteristic_roots(M),
                     rel=1e-7,
                     abs_floor=1e-7,
                 )
@@ -461,12 +483,13 @@ class TestCli:
         assert result.exit_code != 0
         assert "w <= 1" in result.output
 
-    def test_failing_check_sets_exit_code(self, runner):
-        # equality pair has zero defect; demanding defect >= 1 must fail
+    def test_failing_check_sets_exit_code(self, runner, monkeypatch):
+        # a witness off by a factor of 2 misses the l_1 mass, so the record fails
+        real = experiments.sharpness_witness
+        monkeypatch.setattr(experiments, "sharpness_witness", lambda a, s: 0.5 * real(a, s))
         result = runner.invoke(
             main,
-            ["holder", "--trials", "1", "--a", "1,0", "--b", "1,0",
-             "--tolerance", "-1"],
+            ["holder", "--trials", "1", "--a", "1,0", "--b", "1,0"],
         )
         assert result.exit_code == 1
         payload = json.loads(result.output)
@@ -554,6 +577,22 @@ class TestCommandTable:
         result = runner.invoke(main, ["lorentz", "--w", "abc"])
         assert result.exit_code == 2
         assert "Invalid value for '--w'" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args, name", [
+        (["factorize", "--trials", "1", "--beta-min", "3", "--beta-max", "1"], "beta_min"),
+        (["factorize", "--trials", "1", "--beta-min", "nan"], "beta_min"),
+        (["factorize", "--trials", "1", "--beta-max", "inf"], "beta_max"),
+        (["holder", "--trials", "3", "--tolerance", "nan"], "tolerance"),
+        (["trace-audit", "--dims", "4", "--tolerance", "-1"], "tolerance"),
+    ])
+    def test_bad_number_is_clean_error_naming_its_field(self, runner, args, name):
+        # numpy's "high - low < 0", an OverflowError traceback, or records that all FAILed
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        last = result.output.splitlines()[-1]
+        assert last.startswith(f"Error: {name} must")
         assert "Traceback" not in result.output
 
     def test_infinite_gamma_is_clean_error(self, runner):

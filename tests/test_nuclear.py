@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nucleatrace import (
     AmbientSpace,
     NuclearIndex,
-    OperatorMatrix,
     Representation,
     Vector,
     dual_exponent,
@@ -131,7 +130,7 @@ class TestRepresentation:
         sp = L2(2)
         z = Representation.from_arrays([0.0], np.eye(2)[:1], np.eye(2)[:1], sp, sp)
         assert z.atom_count == 0
-        np.testing.assert_array_equal(induced_matrix(z).entries, np.zeros((2, 2)))
+        np.testing.assert_array_equal(induced_matrix(z), np.zeros((2, 2)))
         assert nuclear_trace(z) == 0.0
 
     def test_atom_shape_validation(self):
@@ -164,7 +163,7 @@ class TestRepresentation:
             mags = [l * lp_norm(f, dual_exponent(p)) * lp_norm(x, p) for l, f, x in atoms]
             np.testing.assert_allclose(z.magnitudes(), mags, rtol=1e-15)
             # with R = 0 the bound is the split weights' mass times the largest scaled vector
-            zero = OperatorMatrix(np.zeros((5, 5)), z.codomain, z.codomain)
+            zero = np.zeros((5, 5))
             weights = [l ** 0.5 * lp_norm(f, dual_exponent(p)) for l, f, _ in atoms]
             worst = max(lp_norm(l ** 0.5 * x, p) for l, _, x in atoms)
             _, bound = trace_perturbation_bound(z, zero, 0.5)
@@ -194,7 +193,7 @@ class TestRepresentationStack:
         stack = stack_of(reps)
         assert stack.coefficients.shape == (4, atoms) and stack.atom_count == atoms
         np.testing.assert_array_equal(nuclear_trace(stack), [nuclear_trace(z) for z in reps])
-        np.testing.assert_array_equal(induced_matrix(stack), [induced_matrix(z).entries for z in reps])
+        np.testing.assert_array_equal(induced_matrix(stack), [induced_matrix(z) for z in reps])
         np.testing.assert_array_equal(stack.magnitudes(), [z.magnitudes() for z in reps])
         for idx in self.INDICES:
             np.testing.assert_array_equal(quasi_norm(stack, idx), [quasi_norm(z, idx) for z in reps])
@@ -240,7 +239,7 @@ class TestRepresentationStack:
         rng = np.random.default_rng(4)
         reps = [random_rep(rng, 3, 1.5, atoms=3) for _ in range(2)]
         stack = stack_of(reps)
-        R = OperatorMatrix(np.eye(3), stack.codomain, stack.codomain)
+        R = np.eye(3)
         for call in (
             lambda: rebalance(stack),
             lambda: improve_representation(stack, NuclearIndex.bracket_lower(1.0, 1.5)),
@@ -255,7 +254,7 @@ class TestInducedMatrix:
     def test_rank_one_projector(self):
         z = diag_rep([1.0], L2(2))
         np.testing.assert_array_equal(
-            induced_matrix(z).entries, [[1.0, 0.0], [0.0, 0.0]]
+            induced_matrix(z), [[1.0, 0.0], [0.0, 0.0]]
         )
 
     def test_nilpotent_shift(self):
@@ -264,14 +263,24 @@ class TestInducedMatrix:
             [1.0], [[1.0, 0.0]], [[0.0, 1.0]], sp, sp
         )
         np.testing.assert_array_equal(
-            induced_matrix(z).entries, [[0.0, 0.0], [1.0, 0.0]]
+            induced_matrix(z), [[0.0, 0.0], [1.0, 0.0]]
         )
 
     def test_diagonal(self):
         z = diag_rep([0.5, 0.5], L2(2))
         np.testing.assert_array_equal(
-            induced_matrix(z).entries, np.diag([0.5, 0.5])
+            induced_matrix(z), np.diag([0.5, 0.5])
         )
+
+    def test_single_is_the_array_of_its_stack_of_one(self):
+        rng = np.random.default_rng(3)
+        dom, cod = AmbientSpace(3, 1.5), AmbientSpace(5, 4.0)
+        z = Representation(rng.uniform(0.1, 1.0, 4), rng.standard_normal((4, 3)),
+                           rng.standard_normal((4, 5)), dom, cod)
+        M = induced_matrix(z)
+        assert type(M) is np.ndarray and M.shape == (5, 3)
+        one = induced_matrix(Representation(z.coefficients[None], z.F[None], z.X[None], dom, cod))
+        assert one.shape == (1, 5, 3) and M.tobytes() == one[0].tobytes()
 
 
 class TestNuclearTrace:
@@ -305,8 +314,7 @@ class TestSplit:
 
     @staticmethod
     def bound(z, s):
-        zero = OperatorMatrix(np.zeros((2, 2)), z.codomain, z.codomain)
-        return trace_perturbation_bound(z, zero, s)
+        return trace_perturbation_bound(z, np.zeros((2, 2)), s)
 
     def test_unit_fixed_point(self):
         for s in (0.5, 2.0 / 3.0, 1.0):
@@ -506,13 +514,13 @@ class TestWeakNorm:
 class TestTracePerturbation:
     def test_identity_perturbation(self):
         z = diag_rep([1.0, 0.5], L2(2))
-        R = OperatorMatrix(np.eye(2), L2(2), L2(2))
+        R = np.eye(2)
         defect, bound = trace_perturbation_bound(z, R, 2.0 / 3.0)
         assert defect == 0.0 and bound == 0.0
 
     def test_zero_perturbation_unit_atom(self):
         z = diag_rep([1.0], L2(2))
-        R = OperatorMatrix(np.zeros((2, 2)), L2(2), L2(2))
+        R = np.zeros((2, 2))
         defect, bound = trace_perturbation_bound(z, R, 2.0 / 3.0)
         assert defect == 1.0
         assert bound == 1.0
@@ -520,7 +528,7 @@ class TestTracePerturbation:
     def test_nilpotent_atom_slack(self):
         sp = L2(2)
         z = Representation.from_arrays([1.0], [[1.0, 0.0]], [[0.0, 1.0]], sp, sp)
-        R = OperatorMatrix(np.zeros((2, 2)), sp, sp)
+        R = np.zeros((2, 2))
         defect, bound = trace_perturbation_bound(z, R, 2.0 / 3.0)
         assert defect == 0.0
         assert bound == 1.0
@@ -535,11 +543,23 @@ class TestTracePerturbation:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         z = random_rep(rng, n, p, atoms=int(rng.integers(1, 5)))
-        R = OperatorMatrix(
-            rng.standard_normal((n, n)), z.codomain, z.codomain
-        )
+        R = rng.standard_normal((n, n))
         defect, bound = trace_perturbation_bound(z, R, s)
         assert defect <= bound + 1e-10
+
+    @pytest.mark.parametrize("R", [
+        np.array([[1.0, math.nan], [0.0, 1.0]]),
+        np.array([[math.inf, 0.0], [0.0, 1.0]]),
+        np.eye(3),
+        np.ones((2, 3)),
+        np.ones(2),
+        np.eye(2)[None],
+        np.stack([np.eye(2), np.eye(2)]),
+    ])
+    def test_rejects_a_bad_perturbation(self, R):
+        z = diag_rep([1.0, 0.5], L2(2))
+        with pytest.raises(ValueError, match="perturbation"):
+            trace_perturbation_bound(z, R, 0.5)
 
 
 class TestRebalance:
@@ -548,7 +568,7 @@ class TestRebalance:
         z = random_rep(rng, 4, 1.5)
         zb = rebalance(z)
         np.testing.assert_allclose(
-            induced_matrix(zb).entries, induced_matrix(z).entries, rtol=1e-12
+            induced_matrix(zb), induced_matrix(z), rtol=1e-12
         )
         np.testing.assert_allclose(lp_norm(zb.F, dual_exponent(1.5), axis=1), 1.0, rtol=1e-12)
         np.testing.assert_allclose(lp_norm(zb.X, 1.5, axis=1), 1.0, rtol=1e-12)
@@ -582,8 +602,8 @@ class TestImprove:
             # the returned representation itself is worth no more than `after`
             assert quasi_norm(improved, idx) <= after * (1.0 + 1e-12)
             np.testing.assert_allclose(
-                induced_matrix(improved).entries,
-                induced_matrix(z).entries,
+                induced_matrix(improved),
+                induced_matrix(z),
                 rtol=1e-9,
                 atol=1e-12,
             )

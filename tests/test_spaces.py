@@ -172,6 +172,18 @@ class TestLpNorm:
         np.testing.assert_array_equal(rows, [lp_norm(y, p) for y in Y])
         assert rows[2] == 0.0
 
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0, math.inf])
+    def test_no_axis_is_the_one_row_axis_call(self, p):
+        rng = np.random.default_rng(6)
+        for x in [rng.standard_normal(9) * 1e300, rng.standard_normal(9) * 1e-300,
+                  rng.standard_normal(1), np.zeros(4), np.zeros(0)]:
+            value = lp_norm(x, p)
+            assert type(value) is float and value == lp_norm(x[None], p, axis=1)[0]
+        # a 2-d array is one slice in memory order: its transpose gives the same bits
+        A = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-100, 100, size=(6, 1))
+        row = lp_norm(A.reshape(1, -1), p, axis=1)[0]
+        assert lp_norm(A, p) == row and lp_norm(A.T, p) == row
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
     def test_infinite_entry_gives_inf(self, p):
         assert lp_norm([math.inf, 1.0], p) == math.inf
@@ -352,7 +364,7 @@ class TestProjection:
     def test_single_basis_vector(self):
         sp = space(3, 2.0)
         P, bracket = projection_onto_span([Vector([1.0, 0.0, 0.0], sp)], sp)
-        np.testing.assert_array_equal(P.entries, np.diag([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(P, np.diag([1.0, 0.0, 0.0]))
         assert bracket == (1.0, 1.0)
 
     @pytest.mark.parametrize("p", P_GRID)
@@ -360,7 +372,7 @@ class TestProjection:
         sp = space(3, p)
         vs = [Vector([1.0, 0.0, 0.0], sp), Vector([0.0, 1.0, 0.0], sp)]
         P, bracket = projection_onto_span(vs, sp)
-        np.testing.assert_allclose(P.entries, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
         assert bracket.lower <= 1.0 + 1e-9
         assert bracket.upper >= 1.0 - 1e-9
         assert bracket.upper <= 1.0 + 1e-9
@@ -368,7 +380,7 @@ class TestProjection:
     def test_diagonal_rank_one_in_l1(self):
         sp = space(2, 1.0)
         P, bracket = projection_onto_span([Vector([1.0, 1.0], sp)], sp)
-        np.testing.assert_allclose(P.entries, 0.5 * np.ones((2, 2)), rtol=1e-14)
+        np.testing.assert_allclose(P, 0.5 * np.ones((2, 2)), rtol=1e-14)
         assert bracket.lower == pytest.approx(1.0, rel=1e-12)
         assert bracket.upper == pytest.approx(1.0, rel=1e-12)
         assert bracket.lower <= bracket.upper
@@ -377,7 +389,7 @@ class TestProjection:
         sp = space(3, 2.0)
         v = Vector([1.0, 2.0, -1.0], sp)
         P, _ = projection_onto_span([v, v], sp)
-        assert round(float(np.trace(P.entries))) == 1
+        assert round(float(np.trace(P))) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -400,12 +412,12 @@ class TestProjection:
         vs = [Vector(rng.standard_normal(6), sp) for _ in range(m)]
         P, bracket = projection_onto_span(vs, sp)
         np.testing.assert_allclose(
-            P.entries @ P.entries, P.entries, atol=1e-10
+            P @ P, P, atol=1e-10
         )
-        np.testing.assert_allclose(P.entries, P.entries.T, atol=1e-12)
+        np.testing.assert_allclose(P, P.T, atol=1e-12)
         for v in vs:
             np.testing.assert_allclose(
-                P.entries @ v.coords, v.coords, atol=1e-9
+                P @ v.coords, v.coords, atol=1e-9
             )
         assert bracket.lower <= bracket.upper + 1e-12
 

@@ -10,7 +10,6 @@ from nucleatrace import spectral
 from nucleatrace import (
     AmbientSpace,
     NuclearIndex,
-    OperatorMatrix,
     Representation,
     audit_trace_formula,
     characteristic_roots,
@@ -176,7 +175,7 @@ class TestAuditTraceFormula:
         M = induced_matrix(z)
         matched, _ = match_spectra(
             eigenvalues(M),
-            characteristic_roots(M.entries),
+            characteristic_roots(M),
             rel=1e-7,
             abs_floor=1e-7,
         )
@@ -199,7 +198,7 @@ def _rank_deficient(rng, n, p):
     z = Representation.from_arrays(
         lam, rng.standard_normal((m, n)), rng.standard_normal((m, n)), space, space
     )
-    return induced_matrix(z).entries
+    return induced_matrix(z)
 
 
 JORDAN_4 = np.eye(4) + np.diag(np.ones(3), 1)
@@ -275,9 +274,9 @@ class TestStackForms:
         assert reports == tuple(singles)
         for r, one, z in zip(reports, singles, reps):
             M = induced_matrix(z)
-            np.testing.assert_array_equal(r.matrix, M.entries)
+            np.testing.assert_array_equal(r.matrix, M)
             np.testing.assert_array_equal(r.spectrum, one.spectrum)
-            assert r.frobenius == np.linalg.norm(M.entries) and r.nuclear_trace == nuclear_trace(z)
+            assert r.frobenius == np.linalg.norm(M) and r.nuclear_trace == nuclear_trace(z)
 
     def test_audit_of_stacks_gives_each_rows_report(self):
         rng = np.random.default_rng(8)
@@ -314,7 +313,7 @@ class TestStackForms:
             for _ in range(40)
         ]
         reports = audit_trace_formula(reps, [NuclearIndex.absolutely_summable(0.75)] * 40)
-        assert [r.frobenius for r in reports] == [np.linalg.norm(induced_matrix(z).entries) for z in reps]
+        assert [r.frobenius for r in reports] == [np.linalg.norm(induced_matrix(z)) for z in reps]
 
     def test_audit_stack_validation(self):
         rng = np.random.default_rng(6)
@@ -477,30 +476,41 @@ class TestEigenvalueTypeProbe:
 
 class TestSimilarity:
     def test_identity_pair(self):
-        sp = L2(3)
-        I = OperatorMatrix(np.eye(3), sp, sp)
+        I = np.eye(3)
         report = similarity_spectrum_check(I, I)
         assert report.matched and report.max_mismatch <= 1e-14
 
     def test_rank_one_rectangular(self):
-        row = OperatorMatrix(np.array([[1.0, 0.0, 0.0]]), L2(3), L2(1))
-        col = OperatorMatrix(np.array([[1.0], [0.0], [0.0]]), L2(1), L2(3))
+        row = np.array([[1.0, 0.0, 0.0]])
+        col = np.array([[1.0], [0.0], [0.0]])
         report = similarity_spectrum_check(row, col)
         assert report.matched
         assert report.dim_ab == 1 and report.dim_ba == 3
 
     def test_random_rectangular(self):
         rng = np.random.default_rng(77)
-        A = OperatorMatrix(rng.standard_normal((4, 7)), L2(7), L2(4))
-        B = OperatorMatrix(rng.standard_normal((7, 4)), L2(4), L2(7))
+        A = rng.standard_normal((4, 7))
+        B = rng.standard_normal((7, 4))
         report = similarity_spectrum_check(A, B)
         assert report.matched
         assert report.max_mismatch <= 1e-8
 
     def test_shape_mismatch(self):
-        A = OperatorMatrix(np.ones((2, 3)), L2(3), L2(2))
+        A = np.ones((2, 3))
         with pytest.raises(ValueError):
             similarity_spectrum_check(A, A)
+
+    @pytest.mark.parametrize("A, B", [
+        (np.ones((2, 3)), np.ones((3, 3))),
+        (np.ones(3), np.ones(3)),
+        (np.ones((2, 2, 3)), np.ones((2, 3, 2))),
+        (np.ones((1, 2, 3)), np.ones((3, 2))),
+        (np.ones((2, 3)), np.ones((1, 3, 2))),
+        (np.float64(1.0), np.float64(1.0)),
+    ])
+    def test_refuses_what_does_not_compose_both_ways(self, A, B):
+        with pytest.raises(ValueError, match="composable both ways"):
+            similarity_spectrum_check(A, B)
 
 
 class TestNilpotentCheck:
