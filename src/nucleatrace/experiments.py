@@ -388,15 +388,13 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
     for n in cfg.dims:
         reps, rep_indices = _draw_stacks(rngs, n, cfg.p, indices)
         reports = audit_trace_formula(reps, rep_indices, tolerance_scale=scale)
-        checks = [(True, None)] * len(reports)
+        matched, gaps = [True] * len(reports), [None] * len(reports)
         if n <= _ORACLE_CROSS_CHECK_DIM:
             roots = characteristic_roots(np.stack([r.matrix for r in reports]))
-            checks = [
-                match_spectra(r.spectrum, rt, rel=1e-7, abs_floor=1e-7)
-                for r, rt in zip(reports, roots)
-            ]
+            ok, worst = match_spectra(np.stack([r.spectrum for r in reports]), roots, rel=1e-7, abs_floor=1e-7)
+            matched, gaps = ok.tolist(), worst.tolist()
         # reports run over exponents, then trials
-        for i, (report, (matched, gap)) in enumerate(zip(reports, checks)):
+        for i, (report, agrees, gap) in enumerate(zip(reports, matched, gaps)):
             j, trial = divmod(i, len(rngs))
             per_trial[trial].append({
                 "trial": trial,
@@ -411,7 +409,7 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
                 "ratio": report.ratio,
                 "frobenius": report.frobenius,
                 "oracle_gap": gap,
-                "pass": bool(report.passed and matched),
+                "pass": bool(report.passed and agrees),
             })
     return [rec for recs in per_trial for rec in recs]
 

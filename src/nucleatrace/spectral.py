@@ -6,9 +6,10 @@ is provided for small matrices: characteristic polynomial coefficients
 by the Faddeev-LeVerrier recursion and roots by Durand-Kerner iteration,
 sharing no code with the LAPACK path.
 
-`eigenvalues`, `characteristic_roots` and `audit_trace_formula` also take
-stacks and work on all of their matrices at once; each single form is
-the stack of one, so a row of a stack gives the bits of its single call.
+`eigenvalues`, `characteristic_roots`, `match_spectra` and
+`audit_trace_formula` also take stacks and work on all of them at once;
+each single form is the stack of one, so a row of a stack gives the bits
+of its single call.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = [
 
 _ORACLE_DIM_LIMIT = 16
 _DK_MAX_ITERS = 500
+_PROBE_GROWTH = 1.05
 
 
 def _as_square(A, stack: bool = False) -> np.ndarray:
@@ -149,12 +151,14 @@ def characteristic_roots(A) -> np.ndarray:
     where the recursion loses too many digits to be a useful oracle.  A
     stack (..., n, n) gives the sorted roots of each matrix, shape
     (..., n), from one recursion and one root iteration over the stack;
-    a zero matrix has zero roots.
+    a zero matrix has zero roots, and a NaN or infinite entry is refused.
     """
     mat = _as_square(A, stack=True)
     n = mat.shape[-1]
     if n > _ORACLE_DIM_LIMIT:
         raise ValueError("characteristic oracle is limited to dim <= 16")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("characteristic oracle needs finite entries")
     flat = mat.reshape((math.prod(mat.shape[:-2]), n, n))
     scale = np.max(np.abs(flat), axis=(-2, -1), initial=0.0)
     roots = np.zeros(flat.shape[:-1], dtype=complex)
@@ -165,34 +169,39 @@ def characteristic_roots(A) -> np.ndarray:
     return _sort_spectrum(roots.reshape(mat.shape[:-1]))
 
 
-def match_spectra(
-    u, v, rel: float = 1e-6, abs_floor: float = 1e-8
-) -> tuple[bool, float]:
-    """Greedy pairing of two spectra after padding the shorter with zeros.
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # np.abs on a complex array can differ in the last bit from abs of each complex scalar
+    return np.hypot(z.real, z.imag)
 
-    Both lists are sorted by modulus; each value of the first is paired
-    with the nearest unmatched value of the second.  Returns whether all
-    pairs sit within max(abs_floor, rel * pair modulus) and the largest
-    pair distance.
+
+def match_spectra(u, v, rel: float = 1e-6, abs_floor: float = 1e-8) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
+    """Greedy pairing of two spectra, or of two stacks (..., n) and (..., m) row by row.
+
+    Both are sorted by modulus and the shorter padded with zeros; each
+    value of the first, in order, takes the first nearest unpaired value
+    of the second.  Gives whether every pair sits within max(abs_floor,
+    rel * pair modulus), a NaN pair failing, and the largest pair distance,
+    NaN if any is: a bool and a float for one pair, arrays (...) for stacks.
     """
-    a = list(_sort_spectrum(np.asarray(u, dtype=complex)))
-    b = list(_sort_spectrum(np.asarray(v, dtype=complex)))
-    while len(a) < len(b):
-        a.append(0.0 + 0.0j)
-    while len(b) < len(a):
-        b.append(0.0 + 0.0j)
-    remaining = list(b)
-    worst = 0.0
-    ok = True
-    for x in a:
-        dists = [abs(x - y) for y in remaining]
-        i = int(np.argmin(dists))
-        y = remaining.pop(i)
-        d = abs(x - y)
-        worst = max(worst, d)
-        if d > max(abs_floor, rel * max(abs(x), abs(y))):
-            ok = False
-    return ok, worst
+    a, b = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if min(a.ndim, b.ndim) == 0 or a.shape[:-1] != b.shape[:-1]:
+        raise ValueError("expected two spectra or two stacks of them with one leading shape")
+    lead, n = a.shape[:-1], max(a.shape[-1], b.shape[-1])
+    a, free = (np.concatenate([_sort_spectrum(x), np.zeros(lead + (n - x.shape[-1],))], axis=-1)
+               .reshape(math.prod(lead), n) for x in (a, b))
+    rows = np.arange(len(a))
+    worst, matched = np.zeros(len(a)), np.ones(len(a), dtype=bool)
+    for x in a.T:
+        dist = _modulus(x[:, None] - free)
+        i = np.argmin(dist, axis=-1)
+        y, d = free[rows, i], dist[rows, i]
+        worst = np.maximum(worst, d)
+        matched &= d <= np.maximum(abs_floor, rel * np.maximum(_modulus(x), _modulus(y)))
+        # the free values stay in order, less the one just paired
+        free = np.where(np.arange(free.shape[1] - 1) < i[:, None], free[:, :-1], free[:, 1:])
+    if not lead:
+        return bool(matched[0]), float(worst[0])
+    return matched.reshape(lead), worst.reshape(lead)
 
 
 @dataclass(frozen=True)
@@ -298,12 +307,11 @@ def eigenvalue_type_probe(
     generator: Callable[[int], Representation],
     index: NuclearIndex,
     dims: Sequence[int],
-    growth_factor: float = 1.05,
 ) -> ProbeReport:
     """Audit the family at each dimension and call the ratio trend.
 
     The verdict is BOUNDED when the largest ratio over the second half of
-    the sweep does not exceed growth_factor times the largest over the
+    the sweep does not exceed _PROBE_GROWTH (1.05) times the largest over the
     first half, UNBOUNDED otherwise, and SKIPPED when every quasi-norm in
     the sweep vanishes (each such dimension is marked with a None ratio).
     """
@@ -319,14 +327,8 @@ def eigenvalue_type_probe(
         split = (len(dims) + 1) // 2
         first = [r for i, r in usable if i < split]
         second = [r for i, r in usable if i >= split]
-        if not first or not second:
-            verdict = "BOUNDED"
-        else:
-            verdict = (
-                "BOUNDED"
-                if max(second) <= growth_factor * max(first)
-                else "UNBOUNDED"
-            )
+        bounded = not (first and second) or max(second) <= _PROBE_GROWTH * max(first)
+        verdict = "BOUNDED" if bounded else "UNBOUNDED"
     return ProbeReport(dims=dims, reports=reports, verdict=verdict)
 
 
@@ -373,20 +375,19 @@ class NilpotentReport:
     note: str
 
 
-def nilpotent_check(A, tolerance: float = 0.0) -> NilpotentReport:
+def nilpotent_check(A) -> NilpotentReport:
     """Verify spectrum and trace vanish when A squares to zero.
 
-    Matrices with ||A^2|| above the tolerance are skipped rather than
-    failed; the check only speaks about genuinely 2-nilpotent input.
+    Matrices with ||A^2||_F > 0 are skipped rather than failed; the
+    check only speaks about genuinely 2-nilpotent input.
     Both tests are relative to ||A||_F, with no absolute floor: |trace|
     at most n eps ||A||_F, and every computed eigenvalue modulus at most
     n sqrt(eps) ||A||_F, the rounding of a defective zero eigenvalue.
     """
     mat = _as_square(A)
-    sq = mat @ mat
-    sq_norm = float(np.linalg.norm(sq))
+    sq_norm = float(np.linalg.norm(mat @ mat))
     scale = float(np.linalg.norm(mat))
-    if sq_norm > tolerance:
+    if sq_norm > 0.0:
         return NilpotentReport(
             applied=False,
             square_norm=sq_norm,

@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucleatrace import spectral
+from nucleatrace import experiments, spectral
+from nucleatrace.experiments import ExperimentConfig, run
 from nucleatrace import (
     AmbientSpace,
     NuclearIndex,
@@ -77,6 +79,15 @@ class TestCharacteristicRoots:
         with pytest.raises(ValueError):
             characteristic_roots(np.eye(17))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        stack = np.stack([np.eye(3), mat, np.zeros((3, 3))])
+        for A in (mat, stack, stack.reshape(1, 3, 3, 3), np.full((1, 1), bad)):
+            with pytest.raises(ValueError, match="finite"):
+                characteristic_roots(A)
+
     @given(
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -137,6 +148,139 @@ class TestMatchSpectra:
         v = np.array([-1.0j, 0.5, 1.0j])
         ok, worst = match_spectra(u, v)
         assert ok and worst <= 1e-15
+
+
+def _reference_match_spectra(u, v, rel=1e-6, abs_floor=1e-8):
+    """The list greedy, one pair of spectra at a time."""
+    a = list(spectral._sort_spectrum(np.asarray(u, dtype=complex)))
+    b = list(spectral._sort_spectrum(np.asarray(v, dtype=complex)))
+    while len(a) < len(b):
+        a.append(0.0 + 0.0j)
+    while len(b) < len(a):
+        b.append(0.0 + 0.0j)
+    remaining = list(b)
+    worst = 0.0
+    ok = True
+    for x in a:
+        dists = [abs(x - y) for y in remaining]
+        i = int(np.argmin(dists))
+        y = remaining.pop(i)
+        d = abs(x - y)
+        worst = max(worst, d)
+        if d > max(abs_floor, rel * max(abs(x), abs(y))):
+            ok = False
+    return ok, worst
+
+
+def _assert_rows_match_reference(u, v, **tol):
+    """Each row of the stacked call has the bits of the list greedy on that row."""
+    matched, worst = match_spectra(u, v, **tol)
+    assert matched.shape == worst.shape == np.shape(u)[:-1]
+    for idx in np.ndindex(matched.shape):
+        ok, gap = _reference_match_spectra(u[idx], v[idx], **tol)
+        assert (matched[idx], worst[idx].tobytes()) == (ok, np.float64(gap).tobytes()), idx
+
+
+class TestStackedMatch:
+    """The stacked matcher pairs as the list greedy does, bit for bit."""
+
+    def test_trace_audit_oracle_pairs(self, monkeypatch):
+        calls = []
+
+        def recording(u, v, **tol):
+            calls.append((u, v, tol))
+            return match_spectra(u, v, **tol)
+
+        monkeypatch.setattr(experiments, "match_spectra", recording)
+        cfg = ExperimentConfig(subcommand="trace-audit", seed=0, trials=100, dims=(4,),
+                               p=(1.0, 1.5, 2.0, 4.0, math.inf))
+        assert all(r["pass"] for r in run(cfg).records)
+        (u, v, tol), = calls
+        assert u.shape == v.shape == (500, 4)
+        _assert_rows_match_reference(u, v, **tol)
+
+    def test_one_call_per_oracle_dimension(self, monkeypatch):
+        calls = []
+
+        def recording(u, v, **tol):
+            calls.append(u.shape)
+            return match_spectra(u, v, **tol)
+
+        monkeypatch.setattr(experiments, "match_spectra", recording)
+        run(ExperimentConfig(subcommand="trace-audit", trials=3, dims=(2, 7, 6, 2), p=(1.5, 3.0)))
+        assert calls == [(6, 2), (6, 6), (6, 2)]
+
+    def test_unequal_lengths(self):
+        rng = np.random.default_rng(8)
+        for m, n in [(2, 5), (5, 2), (1, 4), (3, 3), (6, 1)]:
+            A, B = rng.standard_normal((40, m, n)), rng.standard_normal((40, n, m))
+            _assert_rows_match_reference(eigenvalues(A @ B), eigenvalues(B @ A))
+            _assert_rows_match_reference(eigenvalues(A @ B), eigenvalues(B @ A), rel=1e-7, abs_floor=1e-7)
+        for u, v in [([1.0, 2.0], [2.0]), ([3.0], [0.0, 3.0, 0.0]), ([], [1.0j, -1.0j])]:
+            assert match_spectra(u, v) == _reference_match_spectra(u, v)
+
+    def test_conjugate_pairs_and_repeated_values(self):
+        u = np.array([[1.0 + 2.0j, 1.0 - 2.0j, 0.5, 0.5], [2.0, 2.0, 2.0, -2.0], [1.0j, -1.0j, 1.0, -1.0]])
+        v = np.array([[0.5, 1.0 - 2.0j, 0.5, 1.0 + 2.0j], [-2.0, 2.0 + 1e-9, 2.0, 2.0 - 1e-9],
+                      [-1.0, 1.0j, -1.0j, 1.0 + 1e-7]])
+        _assert_rows_match_reference(u, v)
+        _assert_rows_match_reference(v, u)
+        _assert_rows_match_reference(u, np.round(u[::-1] + 1e-12, 9))
+
+    def test_distances_that_overflow(self):
+        big = 1e308
+        cases = [
+            ([big, -big], [-big, big]),
+            ([big, big], [-big, -big]),  # every distance is inf
+            ([big * (1 + 1j), -big], [-big * (1 + 1j)]),
+            ([big, big * 1j, -big * 1j], [big, -big, 0.5]),
+        ]
+        with np.errstate(over="ignore"):
+            for u, v in cases:
+                for pair in ((u, v), (v, u)):
+                    assert match_spectra(*pair) == _reference_match_spectra(*pair)
+            assert match_spectra([big, big], [-big, -big]) == (False, math.inf)
+
+    def test_empty_spectra(self):
+        assert match_spectra([], []) == (True, 0.0)
+        matched, worst = match_spectra(np.zeros((2, 0)), np.zeros((2, 0)))
+        assert matched.tolist() == [True, True] and worst.tolist() == [0.0, 0.0]
+        matched, worst = match_spectra(np.zeros((0, 3)), np.zeros((0, 2)))
+        assert matched.shape == worst.shape == (0,)
+
+    def test_stack_rows_are_row_calls(self):
+        rng = np.random.default_rng(4)
+        for n, m in [(5, 5), (5, 3), (2, 4)]:
+            u = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+            v = rng.standard_normal((2, 3, m)) + 1j * rng.standard_normal((2, 3, m))
+            v[..., : min(n, m)] = u[..., : min(n, m)] + 1e-9
+            for x, y in ((u, v), (u, np.conj(u))):
+                matched, worst = match_spectra(x, y)
+                for idx in np.ndindex(2, 3):
+                    single = match_spectra(x[idx], y[idx])
+                    assert type(single[0]) is bool and type(single[1]) is float
+                    assert (matched[idx], worst[idx]) == single
+            _assert_rows_match_reference(u, v)
+
+    def test_refuses_mismatched_leading_shapes(self):
+        for u, v in [(np.zeros((2, 3)), np.zeros((3, 3))), (1.0, [1.0]), ([1.0], 1.0)]:
+            with pytest.raises(ValueError):
+                match_spectra(u, v)
+
+    def test_nan_fails(self):
+        assert _reference_match_spectra([math.nan], [1.0]) == (True, 0.0)
+        ok, worst = match_spectra([math.nan], [1.0])
+        assert ok is False and math.isnan(worst)
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((4, 3)) + 0j
+        v = u + 1e-12
+        v[1, 0] = 5.0
+        u[2, 1] = complex(math.nan, 0.0)
+        matched, worst = match_spectra(u, v)
+        assert not matched[2] and math.isnan(worst[2])
+        for row in (0, 1, 3):
+            assert (matched[row], worst[row]) == _reference_match_spectra(u[row], v[row])
+        assert matched.tolist() == [True, False, False, True]
 
 
 class TestAuditTraceFormula:
@@ -524,6 +668,11 @@ class TestNilpotentCheck:
     def test_zero_matrix_passes(self):
         report = nilpotent_check(np.zeros((3, 3)))
         assert report.applied and report.passed
+
+    def test_no_tolerance_option(self):
+        assert list(inspect.signature(nilpotent_check).parameters) == ["A"]
+        assert "growth_factor" not in inspect.signature(eigenvalue_type_probe).parameters
+        assert not nilpotent_check(np.eye(2)).applied
 
     def test_shift_skipped(self):
         shift = np.diag(np.ones(4), 1)  # 5x5, squares to nonzero
