@@ -34,12 +34,10 @@ from .nuclear import (
 )
 from .spectral import (
     NilpotentReport,
-    ProbeReport,
     SimilarityReport,
-    TraceAuditReport,
+    TraceAudit,
     audit_trace_formula,
     characteristic_roots,
-    eigenvalue_type_probe,
     eigenvalues,
     match_spectra,
     nilpotent_check,
@@ -66,17 +64,15 @@ __all__ = [
     "NormBracket",
     "NuclearIndex",
     "OperatorMatrix",
-    "ProbeReport",
     "Representation",
     "RunReport",
     "SimilarityReport",
-    "TraceAuditReport",
+    "TraceAudit",
     "Vector",
     "audit_trace_formula",
     "build_approximant",
     "characteristic_roots",
     "dual_exponent",
-    "eigenvalue_type_probe",
     "eigenvalues",
     "factor_l1_lorentz",
     "holder_product_bound",

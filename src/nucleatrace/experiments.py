@@ -27,7 +27,6 @@ from .spaces import AmbientSpace, Vector, lp_norm
 from .spectral import (
     audit_trace_formula,
     characteristic_roots,
-    eigenvalue_type_probe,
     match_spectra,
     similarity_spectrum_check,
     trace_formula_exponent,
@@ -40,6 +39,7 @@ RNG_CONTRACT_VERSION = 1
 
 _HOLDER_S_GRID = (0.5, 2.0 / 3.0, 0.9, 1.0)
 _ORACLE_CROSS_CHECK_DIM = 6
+_PROBE_GROWTH = 1.05
 
 
 def parse_exponent(x) -> float:
@@ -387,63 +387,61 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
     per_trial: list[list[dict]] = [[] for _ in rngs]
     for n in cfg.dims:
         reps, rep_indices = _draw_stacks(rngs, n, cfg.p, indices)
-        reports = audit_trace_formula(reps, rep_indices, tolerance_scale=scale)
-        matched, gaps = [True] * len(reports), [None] * len(reports)
+        audit = audit_trace_formula(reps, rep_indices, tolerance_scale=scale)
+        matched, gaps = [True] * len(audit.passed), [None] * len(audit.passed)
         if n <= _ORACLE_CROSS_CHECK_DIM:
-            roots = characteristic_roots(np.stack([r.matrix for r in reports]))
-            ok, worst = match_spectra(np.stack([r.spectrum for r in reports]), roots, rel=1e-7, abs_floor=1e-7)
+            ok, worst = match_spectra(audit.spectra, characteristic_roots(audit.matrices), rel=1e-7, abs_floor=1e-7)
             matched, gaps = ok.tolist(), worst.tolist()
-        # reports run over exponents, then trials
-        for i, (report, agrees, gap) in enumerate(zip(reports, matched, gaps)):
+        columns = zip(audit.nuclear_trace.tolist(), audit.spectral_sum.tolist(), audit.defect.tolist(),
+                      audit.eigen_l1.tolist(), audit.quasi_norm.tolist(), audit.frobenius.tolist(),
+                      audit.passed.tolist(), matched, gaps)
+        # rows run over exponents, then trials
+        for i, (tr, ssum, defect, l1, qn, fro, passed, agrees, gap) in enumerate(columns):
             j, trial = divmod(i, len(rngs))
             per_trial[trial].append({
                 "trial": trial,
                 "n": n,
                 "p": cfg.p[j],
                 "s": exponents[j],
-                "nuclear_trace": report.nuclear_trace,
-                "spectral_sum": report.spectral_sum,
-                "defect": report.defect,
-                "eigen_l1": report.eigen_l1,
-                "quasi_norm": report.quasi_norm,
-                "ratio": report.ratio,
-                "frobenius": report.frobenius,
+                "nuclear_trace": tr,
+                "spectral_sum": ssum,
+                "defect": defect,
+                "eigen_l1": l1,
+                "quasi_norm": qn,
+                "ratio": None if qn == 0.0 else l1 / qn,
+                "frobenius": fro,
                 "oracle_gap": gap,
-                "pass": bool(report.passed and agrees),
+                "pass": passed and agrees,
             })
     return [rec for recs in per_trial for rec in recs]
 
 
 def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
+    """Audit the diagonal family lam_k = k**-beta at each entry of dims and call the ratio trend.
+
+    The first coefficient is 1, so no quasi-norm vanishes.  The verdict
+    is BOUNDED when the second half of the sweep's largest ratio of
+    eigenvalue mass to quasi-norm is at most _PROBE_GROWTH times the
+    first half's largest, UNBOUNDED otherwise.
+    """
     p = cfg.p[0]
     s = cfg.s if cfg.s is not None else trace_formula_exponent(p)
     beta = cfg.beta if cfg.beta is not None else 1.5
     index = NuclearIndex.absolutely_summable(s)
-
-    def generator(n: int) -> Representation:
+    records = []
+    for n in cfg.dims:
         space = AmbientSpace(n, p)
         lam = np.arange(1, n + 1, dtype=float) ** (-beta)
         eye = np.eye(n)
-        return Representation.from_arrays(lam, eye, eye, space, space)
-
-    probe = eigenvalue_type_probe(generator, index, cfg.dims)
-    out = []
-    for n, report in zip(probe.dims, probe.reports):
-        out.append(
-            {
-                "trial": trial,
-                "n": n,
-                "p": p,
-                "s": s,
-                "beta": beta,
-                "eigen_l1": report.eigen_l1,
-                "quasi_norm": report.quasi_norm,
-                "ratio": report.ratio,
-                "verdict": probe.verdict,
-                "pass": probe.verdict in ("BOUNDED", "SKIPPED"),
-            }
-        )
-    return out
+        audit = audit_trace_formula(Representation.from_arrays(lam, eye, eye, space, space), index)
+        l1, qn = audit.eigen_l1.item(), audit.quasi_norm.item()
+        records.append({"trial": trial, "n": n, "p": p, "s": s, "beta": beta,
+                        "eigen_l1": l1, "quasi_norm": qn, "ratio": l1 / qn})
+    ratios = [rec["ratio"] for rec in records]
+    split = (len(ratios) + 1) // 2
+    bounded = split == len(ratios) or max(ratios[split:]) <= _PROBE_GROWTH * max(ratios[:split])
+    verdict = "BOUNDED" if bounded else "UNBOUNDED"
+    return [{**rec, "verdict": verdict, "pass": bounded} for rec in records]
 
 
 def _run_approx(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:

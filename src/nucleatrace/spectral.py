@@ -14,8 +14,8 @@ of its single call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,15 +24,13 @@ from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
 from .nuclear import quasi_norm as representation_quasi_norm
 
 __all__ = [
-    "TraceAuditReport",
+    "TraceAudit",
     "SimilarityReport",
     "NilpotentReport",
-    "ProbeReport",
     "eigenvalues",
     "characteristic_roots",
     "match_spectra",
     "audit_trace_formula",
-    "eigenvalue_type_probe",
     "similarity_spectrum_check",
     "nilpotent_check",
     "trace_formula_exponent",
@@ -40,7 +38,6 @@ __all__ = [
 
 _ORACLE_DIM_LIMIT = 16
 _DK_MAX_ITERS = 500
-_PROBE_GROWTH = 1.05
 
 
 def _as_square(A, stack: bool = False) -> np.ndarray:
@@ -204,132 +201,78 @@ def match_spectra(u, v, rel: float = 1e-6, abs_floor: float = 1e-8) -> tuple[boo
     return matched.reshape(lead), worst.reshape(lead)
 
 
-@dataclass(frozen=True)
-class TraceAuditReport:
-    """Side-by-side of nuclear trace and spectral sum for one representation.
+@dataclass(frozen=True, eq=False)
+class TraceAudit:
+    """Nuclear trace against spectral sum, one row per audited representation.
 
-    `matrix` is the induced matrix and `spectrum` its sorted eigenvalues,
-    kept for cross-checks; neither takes part in comparisons.
+    Every field is an array with one row per representation, in order:
+    `matrices` (k, n, n) holds the induced matrices, `spectra` (k, n)
+    their sorted eigenvalues, and each other field is a (k,) column.
     """
 
-    nuclear_trace: float
-    spectral_sum: complex
-    defect: float
-    eigen_l1: float
-    quasi_norm: float
-    ratio: float | None
-    frobenius: float
-    passed: bool
-    matrix: np.ndarray = field(compare=False, repr=False)
-    spectrum: np.ndarray = field(compare=False, repr=False)
+    nuclear_trace: np.ndarray
+    spectral_sum: np.ndarray
+    defect: np.ndarray
+    eigen_l1: np.ndarray
+    quasi_norm: np.ndarray
+    frobenius: np.ndarray
+    passed: np.ndarray
+    matrices: np.ndarray
+    spectra: np.ndarray
 
 
 def audit_trace_formula(
-    z: Representation | Sequence[Representation],
-    index: NuclearIndex | Sequence[NuclearIndex],
+    reps: Representation | Sequence[Representation],
+    indices: NuclearIndex | Sequence[NuclearIndex],
     tolerance_scale: float = 1e-8,
-) -> TraceAuditReport | tuple[TraceAuditReport, ...]:
-    """Compare the nuclear trace against the eigenvalue sum.
+) -> TraceAudit:
+    """Compare the nuclear trace against the eigenvalue sum, row by row.
 
-    passed requires defect <= tolerance_scale * (1 + Frobenius norm of
-    the induced matrix).  ratio is the l_1 eigenvalue mass divided by the
-    quasi-norm, or None when the quasi-norm vanishes.
+    `reps` is one representation, single or a stack, with one index, or
+    a sequence of them with one index each; all are endomorphisms of one
+    dimension n, and their rows, in order, are the rows of the audit.  A
+    single representation is the stack of one.  The induced matrices go
+    through one eigenvalue call.
 
-    The stack form takes a sequence of representations, each single or a
-    stack, all endomorphisms of one dimension n, with one index for each,
-    and returns a tuple of one report per row, in order.  The induced
-    matrices form one (k, n, n) stack: one eigenvalue call, and row-wise
-    spectral sums and eigenvalue masses.  A single representation and
-    index give the report of the stack of one.
+    A row passes when its defect |trace - spectral sum| is at most
+    tolerance_scale times the Frobenius norm of its induced matrix; the
+    rule has no absolute floor, so no representation passes for being
+    scaled down.
     """
-    if isinstance(z, Representation):
-        if z.coefficients.ndim != 1:
-            raise ValueError("expected a single representation, not a stack")
-        return _audit_stack([z], [index], tolerance_scale)[0]
-    return _audit_stack(list(z), list(index), tolerance_scale)
-
-
-def _audit_stack(
-    reps: list[Representation], indices: list[NuclearIndex], tolerance_scale: float
-) -> tuple[TraceAuditReport, ...]:
-    """The reports of `audit_trace_formula` on a stack, in order."""
+    if isinstance(reps, Representation):
+        reps, indices = [reps], [indices]
+    reps, indices = list(reps), list(indices)
     if len(reps) != len(indices):
-        raise ValueError("a stack needs one index per representation")
+        raise ValueError("an audit needs one index per representation")
     if not reps:
-        return ()
+        raise ValueError("an audit needs at least one representation")
     n = reps[0].domain.dim
-    if any(r.domain.dim != n or r.codomain.dim != n for r in reps):
-        raise ValueError("a stack needs endomorphisms of one dimension")
-    # rows a:b of the stack are those of reps[i]: one, or all of a stack's
+    if any(z.domain.dim != n or z.codomain.dim != n for z in reps):
+        raise ValueError("an audit needs endomorphisms of one dimension")
+    traces = np.concatenate([np.ravel(nuclear_trace(z)) for z in reps])
+    quasi_norms = np.concatenate([np.ravel(representation_quasi_norm(z, idx)) for z, idx in zip(reps, indices)])
+    # filled one representation at a time, so only one of their induced stacks is held at once
     bounds = np.cumsum([0] + [math.prod(z.coefficients.shape[:-1]) for z in reps])
-    traces = np.empty(bounds[-1])
-    quasi_norms = np.empty(bounds[-1])
     mats = np.empty((bounds[-1], n, n))
-    for z, idx, a, b in zip(reps, indices, bounds, bounds[1:]):
-        traces[a:b] = np.ravel(nuclear_trace(z))
+    for z, a, b in zip(reps, bounds, bounds[1:]):
         mats[a:b] = induced_matrix(z).reshape(-1, n, n)
-        quasi_norms[a:b] = np.ravel(representation_quasi_norm(z, idx))
     spectra = eigenvalues(mats)
     sums = np.sum(spectra, axis=-1)
-    eigen_l1 = np.sum(np.abs(spectra), axis=-1)
-    reports = []
-    for i, M in enumerate(mats):
-        tr, ssum, qn, l1 = float(traces[i]), complex(sums[i]), float(quasi_norms[i]), float(eigen_l1[i])
-        defect = abs(tr - ssum)
-        # per matrix: np.linalg.norm over a stack sums the squares
-        # another way and can differ in the last bit
-        fro = float(np.linalg.norm(M))
-        reports.append(TraceAuditReport(
-            nuclear_trace=tr,
-            spectral_sum=ssum,
-            defect=float(defect),
-            eigen_l1=l1,
-            quasi_norm=qn,
-            ratio=None if qn == 0.0 else l1 / qn,
-            frobenius=fro,
-            passed=bool(defect <= tolerance_scale * (1.0 + fro)),
-            matrix=M,
-            spectrum=spectra[i],
-        ))
-    return tuple(reports)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Ratio sweep over a family of growing representations."""
-
-    dims: tuple[int, ...]
-    reports: tuple["TraceAuditReport", ...]
-    verdict: str
-
-
-def eigenvalue_type_probe(
-    generator: Callable[[int], Representation],
-    index: NuclearIndex,
-    dims: Sequence[int],
-) -> ProbeReport:
-    """Audit the family at each dimension and call the ratio trend.
-
-    The verdict is BOUNDED when the largest ratio over the second half of
-    the sweep does not exceed _PROBE_GROWTH (1.05) times the largest over the
-    first half, UNBOUNDED otherwise, and SKIPPED when every quasi-norm in
-    the sweep vanishes (each such dimension is marked with a None ratio).
-    """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) == 0:
-        raise ValueError("probe needs at least one dimension")
-    reports = tuple(audit_trace_formula(generator(n), index) for n in dims)
-    ratios = [r.ratio for r in reports]
-    usable = [(i, r) for i, r in enumerate(ratios) if r is not None]
-    if not usable:
-        verdict = "SKIPPED"
-    else:
-        split = (len(dims) + 1) // 2
-        first = [r for i, r in usable if i < split]
-        second = [r for i, r in usable if i >= split]
-        bounded = not (first and second) or max(second) <= _PROBE_GROWTH * max(first)
-        verdict = "BOUNDED" if bounded else "UNBOUNDED"
-    return ProbeReport(dims=dims, reports=reports, verdict=verdict)
+    defects = _modulus(traces - sums)
+    # per matrix: np.linalg.norm over a stack sums the squares
+    # another way and can differ in the last bit
+    fro = np.array([np.linalg.norm(M) for M in mats])
+    return TraceAudit(
+        nuclear_trace=traces,
+        spectral_sum=sums,
+        defect=defects,
+        eigen_l1=np.sum(np.abs(spectra), axis=-1),
+        quasi_norm=quasi_norms,
+        frobenius=fro,
+        passed=defects <= tolerance_scale * fro,
+        matrices=mats,
+        spectra=spectra,
+    )
 
 
 @dataclass(frozen=True)
@@ -378,16 +321,21 @@ class NilpotentReport:
 def nilpotent_check(A) -> NilpotentReport:
     """Verify spectrum and trace vanish when A squares to zero.
 
-    Matrices with ||A^2||_F > 0 are skipped rather than failed; the
-    check only speaks about genuinely 2-nilpotent input.
-    Both tests are relative to ||A||_F, with no absolute floor: |trace|
-    at most n eps ||A||_F, and every computed eigenvalue modulus at most
-    n sqrt(eps) ||A||_F, the rounding of a defective zero eigenvalue.
+    Matrices whose square has a nonzero entry are skipped rather than
+    failed, even where ||A^2||_F underflows to 0; the check only speaks
+    about genuinely 2-nilpotent input, and refuses NaN or infinite
+    entries.  Both tests are relative to ||A||_F, with no absolute floor:
+    |trace| at most n eps ||A||_F, and every computed eigenvalue modulus
+    at most n sqrt(eps) ||A||_F, the rounding of a defective zero
+    eigenvalue.
     """
     mat = _as_square(A)
-    sq_norm = float(np.linalg.norm(mat @ mat))
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("nilpotent check needs finite entries")
+    square = mat @ mat
+    sq_norm = float(np.linalg.norm(square))
     scale = float(np.linalg.norm(mat))
-    if sq_norm > 0.0:
+    if np.any(square):
         return NilpotentReport(
             applied=False,
             square_norm=sq_norm,

@@ -15,7 +15,6 @@ from nucleatrace import (
     Representation,
     Vector,
     build_approximant,
-    eigenvalue_type_probe,
     eigenvalues,
     factor_l1_lorentz,
     holder_product_bound,
@@ -137,25 +136,23 @@ def test_criterion_3_trace_formula_audit():
 
 
 def test_criterion_4_eigenvalue_type_probe():
-    index = NuclearIndex.absolutely_summable(2.0 / 3.0)
-
-    def gen(n):
-        space = AmbientSpace(n, 1.0)
-        lam = np.arange(1, n + 1, dtype=float) ** -1.5
-        eye = np.eye(n)
-        return Representation.from_arrays(lam, eye, eye, space, space)
-
     dims = (8, 16, 32, 64, 128, 256, 512)
-    probe = eigenvalue_type_probe(gen, index, dims)
-    ratios = [r.ratio for r in probe.reports]
+    rep = run(ExperimentConfig(subcommand="eigen-type", dims=dims, p=(1.0,)))
+    ratios = [r["ratio"] for r in rep.records]
     first_max = max(ratios[: (len(dims) + 1) // 2])
     upper = ratios[(len(dims) + 1) // 2 :]
-    ok = probe.verdict == "BOUNDED" and max(upper) <= 1.05 * first_max
+    verdict = rep.aggregate["verdict"]
+    ok = (
+        verdict == "BOUNDED"
+        and not rep.failed
+        and all(r["s"] == 2.0 / 3.0 and r["beta"] == 1.5 for r in rep.records)
+        and max(upper) <= 1.05 * first_max
+    )
     report(
         4,
         "eigenvalue-type probe",
         ok,
-        f"verdict {probe.verdict}, ratios {[round(r, 3) for r in ratios]}",
+        f"verdict {verdict}, ratios {[round(r, 3) for r in ratios]}",
     )
 
 

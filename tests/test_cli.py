@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import math
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nucleatrace import AmbientSpace, NuclearIndex, Representation, induced_matrix
+from nucleatrace import AmbientSpace, NuclearIndex, Representation, induced_matrix, nuclear_trace, quasi_norm
 from nucleatrace import experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
@@ -19,7 +21,6 @@ from nucleatrace.experiments import (
     run,
 )
 from nucleatrace.spectral import (
-    audit_trace_formula,
     characteristic_roots,
     eigenvalues,
     match_spectra,
@@ -273,22 +274,23 @@ def _draw_representation(rng, n, p):
 
 
 def _reference_trace_audit(cfg, trial, rng):
-    """trace-audit one trial at a time, one representation at a time."""
+    """trace-audit one trial at a time, one representation at a time, without the audit."""
     out = []
     scale = cfg.tolerance if cfg.tolerance is not None else 1e-8
     for n in cfg.dims:
         for p in cfg.p:
             s = cfg.s if cfg.s is not None else trace_formula_exponent(p)
             z = _draw_representation(rng, n, p)
-            report = audit_trace_formula(
-                z, NuclearIndex.absolutely_summable(s), tolerance_scale=scale
-            )
-            ok = report.passed
+            M = induced_matrix(z)
+            spectrum = eigenvalues(M)
+            tr, ssum = nuclear_trace(z), complex(np.sum(spectrum))
+            l1, qn = float(np.sum(np.abs(spectrum))), quasi_norm(z, NuclearIndex.absolutely_summable(s))
+            defect, fro = abs(tr - ssum), float(np.linalg.norm(M))
+            ok = defect <= scale * fro
             oracle_gap = None
             if n <= _ORACLE_CROSS_CHECK_DIM:
-                M = induced_matrix(z)
                 matched, worst = match_spectra(
-                    eigenvalues(M),
+                    spectrum,
                     characteristic_roots(M),
                     rel=1e-7,
                     abs_floor=1e-7,
@@ -300,13 +302,13 @@ def _reference_trace_audit(cfg, trial, rng):
                 "n": n,
                 "p": p,
                 "s": s,
-                "nuclear_trace": report.nuclear_trace,
-                "spectral_sum": report.spectral_sum,
-                "defect": report.defect,
-                "eigen_l1": report.eigen_l1,
-                "quasi_norm": report.quasi_norm,
-                "ratio": report.ratio,
-                "frobenius": report.frobenius,
+                "nuclear_trace": tr,
+                "spectral_sum": ssum,
+                "defect": defect,
+                "eigen_l1": l1,
+                "quasi_norm": qn,
+                "ratio": None if qn == 0.0 else l1 / qn,
+                "frobenius": fro,
                 "oracle_gap": oracle_gap,
                 "pass": bool(ok),
             })
@@ -504,6 +506,22 @@ class TestCli:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["aggregate"]["verdict"] == "BOUNDED"
+
+    def test_eigen_type_unbounded_exits_1(self, runner):
+        result = runner.invoke(main, ["eigen-type", "--dims", "512,8", "--p", "1"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["aggregate"]["verdict"] == "UNBOUNDED"
+
+    def test_trace_audit_csv_has_complex_spectral_sums(self, runner):
+        result = invoke(runner, ["trace-audit", "--trials", "2", "--dims", "4,8", "--p", "1,inf", "--format", "csv"])
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        records = run(ExperimentConfig(subcommand="trace-audit", trials=2, dims=(4, 8), p=(1.0, math.inf))).records
+        assert len(rows) == len(records) == 8
+        for row, rec in zip(rows, records):
+            assert json.loads(row["spectral_sum"]) == [rec["spectral_sum"].real, rec["spectral_sum"].imag]
+            assert float(row["ratio"]) == rec["ratio"] and row["pass"] == "True"
 
     def test_repeat_invocations_byte_identical(self, runner):
         args = ["factorize", "--trials", "2", "--truncation", "256", "--seed", "11"]

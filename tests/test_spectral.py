@@ -15,7 +15,6 @@ from nucleatrace import (
     Representation,
     audit_trace_formula,
     characteristic_roots,
-    eigenvalue_type_probe,
     eigenvalues,
     induced_matrix,
     match_spectra,
@@ -286,20 +285,20 @@ class TestStackedMatch:
 class TestAuditTraceFormula:
     def test_diagonal_rep(self):
         z = diag_rep([0.5, 1.0 / 3.0], L2(2))
-        report = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
-        assert report.nuclear_trace == pytest.approx(5.0 / 6.0, rel=1e-15)
-        assert report.spectral_sum.real == pytest.approx(5.0 / 6.0, rel=1e-12)
-        assert report.defect <= 1e-12
-        assert report.passed
+        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
+        assert audit.nuclear_trace[0] == pytest.approx(5.0 / 6.0, rel=1e-15)
+        assert audit.spectral_sum[0].real == pytest.approx(5.0 / 6.0, rel=1e-12)
+        assert audit.defect[0] <= 1e-12
+        assert audit.passed.tolist() == [True]
 
     def test_nilpotent_atom(self):
         sp = L2(2)
         z = Representation.from_arrays([1.0], [[1.0, 0.0]], [[0.0, 1.0]], sp, sp)
-        report = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
-        assert report.nuclear_trace == 0.0
-        assert report.spectral_sum == 0.0 + 0.0j
-        assert report.defect == 0.0
-        assert report.passed
+        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
+        assert audit.nuclear_trace.tolist() == [0.0]
+        assert audit.spectral_sum.tolist() == [0.0 + 0.0j]
+        assert audit.defect.tolist() == [0.0]
+        assert audit.passed.tolist() == [True]
 
     def test_random_rank3_with_oracle(self):
         rng = np.random.default_rng(42)
@@ -313,10 +312,11 @@ class TestAuditTraceFormula:
             space,
         )
         s = trace_formula_exponent(4.0)
-        report = audit_trace_formula(z, NuclearIndex.absolutely_summable(s))
-        assert report.defect <= 1e-8 * (1.0 + report.frobenius)
-        assert report.passed
+        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(s))
+        assert audit.defect[0] <= 1e-8 * audit.frobenius[0]
+        assert audit.passed.tolist() == [True]
         M = induced_matrix(z)
+        np.testing.assert_array_equal(audit.matrices, [M])
         matched, _ = match_spectra(
             eigenvalues(M),
             characteristic_roots(M),
@@ -326,12 +326,41 @@ class TestAuditTraceFormula:
         assert matched
 
     def test_zero_rep_has_no_ratio(self):
+        # the quasi-norm vanishes, so trace-audit writes no ratio; a zero
+        # defect passes against a zero Frobenius norm
         sp = L2(2)
         z = Representation.from_arrays([0.0], np.eye(2)[:1], np.eye(2)[:1], sp, sp)
-        report = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
-        assert report.quasi_norm == 0.0
-        assert report.ratio is None
-        assert report.passed
+        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
+        assert audit.quasi_norm.tolist() == [0.0]
+        assert audit.defect.tolist() == audit.frobenius.tolist() == [0.0]
+        assert audit.passed.tolist() == [True]
+
+    def test_columns_of_a_single_representation(self):
+        z = diag_rep([0.5, 0.25, 0.125], L2(3))
+        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
+        for name in ("nuclear_trace", "spectral_sum", "defect", "eigen_l1", "quasi_norm", "frobenius", "passed"):
+            assert getattr(audit, name).shape == (1,)
+        assert audit.spectral_sum.dtype == complex and audit.passed.dtype == bool
+        assert audit.matrices.shape == (1, 3, 3) and audit.spectra.shape == (1, 3)
+        np.testing.assert_array_equal(audit.spectra, [[0.5, 0.25, 0.125]])
+        assert audit.eigen_l1.tolist() == [0.875]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rule_is_scale_invariant(self, seed):
+        # a power-of-two scale leaves the defect relative to the Frobenius
+        # norm about where it was, a few 1e-16, so the verdict may not
+        # change with it; an absolute floor would pass the scaled copy
+        rng = np.random.default_rng([17, seed])
+        space = AmbientSpace(6, 1.5)
+        lam = np.sort(rng.uniform(0.1, 1.0, 6))[::-1]
+        F, X = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
+        idx = NuclearIndex.absolutely_summable(0.75)
+        big, tiny = (
+            audit_trace_formula(Representation(c * lam, F, X, space, space), idx, tolerance_scale=1e-17)
+            for c in (1.0, 2.0 ** -60)
+        )
+        np.testing.assert_array_equal(tiny.matrices, 2.0 ** -60 * big.matrices)
+        assert tiny.passed.tolist() == big.passed.tolist() == [False]
 
 
 def _rank_deficient(rng, n, p):
@@ -413,14 +442,12 @@ class TestStackForms:
                     indices.append(NuclearIndex.absolutely_summable(s))
         indices[1] = NuclearIndex.lorentz(0.5, 2.0)
         indices[2] = NuclearIndex.bracket_upper(1.0, 1.5)
-        reports = audit_trace_formula(reps, indices, tolerance_scale=1e-9)
+        audit = audit_trace_formula(reps, indices, tolerance_scale=1e-9)
         singles = [audit_trace_formula(z, i, tolerance_scale=1e-9) for z, i in zip(reps, indices)]
-        assert reports == tuple(singles)
-        for r, one, z in zip(reports, singles, reps):
-            M = induced_matrix(z)
-            np.testing.assert_array_equal(r.matrix, M)
-            np.testing.assert_array_equal(r.spectrum, one.spectrum)
-            assert r.frobenius == np.linalg.norm(M) and r.nuclear_trace == nuclear_trace(z)
+        _assert_rows_of(audit, singles)
+        np.testing.assert_array_equal(audit.matrices, [induced_matrix(z) for z in reps])
+        assert audit.frobenius.tolist() == [np.linalg.norm(induced_matrix(z)) for z in reps]
+        assert audit.nuclear_trace.tolist() == [nuclear_trace(z) for z in reps]
 
     def test_audit_of_stacks_gives_each_rows_report(self):
         rng = np.random.default_rng(8)
@@ -439,11 +466,9 @@ class TestStackForms:
             indices.append(idx)
             for l, f, x in zip(lam.reshape(-1, atoms), F.reshape(-1, atoms, 4), X.reshape(-1, atoms, 4)):
                 rows.append(audit_trace_formula(Representation(l, f, x, space, space), idx))
-        reports = audit_trace_formula(reps, indices)
-        assert reports == tuple(rows)
-        for r, one in zip(reports, rows):
-            np.testing.assert_array_equal(r.matrix, one.matrix)
-            np.testing.assert_array_equal(r.spectrum, one.spectrum)
+        _assert_rows_of(audit_trace_formula(reps, indices), rows)
+        # a stack on its own is the sequence of one
+        _assert_rows_of(audit_trace_formula(reps[2], indices[2]), rows[4:8])
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_audit_stack_frobenius_is_each_matrix_norm(self, n):
@@ -456,8 +481,8 @@ class TestStackForms:
             )
             for _ in range(40)
         ]
-        reports = audit_trace_formula(reps, [NuclearIndex.absolutely_summable(0.75)] * 40)
-        assert [r.frobenius for r in reports] == [np.linalg.norm(induced_matrix(z)) for z in reps]
+        audit = audit_trace_formula(reps, [NuclearIndex.absolutely_summable(0.75)] * 40)
+        assert audit.frobenius.tolist() == [np.linalg.norm(induced_matrix(z)) for z in reps]
 
     def test_audit_stack_validation(self):
         rng = np.random.default_rng(6)
@@ -468,16 +493,26 @@ class TestStackForms:
             )
             for n in (4, 3)
         )
-        assert audit_trace_formula([], []) == ()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one"):
+            audit_trace_formula([], [])
+        with pytest.raises(ValueError, match="one index per"):
             audit_trace_formula([z4, z4], [idx])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one dimension"):
             audit_trace_formula([z4, z3], [idx, idx])
         stack = Representation(np.ones((2, 1)), np.stack([z4.F, z4.F]), np.stack([z4.X, z4.X]), L2(4), L2(4))
-        with pytest.raises(ValueError):
-            audit_trace_formula(stack, idx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one dimension"):
             audit_trace_formula([stack, z3], [idx, idx])
+        rect = Representation.from_arrays([1.0], np.ones((1, 3)), np.ones((1, 4)), L2(3), L2(4))
+        with pytest.raises(ValueError, match="one dimension"):
+            audit_trace_formula(rect, idx)
+
+
+def _assert_rows_of(audit, singles):
+    """Each row of `audit` holds the bits of the single audit in its place."""
+    for name in ("nuclear_trace", "spectral_sum", "defect", "eigen_l1", "quasi_norm", "frobenius", "passed",
+                 "matrices", "spectra"):
+        column, rows = getattr(audit, name), np.concatenate([getattr(one, name) for one in singles])
+        assert column.shape == rows.shape and column.tobytes() == rows.tobytes()
 
 
 def _reference_durand_kerner(coeffs, cap):
@@ -566,56 +601,35 @@ class TestCycleExit:
 
 
 class TestEigenvalueTypeProbe:
+    """eigen-type: the diagonal family k**-beta audited at each dimension."""
+
     def test_power_diagonal_on_l1(self):
-        index = NuclearIndex.absolutely_summable(2.0 / 3.0)
-
-        def gen(n):
-            space = AmbientSpace(n, 1.0)
-            lam = np.arange(1, n + 1, dtype=float) ** -1.5
-            eye = np.eye(n)
-            return Representation.from_arrays(lam, eye, eye, space, space)
-
-        probe = eigenvalue_type_probe(gen, index, [8, 16, 32, 64, 128, 256, 512])
-        assert probe.verdict == "BOUNDED"
-        assert len(probe.reports) == 7
-        ratios = [r.ratio for r in probe.reports]
-        assert all(r is not None for r in ratios)
+        report = run(ExperimentConfig(subcommand="eigen-type", dims=(8, 16, 32, 64, 128, 256, 512), p=(1.0,)))
+        assert report.aggregate["verdict"] == "BOUNDED"
+        assert len(report.records) == 7
+        assert all(r["s"] == 2.0 / 3.0 and r["beta"] == 1.5 for r in report.records)
+        ratios = [r["ratio"] for r in report.records]
         # the ratio sequence decreases for this family
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
     def test_quadratic_diagonal_on_l2(self):
-        index = NuclearIndex.absolutely_summable(1.0)
+        report = run(ExperimentConfig(subcommand="eigen-type", dims=(8, 16, 32, 64), p=(2.0,), beta=2.0))
+        assert [r["s"] for r in report.records] == [1.0] * 4
+        assert report.aggregate["verdict"] == "BOUNDED"
 
-        def gen(n):
-            space = AmbientSpace(n, 2.0)
-            lam = np.arange(1, n + 1, dtype=float) ** -2.0
-            eye = np.eye(n)
-            return Representation.from_arrays(lam, eye, eye, space, space)
+    def test_ratios_that_grow_are_unbounded(self):
+        report = run(ExperimentConfig(subcommand="eigen-type", dims=(512, 8), p=(1.0,)))
+        assert report.aggregate["verdict"] == "UNBOUNDED"
+        assert [round(r["ratio"], 4) for r in report.records] == [0.1418, 0.4300]
+        assert [r["pass"] for r in report.records] == [False, False]
 
-        probe = eigenvalue_type_probe(gen, index, [8, 16, 32, 64])
-        assert probe.verdict == "BOUNDED"
-
-    def test_zero_family_skipped(self):
-        index = NuclearIndex.absolutely_summable(0.5)
-
-        def gen(n):
-            space = AmbientSpace(n, 2.0)
-            return Representation.from_arrays(
-                [0.0], np.eye(n)[:1], np.eye(n)[:1], space, space
-            )
-
-        probe = eigenvalue_type_probe(gen, index, [2, 4, 8])
-        assert probe.verdict == "SKIPPED"
-        assert all(r.ratio is None for r in probe.reports)
-        assert all(r.quasi_norm == 0.0 for r in probe.reports)
+    def test_one_dimension_is_bounded(self):
+        report = run(ExperimentConfig(subcommand="eigen-type", dims=(8,), p=(1.0,)))
+        assert report.aggregate["verdict"] == "BOUNDED" and report.records[0]["pass"]
 
     def test_empty_dims_rejected(self):
-        with pytest.raises(ValueError):
-            eigenvalue_type_probe(
-                lambda n: diag_rep([1.0], L2(n)),
-                NuclearIndex.absolutely_summable(1.0),
-                [],
-            )
+        with pytest.raises(ValueError, match="dims"):
+            ExperimentConfig(subcommand="eigen-type", dims=())
 
 
 class TestSimilarity:
@@ -671,8 +685,23 @@ class TestNilpotentCheck:
 
     def test_no_tolerance_option(self):
         assert list(inspect.signature(nilpotent_check).parameters) == ["A"]
-        assert "growth_factor" not in inspect.signature(eigenvalue_type_probe).parameters
         assert not nilpotent_check(np.eye(2)).applied
+
+    def test_tiny_shift_is_not_2_nilpotent(self):
+        # the square's one nonzero entry, 1e-320, underflows in its norm
+        shift = 1e-160 * np.diag(np.ones(2), 1)
+        assert (shift @ shift)[0, 2] > 0.0 and np.linalg.norm(shift @ shift) == 0.0
+        report = nilpotent_check(shift)
+        assert not report.applied and report.passed is None
+        assert report.note == "not 2-nilpotent, skipped"
+        # at 1e-150 the square is a normal number, and the label was right already
+        assert not nilpotent_check(1e-150 * np.diag(np.ones(2), 1)).applied
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        for mat in (np.array([[bad]]), np.array([[0.0, bad], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, bad]])):
+            with pytest.raises(ValueError, match="finite"):
+                nilpotent_check(mat)
 
     def test_shift_skipped(self):
         shift = np.diag(np.ones(4), 1)  # 5x5, squares to nonzero
