@@ -172,28 +172,40 @@ class ExperimentConfig:
 
 
 def _jsonable(obj):
-    """Recursively convert report values to deterministic JSON-safe types."""
+    """Recursively convert report values to deterministic JSON-safe types.
+
+    Non-finite floats become "inf", "-inf" and "nan", complex numbers
+    [real, imag] pairs, numpy scalars and arrays their Python values.
+    Runners hand over Python scalars almost everywhere, so the exact
+    built-in types are tested first.
+    """
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else str(obj)
+    if kind is int or kind is bool or kind is str or obj is None:
+        return obj
+    if kind is complex:
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if isinstance(obj, (str, int, bool)) or obj is None:
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return _jsonable(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _jsonable(complex(obj))
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, (str, int)):
         return obj
     return str(obj)
+
+
+def _compact_json(obj) -> str:
+    """One line, sorted keys, no spaces: the C encoder's fast path."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -217,12 +229,13 @@ class RunReport:
         )
 
     def body_text(self) -> str:
-        return json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
+        return _compact_json(self.body())
 
     def to_json_text(self) -> str:
+        """The body plus ``wall_time_s``, as one line in `body_text`'s layout."""
         full = self.body()
         full["wall_time_s"] = self.wall_time_s
-        return json.dumps(full, sort_keys=True, indent=2)
+        return _compact_json(full)
 
     def to_csv_text(self) -> str:
         records = [_jsonable(r) for r in self.records]

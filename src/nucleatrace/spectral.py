@@ -328,23 +328,36 @@ def nilpotent_check(A) -> NilpotentReport:
     |trace| at most n eps ||A||_F, and every computed eigenvalue modulus
     at most n sqrt(eps) ||A||_F, the rounding of a defective zero
     eigenvalue.
+
+    A is squared, and its trace and both norms taken, after scaling by
+    the power of two that brings max|A| into [1/2, 1), so large entries do
+    not overflow before they cancel; the scaling is exact unless a nonzero
+    entry lies below 2^-1021 max|A|, where its scaled value is subnormal.
+    Each product of the square is rounded on its own before the sum, so
+    products that are exact negatives cancel exactly, as they need not in
+    A @ A when BLAS fuses a multiply with an add.
     """
     mat = _as_square(A)
     if not np.all(np.isfinite(mat)):
         raise ValueError("nilpotent check needs finite entries")
-    square = mat @ mat
-    sq_norm = float(np.linalg.norm(square))
-    scale = float(np.linalg.norm(mat))
+    exp = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
+    unit = np.ldexp(mat, -exp)
+    square = np.empty_like(unit)
+    for i, row in enumerate(unit):
+        square[i] = np.sum(row[:, None] * unit, axis=0)
+    with np.errstate(over="ignore"):  # a value beyond the double range reads inf
+        sq_norm = float(np.ldexp(np.linalg.norm(square), 2 * exp))
+        scale = float(np.ldexp(np.linalg.norm(unit), exp))
+        tr = float(np.ldexp(np.trace(unit), exp))
     if np.any(square):
         return NilpotentReport(
             applied=False,
             square_norm=sq_norm,
-            trace=float(np.trace(mat)),
+            trace=tr,
             max_modulus=float("nan"),
             passed=None,
             note="not 2-nilpotent, skipped",
         )
-    tr = float(np.trace(mat))
     max_mod = float(np.max(np.abs(eigenvalues(mat)), initial=0.0))
     n, eps = mat.shape[0], np.finfo(float).eps
     passed = bool(abs(tr) <= n * eps * scale and max_mod <= n * math.sqrt(eps) * scale)

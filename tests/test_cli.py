@@ -264,6 +264,37 @@ class TestDeterminism:
         assert "wall_time_s" not in report.body()
         assert "wall_time_s" in json.loads(report.to_json_text())
 
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_json_text_is_the_body_on_one_line(self, name):
+        report = run(ExperimentConfig(subcommand=name))
+        text = report.to_json_text()
+        assert "\n" not in text
+        full = json.loads(text)
+        assert isinstance(full.pop("wall_time_s"), float)
+        assert json.dumps(full, sort_keys=True, separators=(",", ":")) == report.body_text()
+
+
+class TestJsonable:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (0.25, 0.25),
+            (np.float64(-math.inf), "-inf"), (np.float32(0.1), float(np.float32(0.1))),
+            (2.0 - 1.5j, [2.0, -1.5]), (complex(math.inf, math.nan), ["inf", "nan"]),
+            (np.complex128(1j), [0.0, 1.0]), (np.complex64(0.5 - 2j), [0.5, -2.0]),
+            (np.int64(-7), -7), (np.uint8(200), 200), (np.bool_(True), True), (np.bool_(False), False),
+            (True, True), (3, 3), ("x", "x"), (None, None),
+            ((1, 2.5, (math.nan,)), [1, 2.5, ["nan"]]),
+            (np.array(1.5), 1.5), (np.array(np.nan), "nan"),
+            (np.array([[1.0, math.inf], [0.0, -2.0]]), [[1.0, "inf"], [0.0, -2.0]]),
+            (np.array([1j, 2]), [[0.0, 1.0], [2.0, 0.0]]), (np.array([True, False]), [True, False]),
+            ({"a": {"b": (np.int64(1), math.nan)}, 3: [np.bool_(False)]}, {"a": {"b": [1, "nan"]}, "3": [False]}),
+        ],
+    )
+    def test_values(self, value, expected):
+        # json text tells True from 1 and 1.0 from 1
+        assert json.dumps(_jsonable(value)) == json.dumps(expected)
+
 
 def _draw_representation(rng, n, p):
     space = AmbientSpace(n, p)

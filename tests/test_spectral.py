@@ -1,6 +1,7 @@
 import inspect
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -694,6 +695,7 @@ class TestNilpotentCheck:
         report = nilpotent_check(shift)
         assert not report.applied and report.passed is None
         assert report.note == "not 2-nilpotent, skipped"
+        assert report.square_norm > 0.0  # the norm is taken at unit scale
         # at 1e-150 the square is a normal number, and the label was right already
         assert not nilpotent_check(1e-150 * np.diag(np.ones(2), 1)).applied
 
@@ -717,6 +719,16 @@ class TestNilpotentCheck:
         report = nilpotent_check(mat)
         assert report.applied
         assert report.trace == 0.0
+        assert report.passed
+
+    @pytest.mark.parametrize("scale", [1e200, 0.1, 1e-200])
+    def test_square_zero_at_any_scale_passes_without_warning(self, scale):
+        # the products cancel only in pairs: 1e200**2 overflows, and 0.1**2
+        # leaves a rounding error behind when fused with its negative
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = nilpotent_check(scale * np.outer([1.0, 1.0], [1.0, -1.0]))
+        assert report.applied and report.square_norm == 0.0 and report.trace == 0.0
         assert report.passed
 
     def test_outer_product_square_zero(self):
