@@ -318,6 +318,28 @@ class NilpotentReport:
     note: str
 
 
+def _exact_square(mat: np.ndarray) -> tuple[bool, float]:
+    """Whether mat @ mat has a nonzero entry, and its Frobenius norm.
+
+    Every finite double is an integer below 2^53 times 2^(e - 53), so mat
+    is 2^(low - 53) times an integer matrix, low the least frexp exponent
+    of its entries.  That matrix is squared in Python integers, which
+    decides the zero test with nothing rounded; only the norm is rounded,
+    taken at the scale of the largest entry of the square and reading inf
+    beyond the double range.
+    """
+    mant, exps = np.frexp(mat)
+    low = int(np.min(exps, initial=0))
+    ints = np.ldexp(mant, 53).astype(np.int64).astype(object) << (exps - low).astype(object)
+    square = ints @ ints
+    top = max((abs(s).bit_length() for s in square.flat), default=0)
+    if top == 0:
+        return False, 0.0
+    unit = np.array([s / (1 << top) for s in square.flat])
+    with np.errstate(over="ignore"):
+        return True, float(np.ldexp(np.linalg.norm(unit), top + 2 * (low - 53)))
+
+
 def nilpotent_check(A) -> NilpotentReport:
     """Verify spectrum and trace vanish when A squares to zero.
 
@@ -329,27 +351,22 @@ def nilpotent_check(A) -> NilpotentReport:
     at most n sqrt(eps) ||A||_F, the rounding of a defective zero
     eigenvalue.
 
-    A is squared, and its trace and both norms taken, after scaling by
-    the power of two that brings max|A| into [1/2, 1), so large entries do
-    not overflow before they cancel; the scaling is exact unless a nonzero
-    entry lies below 2^-1021 max|A|, where its scaled value is subnormal.
-    Each product of the square is rounded on its own before the sum, so
-    products that are exact negatives cancel exactly, as they need not in
-    A @ A when BLAS fuses a multiply with an add.
+    Whether A^2 is zero is decided exactly, in integers (see
+    `_exact_square`), so no overflow, underflow or rounding of the square
+    can turn a nonzero entry into zero or the reverse.  The trace and
+    ||A||_F are taken after scaling by the power of two that brings max|A|
+    into [1/2, 1), so large entries do not overflow before they cancel.
     """
     mat = _as_square(A)
     if not np.all(np.isfinite(mat)):
         raise ValueError("nilpotent check needs finite entries")
+    nonzero, sq_norm = _exact_square(mat)
     exp = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
     unit = np.ldexp(mat, -exp)
-    square = np.empty_like(unit)
-    for i, row in enumerate(unit):
-        square[i] = np.sum(row[:, None] * unit, axis=0)
     with np.errstate(over="ignore"):  # a value beyond the double range reads inf
-        sq_norm = float(np.ldexp(np.linalg.norm(square), 2 * exp))
         scale = float(np.ldexp(np.linalg.norm(unit), exp))
         tr = float(np.ldexp(np.trace(unit), exp))
-    if np.any(square):
+    if nonzero:
         return NilpotentReport(
             applied=False,
             square_norm=sq_norm,

@@ -731,6 +731,30 @@ class TestNilpotentCheck:
         assert report.applied and report.square_norm == 0.0 and report.trace == 0.0
         assert report.passed
 
+    def test_wide_range_square_is_not_lost(self):
+        # the square is the identity; scaling to max|A| alone would flush
+        # the 1e-200 entry and read the square as zero
+        report = nilpotent_check(np.array([[0.0, 1e200], [1e-200, 0.0]]))
+        assert not report.applied and report.passed is None
+        assert report.square_norm == pytest.approx(math.sqrt(2.0))
+        # a square-zero matrix with the same spread is still applied
+        wide = np.zeros((4, 4))
+        wide[0, 1], wide[2, 3] = 1e300, 1e-300
+        assert nilpotent_check(wide).applied
+
+    def test_square_rounding_to_zero_is_not_2_nilpotent(self):
+        # (A^2)[0, 2] = a^2 - b = 2^-104 exactly, but a * a rounds to b
+        a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        mat = np.zeros((4, 4))
+        mat[0, 1], mat[1, 2], mat[0, 3], mat[3, 2] = a, a, -b, 1.0
+        assert a * a - b == 0.0
+        report = nilpotent_check(mat)
+        assert not report.applied
+        assert report.square_norm == 2.0 ** -104
+
+    def test_empty_matrix_passes(self):
+        assert nilpotent_check(np.zeros((0, 0))).passed
+
     def test_outer_product_square_zero(self):
         # not triangular, so eigvals returns +-2.0e-8 rather than exact zeros
         report = nilpotent_check(np.outer([1.0, 2.0, 3.0], [3.0, 0.0, -1.0]))
