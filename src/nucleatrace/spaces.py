@@ -51,6 +51,8 @@ class AmbientSpace:
     exponent: float
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise ValueError("dim must be an integer")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         object.__setattr__(self, "exponent", _check_exponent(self.exponent))
@@ -293,9 +295,14 @@ def operator_brackets(
     method, run on the whole stack at once from 15 starts per matrix for
     at most 60 steps, ending early once its iterate repeats exactly.  The
     upper end is the least of the exact routes inflated by dimension
-    factors and, for p -> p, the Riesz-Thorin bound.
+    factors and, for p -> p, the Riesz-Thorin bound.  Input below 2-d
+    or with a NaN or infinite entry is refused.
     """
     mats = np.asarray(mats, dtype=float)
+    if mats.ndim < 2:
+        raise ValueError("expected a matrix or a stack of them")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must be finite")
     stack = mats.shape[:-2]
     flat = mats.reshape((-1,) + mats.shape[-2:])
     exact = _exact_norm(flat, p_in, p_out)

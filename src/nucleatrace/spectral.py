@@ -1,15 +1,19 @@
 """Eigenvalue extraction and trace-formula audits.
 
 Eigenvalues come from LAPACK's balanced Hessenberg reduction with
-shifted QR iteration (numpy.linalg.eigvals).  A slow independent check
-is provided for small matrices: characteristic polynomial coefficients
-by the Faddeev-LeVerrier recursion and roots by Durand-Kerner iteration,
-sharing no code with the LAPACK path.
+shifted QR iteration (numpy.linalg.eigvals).  A cross-check is provided
+for small matrices: characteristic polynomial coefficients by the
+Faddeev-LeVerrier recursion, in plain matrix products with no LAPACK
+call, and their roots as the eigenvalues of each polynomial's companion
+matrix, as numpy.roots takes them (backward stable for the polynomial;
+Edelman and Murakami, Math. Comp. 64, 1995).  So the polynomial is
+independent of the LAPACK path, but the root step runs that same
+eigenvalue solver on a different matrix.
 
 `eigenvalues`, `characteristic_roots`, `match_spectra` and
 `audit_trace_formula` also take stacks and work on all of them at once;
 each single form is the stack of one, so a row of a stack gives the bits
-of its single call.
+of its single call.  A matrix with a NaN or infinite entry is refused.
 """
 from __future__ import annotations
 
@@ -37,14 +41,15 @@ __all__ = [
 ]
 
 _ORACLE_DIM_LIMIT = 16
-_DK_MAX_ITERS = 500
 
 
 def _as_square(A, stack: bool = False) -> np.ndarray:
-    """A square matrix as a float array, or with `stack` a stack (..., n, n) of them."""
+    """A finite square matrix as a float array, or with `stack` a stack (..., n, n) of them."""
     mat = np.asarray(A, dtype=float)
     if mat.ndim < 2 or (mat.ndim > 2 and not stack) or mat.shape[-1] != mat.shape[-2]:
         raise ValueError("expected a square matrix" + (" or a stack of them" if stack else ""))
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix entries must be finite")
     return mat
 
 
@@ -81,88 +86,31 @@ def _char_poly_coeffs(mat: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of each monic polynomial of a stack (k, n + 1) by simultaneous iteration.
-
-    The polynomials iterate together, and each leaves the iteration after
-    its own step that moves no root by more than 1e-16 (1 + max |root|),
-    or after _DK_MAX_ITERS steps, so each gets the roots of iterating it
-    alone.
-
-    A step is a fixed map of a polynomial's own roots, so once its roots
-    repeat an earlier step's bit for bit, with period m, they cycle: the
-    stop test, silent for a whole period, never fires, and the roots at
-    the cap are those m steps back.  Such a row leaves after only
-    (cap - step) mod m more steps, with the roots it would have at the
-    cap.  Repeats are found as in Brent's cycle detection: the roots
-    after each step are compared with those saved at the last step that
-    was a power of two.
-    """
-    k, n = coeffs.shape[0], coeffs.shape[-1] - 1
-    if n == 0:
-        return np.zeros((k, 0), dtype=complex)
-    radius = 1.0 + np.max(np.abs(coeffs[:, 1:]), axis=-1)
-    j = np.arange(n)
-    W = radius[:, None] * np.exp(2j * np.pi * (j + 0.25) / n)
-    C = coeffs.astype(complex)
-    live = np.arange(k)
-    cap = _DK_MAX_ITERS
-    # the bits of each live row's roots at step `saved_step`, row for row with `live`
-    saved, saved_step = W.copy().view(np.int64), 0
-    last_step = None
-    for step in range(1, cap + 1):
-        w, c = W[live], C[live]
-        pw = np.zeros_like(w)
-        for i in range(n + 1):
-            pw = pw * w + c[:, i, None]
-        D = w[:, :, None] - w[:, None, :]
-        D[:, j, j] = 1.0
-        delta = pw / np.prod(D, axis=-1)
-        w = w - delta
-        W[live] = w
-        done = np.max(np.abs(delta), axis=-1) <= 1e-16 * (1.0 + np.max(np.abs(w), axis=-1))
-        bits = w.view(np.int64)
-        # a repeat needs the first root's real part to repeat; most steps stop there
-        first = bits[:, 0] == saved[:, 0]
-        if np.count_nonzero(first):
-            rows = live[first & np.all(bits == saved, axis=-1)]
-            if rows.size:
-                if last_step is None:
-                    last_step = np.full(k, cap)
-                last_step[rows] = np.minimum(last_step[rows], step + (cap - step) % (step - saved_step))
-        if last_step is not None:
-            done |= last_step[live] == step
-        if step & (step - 1) == 0:
-            saved, saved_step = bits, step
-        if np.count_nonzero(done):
-            live, saved = live[~done], saved[~done]
-            if live.size == 0:
-                break
-    return W
-
-
 def characteristic_roots(A) -> np.ndarray:
-    """Independent small-matrix spectrum via char poly plus root finding.
+    """Small-matrix spectrum via char poly plus companion-matrix roots.
 
     Intended as a cross-check for dimension at most 8; refuses beyond 16
     where the recursion loses too many digits to be a useful oracle.  A
     stack (..., n, n) gives the sorted roots of each matrix, shape
-    (..., n), from one recursion and one root iteration over the stack;
-    a zero matrix has zero roots, and a NaN or infinite entry is refused.
+    (..., n), from one recursion and one eigenvalue call over the stack.
+    Each matrix is scaled by its largest entry first, and a zero matrix
+    has exact zero roots.
     """
     mat = _as_square(A, stack=True)
     n = mat.shape[-1]
     if n > _ORACLE_DIM_LIMIT:
         raise ValueError("characteristic oracle is limited to dim <= 16")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("characteristic oracle needs finite entries")
     flat = mat.reshape((math.prod(mat.shape[:-2]), n, n))
     scale = np.max(np.abs(flat), axis=(-2, -1), initial=0.0)
     roots = np.zeros(flat.shape[:-1], dtype=complex)
     live = scale > 0.0
     if np.any(live):
         s = scale[live]
-        roots[live] = _durand_kerner(_char_poly_coeffs(flat[live] / s[:, None, None])) * s[:, None]
+        coeffs = _char_poly_coeffs(flat[live] / s[:, None, None])
+        # companion of x^n + c[1] x^(n-1) + ... + c[n]: first row -c[1:], ones below the diagonal
+        companion = np.repeat(np.eye(n, k=-1)[None], len(s), axis=0)
+        companion[:, 0] = -coeffs[:, 1:]
+        roots[live] = np.linalg.eigvals(companion) * s[:, None]
     return _sort_spectrum(roots.reshape(mat.shape[:-1]))
 
 
@@ -237,8 +185,10 @@ def audit_trace_formula(
     A row passes when its defect |trace - spectral sum| is at most
     tolerance_scale times the Frobenius norm of its induced matrix; the
     rule has no absolute floor, so no representation passes for being
-    scaled down.
+    scaled down.  tolerance_scale must be finite and non-negative.
     """
+    if not 0.0 <= tolerance_scale < math.inf:
+        raise ValueError("tolerance_scale must be finite and non-negative")
     if isinstance(reps, Representation):
         reps, indices = [reps], [indices]
     reps, indices = list(reps), list(indices)
@@ -290,11 +240,13 @@ def similarity_spectrum_check(A, B) -> SimilarityReport:
 
     The smaller spectrum is padded with exact zeros before greedy
     matching, so rectangular pairs compare cleanly without a zero
-    threshold.
+    threshold.  NaN or infinite entries are refused.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape[::-1]:
         raise ValueError("pair must be an (m, n) and an (n, m) matrix, composable both ways")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise ValueError("pair entries must be finite")
     ab = A @ B
     ba = B @ A
     matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba))
@@ -358,8 +310,6 @@ def nilpotent_check(A) -> NilpotentReport:
     into [1/2, 1), so large entries do not overflow before they cancel.
     """
     mat = _as_square(A)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("nilpotent check needs finite entries")
     nonzero, sq_norm = _exact_square(mat)
     exp = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
     unit = np.ldexp(mat, -exp)

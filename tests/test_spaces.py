@@ -514,6 +514,29 @@ class TestOperatorMatrix:
             OperatorMatrix(np.ones((2, 3)), space(2, 2.0), space(2, 2.0))
 
 
+class TestBoundaries:
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2", None])
+    def test_ambient_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="integer"):
+            AmbientSpace(dim, 2.0)
+
+    def test_ambient_dim_may_be_a_numpy_integer(self):
+        assert AmbientSpace(np.int64(3), 2.0) == AmbientSpace(3, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p_in, p_out", [(1.5, 3.0), (math.inf, 2.0), (1.0, 4.0)])
+    def test_operator_brackets_refuse_non_finite_entries(self, bad, p_in, p_out):
+        A = np.ones((2, 3, 3))
+        A[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spaces.operator_brackets(A, p_in, p_out)
+
+    @pytest.mark.parametrize("mats", [np.ones(3), np.float64(1.0)])
+    def test_operator_brackets_refuse_input_below_2d(self, mats):
+        with pytest.raises(ValueError, match="matrix"):
+            spaces.operator_brackets(mats, 1.5, 3.0)
+
+
 class TestAscentExit:
     """The ascent stops at its first exact repeat with the bits of the full 61 passes."""
 

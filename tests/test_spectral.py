@@ -1,6 +1,5 @@
 import inspect
 import math
-import time
 import warnings
 
 import numpy as np
@@ -59,6 +58,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        mat = np.array([[bad, 1.0], [0.0, 1.0]])
+        for A in (mat, np.stack([np.eye(2), mat])):
+            with pytest.raises(ValueError, match="finite"):
+                eigenvalues(A)
+
 
 class TestCharacteristicRoots:
     def test_squared_zero(self):
@@ -78,6 +84,18 @@ class TestCharacteristicRoots:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             characteristic_roots(np.eye(17))
+
+    def test_known_roots(self):
+        np.testing.assert_allclose(characteristic_roots(np.diag(np.arange(1.0, 7.0))),
+                                   np.arange(6.0, 0.0, -1.0), rtol=1e-10)
+        # a triangular matrix has the product of (x - d_i) as its characteristic polynomial
+        d = np.array([3.0, -2.0, 1.5, -0.5, 0.25])
+        T = np.diag(d) + np.triu(np.random.default_rng(3).integers(-3, 4, (5, 5)).astype(float), 1)
+        np.testing.assert_allclose(characteristic_roots(T), [3.0, -2.0, 1.5, -0.5, 0.25], rtol=1e-12)
+        # (x^2 - 2x + 5)(x + 3)(x - 1/2): a conjugate pair among real roots
+        B = np.diag([1.0, 1.0, -3.0, 0.5])
+        B[0, 1], B[1, 0], B[0, 3] = -2.0, 2.0, 1.0
+        np.testing.assert_allclose(characteristic_roots(B), [-3.0, 1.0 - 2.0j, 1.0 + 2.0j, 0.5], rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_non_finite_entries(self, bad):
@@ -284,6 +302,12 @@ class TestStackedMatch:
 
 
 class TestAuditTraceFormula:
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_refuses_bad_tolerance_scale(self, scale):
+        z = diag_rep([0.5, 0.25], L2(2))
+        with pytest.raises(ValueError, match="tolerance_scale"):
+            audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0), tolerance_scale=scale)
+
     def test_diagonal_rep(self):
         z = diag_rep([0.5, 1.0 / 3.0], L2(2))
         audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
@@ -394,13 +418,6 @@ def _mixed_stack():
 
 class TestStackForms:
     """Each row of a stack gives the bits of its single call."""
-
-    def test_jordan_block_runs_to_the_iteration_cap(self, monkeypatch):
-        # the mixed stack's Jordan row still moves at the last allowed step,
-        # so the other rows stop long before it
-        full = characteristic_roots(JORDAN_4)
-        monkeypatch.setattr(spectral, "_DK_MAX_ITERS", spectral._DK_MAX_ITERS - 1)
-        assert not np.array_equal(characteristic_roots(JORDAN_4), full)
 
     def test_characteristic_roots(self):
         stack = _mixed_stack()
@@ -516,36 +533,6 @@ def _assert_rows_of(audit, singles):
         assert column.shape == rows.shape and column.tobytes() == rows.tobytes()
 
 
-def _reference_durand_kerner(coeffs, cap):
-    """Durand-Kerner without the cycle exit: each row runs to its stop test or to `cap`.
-
-    Returns the roots and the step each row stopped at.
-    """
-    k, n = coeffs.shape[0], coeffs.shape[-1] - 1
-    radius = 1.0 + np.max(np.abs(coeffs[:, 1:]), axis=-1)
-    j = np.arange(n)
-    W = radius[:, None] * np.exp(2j * np.pi * (j + 0.25) / n)
-    C = coeffs.astype(complex)
-    live = np.arange(k)
-    steps = np.full(k, cap)
-    for step in range(1, cap + 1):
-        w, c = W[live], C[live]
-        pw = np.zeros_like(w)
-        for i in range(n + 1):
-            pw = pw * w + c[:, i, None]
-        D = w[:, :, None] - w[:, None, :]
-        D[:, j, j] = 1.0
-        delta = pw / np.prod(D, axis=-1)
-        w = w - delta
-        W[live] = w
-        done = np.max(np.abs(delta), axis=-1) <= 1e-16 * (1.0 + np.max(np.abs(w), axis=-1))
-        steps[live[done]] = step
-        live = live[~done]
-        if live.size == 0:
-            break
-    return W, steps
-
-
 def _trace_audit_matrix(seed, trial, j, n=4):
     """The induced matrix of trace-audit's j-th draw at the first entry n of dims."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -556,49 +543,22 @@ def _trace_audit_matrix(seed, trial, j, n=4):
     return (X.T * lam) @ F
 
 
-def _oracle_coeffs(mats):
-    """The scaled characteristic polynomials characteristic_roots iterates on."""
-    scale = np.max(np.abs(mats), axis=(-2, -1))
-    return spectral._char_poly_coeffs(mats / scale[:, None, None])
-
-
-# rows of the benchmark's trace-audit draws (p = 1, 1.5, 2, 4, inf): one stops at
-# step 13; two never meet the stop test and repeat an earlier step's roots from
-# step 32 with period 2, and from step 17 with period 78
+# rows of the benchmark's trace-audit draws (p = 1, 1.5, 2, 4, inf) on which the
+# former iterative root finder stopped at step 13, or never met its stop test
+# and cycled with period 2 or 78 until its step cap
 STOPS = _trace_audit_matrix(1, 0, 0)
 PERIOD_2 = _trace_audit_matrix(1, 1, 4)
 PERIOD_78 = _trace_audit_matrix(116, 2, 1)
 
 
-class TestCycleExit:
-    """Rows whose roots cycle leave early with the roots they have at the cap."""
+class TestFormerCyclers:
+    """Rows that once ran a root iteration to its cap get roots like any other."""
 
-    @pytest.mark.parametrize("cap", [499, 500, 501])
-    def test_matches_the_loop_without_cycle_exit(self, cap, monkeypatch):
-        monkeypatch.setattr(spectral, "_DK_MAX_ITERS", cap)
-        benchmark_rows = np.stack([STOPS, PERIOD_2, PERIOD_78])
-        _, steps = _reference_durand_kerner(_oracle_coeffs(benchmark_rows), cap)
-        assert steps[0] < 20 and list(steps[1:]) == [cap, cap]
-        mixed = _mixed_stack()
-        for mats in (benchmark_rows, mixed[np.any(mixed != 0.0, axis=(-2, -1))]):
-            coeffs = _oracle_coeffs(mats)
-            want, _ = _reference_durand_kerner(coeffs, cap)
-            assert spectral._durand_kerner(coeffs).tobytes() == want.tobytes()
-            for i in range(len(coeffs)):
-                assert spectral._durand_kerner(coeffs[i:i + 1]).tobytes() == want[i:i + 1].tobytes()
-
-    @pytest.mark.parametrize("mat, period", [(PERIOD_2, 2), (PERIOD_78, 78)])
-    def test_a_cycling_row_leaves_long_before_a_huge_cap(self, mat, period, monkeypatch):
-        coeffs = _oracle_coeffs(mat[None])
-        cap = 10 ** 7
-        monkeypatch.setattr(spectral, "_DK_MAX_ITERS", cap)
-        start = time.perf_counter()
-        got = spectral._durand_kerner(coeffs)
-        assert time.perf_counter() - start < 1.0
-        # the roots repeat with `period` well before step 500, so the cap's
-        # roots are those of the congruent cap near 500
-        want, _ = _reference_durand_kerner(coeffs, 500 + (cap - 500) % period)
-        assert got.tobytes() == want.tobytes()
+    def test_match_eigenvalues(self):
+        rows = np.stack([STOPS, PERIOD_2, PERIOD_78])
+        matched, worst = match_spectra(eigenvalues(rows), characteristic_roots(rows), rel=1e-7, abs_floor=1e-7)
+        assert matched.tolist() == [True] * 3, worst
+        np.testing.assert_array_equal(characteristic_roots(rows), [characteristic_roots(m) for m in rows])
 
 
 class TestEigenvalueTypeProbe:
@@ -670,6 +630,13 @@ class TestSimilarity:
     def test_refuses_what_does_not_compose_both_ways(self, A, B):
         with pytest.raises(ValueError, match="composable both ways"):
             similarity_spectrum_check(A, B)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        A = np.ones((2, 3))
+        A[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            similarity_spectrum_check(A, np.ones((3, 2)))
 
 
 class TestNilpotentCheck:
