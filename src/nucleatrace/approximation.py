@@ -4,7 +4,7 @@ Given vectors with non-increasing norms and a tolerance, pick the
 smallest cutoff N whose tail already fits under epsilon deflated by the
 projection-growth allowance N**alpha + 1, then project onto the leading
 span.  When the projection norm stays within its allowance, the sup
-error over the whole system is guaranteed at most epsilon.
+error over the whole system is at most epsilon; nothing here checks it.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ __all__ = [
     "build_approximant",
     "projection_growth_exponent",
 ]
-
-_GUARANTEE_SLACK = 1e-10
 
 
 def projection_growth_exponent(p: float) -> float:
@@ -73,7 +71,8 @@ class ApproximationCertificate:
     order records the permutation applied to reach non-increasing norms;
     guarantee_regime is True when the cutoff lies inside the system and
     the projection norm upper bound stays within N**alpha, in which case
-    sup_error <= epsilon is checked at construction.
+    sup_error <= epsilon is promised; sup_error is measured, not checked
+    here, so the caller can test the promise.
     """
 
     epsilon: float
@@ -121,10 +120,6 @@ def build_approximant(
         N <= len(vectors)
         and bracket.upper <= N ** alpha * (1.0 + 1e-12) + 1e-12
     )
-    if guarantee and sup_error > epsilon + _GUARANTEE_SLACK:
-        raise RuntimeError(
-            "guarantee regime violated: sup error exceeds epsilon"
-        )
     cert = ApproximationCertificate(
         epsilon=epsilon,
         cutoff=N,

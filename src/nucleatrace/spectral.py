@@ -89,8 +89,8 @@ def _char_poly_coeffs(mat: np.ndarray) -> np.ndarray:
 def characteristic_roots(A) -> np.ndarray:
     """Small-matrix spectrum via char poly plus companion-matrix roots.
 
-    Intended as a cross-check for dimension at most 8; refuses beyond 16
-    where the recursion loses too many digits to be a useful oracle.  A
+    trace-audit cross-checks with it at dimension n <= 6; it refuses
+    n > 16, where the recursion loses too many digits to be an oracle.  A
     stack (..., n, n) gives the sorted roots of each matrix, shape
     (..., n), from one recursion and one eigenvalue call over the stack.
     Each matrix is scaled by its largest entry first, and a zero matrix
@@ -119,7 +119,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def match_spectra(u, v, rel: float = 1e-6, abs_floor: float = 1e-8) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
+def match_spectra(u, v, rel: float = 1e-6, abs_floor: float | np.ndarray = 1e-8) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
     """Greedy pairing of two spectra, or of two stacks (..., n) and (..., m) row by row.
 
     Both are sorted by modulus and the shorter padded with zeros; each
@@ -127,6 +127,7 @@ def match_spectra(u, v, rel: float = 1e-6, abs_floor: float = 1e-8) -> tuple[boo
     of the second.  Gives whether every pair sits within max(abs_floor,
     rel * pair modulus), a NaN pair failing, and the largest pair distance,
     NaN if any is: a bool and a float for one pair, arrays (...) for stacks.
+    abs_floor is absolute: one float, or for a stack (k, n) one per row.
     """
     a, b = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if min(a.ndim, b.ndim) == 0 or a.shape[:-1] != b.shape[:-1]:
@@ -240,7 +241,8 @@ def similarity_spectrum_check(A, B) -> SimilarityReport:
 
     The smaller spectrum is padded with exact zeros before greedy
     matching, so rectangular pairs compare cleanly without a zero
-    threshold.  NaN or infinite entries are refused.
+    threshold.  The floor is 1e-8 ||A||_F ||B||_F, which bounds both spectra,
+    so it scales with the pair.  NaN or infinite entries are refused.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape[::-1]:
@@ -249,7 +251,8 @@ def similarity_spectrum_check(A, B) -> SimilarityReport:
         raise ValueError("pair entries must be finite")
     ab = A @ B
     ba = B @ A
-    matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba))
+    floor = 1e-8 * np.linalg.norm(A) * np.linalg.norm(B)
+    matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba), abs_floor=floor)
     return SimilarityReport(
         dim_ab=ab.shape[0],
         dim_ba=ba.shape[0],

@@ -1,8 +1,8 @@
 """Shared numeric tolerances.
 
 Checks in this package allow REL_TOL times the compared value, which
-means the same at every scale.  `slack` adds an absolute floor on top;
-only the output checks of `perfbench/` still use it.
+means the same at every scale: no record check has an absolute floor.
+`slack` adds one on top; only the output checks of `perfbench/` use it.
 """
 from __future__ import annotations
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nucleatrace import approximation
 from nucleatrace import (
     AmbientSpace,
+    NormBracket,
     Vector,
     build_approximant,
     projection_growth_exponent,
@@ -171,6 +173,16 @@ class TestBuildApproximant:
         _, cert = build_approximant(xs, 0.2, space, 0.5)
         if cert.guarantee_regime:
             assert cert.sup_error <= 0.2 + 1e-10
+
+
+    def test_violated_guarantee_is_reported_not_raised(self, monkeypatch):
+        # a projection that keeps nothing inside its allowance: the regime holds, the promise fails
+        monkeypatch.setattr(approximation, "projection_onto_span",
+                            lambda span, space: (np.zeros((space.dim, space.dim)), NormBracket(1.0, 1.0)))
+        xs, space = coordinate_system(16, 2.0, 1.0)
+        _, cert = build_approximant(xs, 0.5, space, 0.5)
+        assert cert.guarantee_regime and cert.cutoff == 8
+        assert cert.rank == 0 and cert.sup_error == 1.0
 
 
 class TestGrowthExponent:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nucleatrace import AmbientSpace, NuclearIndex, Representation, induced_matrix, nuclear_trace, quasi_norm
-from nucleatrace import experiments
+from nucleatrace import AmbientSpace, NormBracket, NuclearIndex, Representation, induced_matrix, nuclear_trace, quasi_norm
+from nucleatrace import approximation, experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
     _ORACLE_CROSS_CHECK_DIM,
@@ -118,7 +118,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ExperimentConfig(subcommand=subcommand, **{name: value})
 
-    @pytest.mark.parametrize("subcommand", ["holder", "trace-audit"])
+    @pytest.mark.parametrize("subcommand", [sub for sub, row in COMMANDS.items() if "tolerance" in row.fields])
     def test_tolerance_is_at_least_zero(self, subcommand):
         assert ExperimentConfig(subcommand=subcommand, tolerance=0.0).tolerance == 0.0
         with pytest.raises(ValueError, match="^tolerance must be at least 0"):
@@ -175,6 +175,18 @@ class TestRun:
         rec = run(cfg).records[0]
         assert rec["lhs"] <= rec["rhs"]
         assert not rec["pass"]
+
+    def test_holder_verdict_is_scale_free(self):
+        # a = b at s = 1/2 makes the bound an equality; an absolute floor of 1e-9 on
+        # rhs - lhs failed over a third of these pairs at scale 2^20
+        rng = np.random.default_rng(0)
+        pairs = [rng.standard_normal(int(rng.integers(1, 65))) for _ in range(300)]
+        verdicts = []
+        for k in (-20, 0, 20):
+            scaled = [tuple(np.ldexp(a, k).tolist()) for a in pairs]
+            verdicts.append([run(ExperimentConfig(subcommand="holder", s=0.5, a=a, b=a)).records[0]["pass"]
+                             for a in scaled])
+        assert verdicts == [[True] * 300] * 3
 
     @pytest.mark.parametrize("call, flag", [(1, "rearrangement_invariant"), (2, "homogeneous")])
     def test_lorentz_checks_are_scale_free(self, monkeypatch, call, flag):
@@ -584,7 +596,7 @@ class TestCommandTable:
 
     @pytest.mark.parametrize(
         "subcommand, fields",
-        [("holder", {}), ("holder", {"s": 0.5, "tolerance": 1e-6, "length": 8}),
+        [("holder", {}), ("holder", {"s": 0.5, "length": 8}),
          ("holder", {"a": (1.0, 2.0), "b": (0.5,)}),
          ("lorentz", {}), ("lorentz", {"r": 0.8, "w": 1.0, "length": 8}),
          ("factorize", {"truncation": 64}), ("factorize", {"truncation": 8, "beta": 2.0, "s": 0.5, "gamma": 1.5}),
@@ -632,7 +644,7 @@ class TestCommandTable:
         (["factorize", "--trials", "1", "--beta-min", "3", "--beta-max", "1"], "beta_min"),
         (["factorize", "--trials", "1", "--beta-min", "nan"], "beta_min"),
         (["factorize", "--trials", "1", "--beta-max", "inf"], "beta_max"),
-        (["holder", "--trials", "3", "--tolerance", "nan"], "tolerance"),
+        (["trace-audit", "--dims", "4", "--tolerance", "nan"], "tolerance"),
         (["trace-audit", "--dims", "4", "--tolerance", "-1"], "tolerance"),
     ])
     def test_bad_number_is_clean_error_naming_its_field(self, runner, args, name):
@@ -642,6 +654,17 @@ class TestCommandTable:
         assert isinstance(result.exception, SystemExit)
         last = result.output.splitlines()[-1]
         assert last.startswith(f"Error: {name} must")
+        assert "Traceback" not in result.output
+
+    def test_violated_approx_guarantee_is_a_fail_record(self, runner, monkeypatch):
+        # the approximant raised RuntimeError here, which the command line does not catch
+        monkeypatch.setattr(approximation, "projection_onto_span",
+                            lambda span, space: (np.zeros((space.dim, space.dim)), NormBracket(1.0, 1.0)))
+        result = runner.invoke(main, ["approx", "--profile", "coordinate", "--dims", "16", "--epsilon", "0.5"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        (rec,) = json.loads(result.output)["records"]
+        assert rec["guarantee_regime"] and rec["sup_error"] == 1.0 and not rec["pass"]
         assert "Traceback" not in result.output
 
     def test_infinite_gamma_is_clean_error(self, runner):

@@ -190,12 +190,13 @@ def _reference_match_spectra(u, v, rel=1e-6, abs_floor=1e-8):
     return ok, worst
 
 
-def _assert_rows_match_reference(u, v, **tol):
-    """Each row of the stacked call has the bits of the list greedy on that row."""
-    matched, worst = match_spectra(u, v, **tol)
+def _assert_rows_match_reference(u, v, rel=1e-6, abs_floor=1e-8):
+    """Each row of the stacked call has the bits of the list greedy on that row, at its own floor."""
+    matched, worst = match_spectra(u, v, rel=rel, abs_floor=abs_floor)
     assert matched.shape == worst.shape == np.shape(u)[:-1]
+    floors = np.broadcast_to(abs_floor, matched.shape)
     for idx in np.ndindex(matched.shape):
-        ok, gap = _reference_match_spectra(u[idx], v[idx], **tol)
+        ok, gap = _reference_match_spectra(u[idx], v[idx], rel=rel, abs_floor=floors[idx])
         assert (matched[idx], worst[idx].tobytes()) == (ok, np.float64(gap).tobytes()), idx
 
 
@@ -215,6 +216,7 @@ class TestStackedMatch:
         assert all(r["pass"] for r in run(cfg).records)
         (u, v, tol), = calls
         assert u.shape == v.shape == (500, 4)
+        assert tol["abs_floor"].shape == (500,)
         _assert_rows_match_reference(u, v, **tol)
 
     def test_one_call_per_oracle_dimension(self, monkeypatch):
@@ -637,6 +639,17 @@ class TestSimilarity:
         A[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             similarity_spectrum_check(A, np.ones((3, 2)))
+
+    def test_verdict_is_scale_free(self):
+        # an absolute floor of 1e-8 left the padded zeros of most of these pairs
+        # unmatched at scale 2^40; every pair matches with 1000 times less slack
+        rng = np.random.default_rng(1)
+        pairs = []
+        for _ in range(300):
+            m, n = (int(x) for x in rng.integers(2, 9, size=2))
+            pairs.append((rng.standard_normal((m, n)), rng.standard_normal((n, m))))
+        verdicts = [[similarity_spectrum_check(np.ldexp(A, k), B).matched for A, B in pairs] for k in (-40, 0, 40)]
+        assert verdicts == [[True] * 300] * 3
 
 
 class TestNilpotentCheck:
