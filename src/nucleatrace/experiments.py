@@ -263,6 +263,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
+def _holder_checks(a: np.ndarray, b: np.ndarray, s: float):
+    """lhs, rhs, the witness gap (None for a zero a), the verdict and ||a||_1 of one pair."""
+    lhs, rhs, holds = holder_product_bound(a, b, s)
+    l1 = float(np.sum(np.abs(a)))
+    witness_gap = None
+    witness_ok = True
+    if np.any(a != 0.0):
+        wit = sharpness_witness(a, s)
+        wl, _, _ = holder_product_bound(a, wit, s)
+        witness_gap = abs(wl - l1)
+        witness_ok = witness_gap <= REL_TOL * l1
+    return lhs, rhs, witness_gap, bool(holds and witness_ok), l1
+
+
 def _run_holder(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     if cfg.a is not None:
         a = np.asarray(cfg.a, dtype=float)
@@ -273,16 +287,15 @@ def _run_holder(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
         a = rng.standard_normal(la) * float(rng.uniform(0.1, 10.0))
         b = rng.standard_normal(lb) * float(rng.uniform(0.1, 10.0))
     s = cfg.s if cfg.s is not None else _HOLDER_S_GRID[trial % len(_HOLDER_S_GRID)]
-    lhs, rhs, holds = holder_product_bound(a, b, s)
-    witness_gap = None
-    witness_ok = True
-    if np.any(a != 0.0):
-        wit = sharpness_witness(a, s)
-        wl, _, _ = holder_product_bound(a, wit, s)
-        l1 = float(np.sum(np.abs(a)))
-        witness_gap = abs(wl - l1)
-        witness_ok = witness_gap <= REL_TOL * l1
-    ok = bool(holds and witness_ok)
+    lhs, rhs, witness_gap, ok, l1 = _holder_checks(a, b, s)
+    scale_log2 = None
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(l1)):
+        # both sides are homogeneous in a and in b: decide on the pair with each
+        # largest entry scaled into [1/2, 1) by an exact power of two
+        scale_log2 = [int(np.frexp(np.abs(x).max(initial=0.0))[1]) for x in (a, b)]
+        lhs, rhs, witness_gap, ok, _ = _holder_checks(
+            np.ldexp(a, -scale_log2[0]), np.ldexp(b, -scale_log2[1]), s
+        )
     rec = {
         "trial": trial,
         "s": s,
@@ -292,6 +305,8 @@ def _run_holder(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
         "witness_gap": witness_gap,
         "pass": ok,
     }
+    if scale_log2 is not None:
+        rec["scale_log2"] = scale_log2
     if not ok:
         rec["a"] = a.tolist()
         rec["b"] = b.tolist()

@@ -174,6 +174,28 @@ def _dual_map(Z: np.ndarray, p: float) -> np.ndarray:
     return out / lp_norm(out, p, axis=-1)[..., None]
 
 
+def _norm_and_dual_map(V: np.ndarray, p: float | None, q: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """lp_norm(V, p, axis=-1) and _dual_map(V, q), bit for bit, from one abs, row max and divide.
+
+    The ascent's per-pass step; with p None the norm is skipped.  Both
+    scale each row by its largest entry.  The dual image t of a row has
+    the largest entry 1.0 exactly, so lp_norm's scaling of t is the
+    identity and its norm is np.power((t ** q).sum(-1), 1 / q).  Exponents
+    outside (1, inf), empty input, and rows that are zero, whose largest
+    entry is subnormal or that hold a non-finite entry go to lp_norm and
+    _dual_map themselves.
+    """
+    if V.size and 1.0 < q < math.inf and (p is None or 1.0 < p < math.inf):
+        a = np.abs(V)
+        m = a.max(axis=-1, keepdims=True)
+        if _TINY <= m.min() and m.max() <= _HUGE:
+            r = a / m
+            norm = None if p is None else m[..., 0] * np.power((r ** p).sum(axis=-1), 1.0 / p)
+            t = r ** (dual_exponent(q) - 1.0)
+            return norm, np.sign(V) * t / np.power((t ** q).sum(axis=-1), 1.0 / q)[..., None]
+    return None if p is None else lp_norm(V, p, axis=-1), _dual_map(V, q)
+
+
 def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     """Attained lower bounds by the p-norm power method for a stack A (..., n_out, n_in).
 
@@ -189,6 +211,13 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     or the previous one: each iterate is a fixed function of the one
     before, so every later ratio repeats one already seen and the best is
     final.
+
+    Each pass takes the image's norm and dual map, and the next iterate,
+    from `_norm_and_dual_map`, which shares one abs, row max and divide
+    between them and gives the bits of `lp_norm` and `_dual_map`.  A pass
+    whose array has a zero row, a row maximum below the smallest normal
+    or a non-finite entry, or whose exponent is 1 or inf, takes `lp_norm`
+    and `_dual_map` themselves.
     """
     n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
@@ -210,9 +239,10 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     recent = (X.tobytes(),)
     for _ in range(_ASCENT_ITERS + 1):
         Y = X @ At
-        ratios = lp_norm(Y, p_out, axis=-1) / lp_norm(X, p_in, axis=-1)
+        y_norms, D = _norm_and_dual_map(Y, p_out, q_dual)
+        ratios = y_norms / lp_norm(X, p_in, axis=-1)
         best = np.maximum(best, ratios.max(axis=-1))
-        X = _dual_map(_dual_map(Y, q_dual) @ A, p_in)
+        _, X = _norm_and_dual_map(D @ A, None, p_in)
         key = X.tobytes()
         if key in recent:
             break
@@ -293,7 +323,11 @@ def operator_brackets(
     with codomain inf, or with at most 16 columns) give equal ends.
     Otherwise the lower end is attained by ascent: the p-norm power
     method, run on the whole stack at once from 15 starts per matrix for
-    at most 60 steps, ending early once its iterate repeats exactly.  The
+    at most 60 steps, ending early once its iterate repeats exactly.  For
+    exponents in (1, inf) each step computes a norm and its dual map from
+    one shared scaling of the array, with the bits of computing them
+    apart; zero, subnormal or non-finite rows and the exponents 1 and inf
+    take the separate routines.  The
     upper end is the least of the exact routes inflated by dimension
     factors and, for p -> p, the Riesz-Thorin bound.  Input below 2-d
     or with a NaN or infinite entry is refused.

@@ -26,6 +26,7 @@ import numpy as np
 from .approximation import projection_growth_exponent
 from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
 from .nuclear import quasi_norm as representation_quasi_norm
+from .spaces import lp_norm
 
 __all__ = [
     "TraceAudit",
@@ -242,7 +243,9 @@ def similarity_spectrum_check(A, B) -> SimilarityReport:
     The smaller spectrum is padded with exact zeros before greedy
     matching, so rectangular pairs compare cleanly without a zero
     threshold.  The floor is 1e-8 ||A||_F ||B||_F, which bounds both spectra,
-    so it scales with the pair.  NaN or infinite entries are refused.
+    so it scales with the pair; each Frobenius norm is the scaled
+    `lp_norm(., 2)`, finite for every finite matrix.  NaN or infinite
+    entries are refused.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape[::-1]:
@@ -251,7 +254,7 @@ def similarity_spectrum_check(A, B) -> SimilarityReport:
         raise ValueError("pair entries must be finite")
     ab = A @ B
     ba = B @ A
-    floor = 1e-8 * np.linalg.norm(A) * np.linalg.norm(B)
+    floor = 1e-8 * lp_norm(A, 2.0) * lp_norm(B, 2.0)
     matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba), abs_floor=floor)
     return SimilarityReport(
         dim_ab=ab.shape[0],

@@ -188,6 +188,34 @@ class TestRun:
                              for a in scaled])
         assert verdicts == [[True] * 300] * 3
 
+    @staticmethod
+    def _holder_verdict(a, b):
+        """Verdict and relative gaps of holder's record on one pair at s = 1/2."""
+        rec = run(ExperimentConfig(subcommand="holder", s=0.5, a=tuple(a), b=tuple(b))).records[0]
+        ka, kb = rec.get("scale_log2", (0, 0))
+        l1 = float(np.sum(np.abs(np.ldexp(a, -ka))))
+        return rec["pass"], rec["defect"] / rec["rhs"], rec["witness_gap"] / l1, (ka, kb)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_holder_overflow_is_decided_at_unit_scale(self):
+        # at 1e308 ||a||_1 overflowed: lhs, rhs and the witness gap read inf, the
+        # witness was all zeros, and the record passed vacuously
+        huge = self._holder_verdict([1e308, 1e308], [1.0, 1.0])
+        unit = self._holder_verdict([1.0, 1.0], [1.0, 1.0])
+        assert huge[:3] == unit[:3] == (True, 0.0, 0.0)
+        assert huge[3] == (1024, 1) and unit[3] == (0, 0)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            # largest entry 15/16 and l_1 norm above 1: times 2^1024 each is
+            # finite, and its l_1 norm and the right side overflow
+            a, b = (rng.uniform(-0.5, 0.5, int(rng.integers(2, 9))) for _ in range(2))
+            a[:2] = b[:2] = 0.9375, -0.5
+            unit = self._holder_verdict(a, b)
+            for ka, kb in ((1024, 0), (1024, 1000), (0, 1024), (-40, 1024)):
+                scaled = self._holder_verdict(np.ldexp(a, ka), np.ldexp(b, kb))
+                assert scaled[3] == (ka, kb)
+                assert scaled[:3] == unit[:3]
+
     @pytest.mark.parametrize("call, flag", [(1, "rearrangement_invariant"), (2, "homogeneous")])
     def test_lorentz_checks_are_scale_free(self, monkeypatch, call, flag):
         # norms near 1e-13, one of them off by 1e-6 relative: a floor of 1e-9 passed it

@@ -90,10 +90,16 @@ def _reference_ascent_lower(A, p_in, p_out):
 
 
 def _fixed_pass_ascent_lower(A, p_in, p_out):
-    """The stacked ascent with no exit test: the start and all 60 updates are evaluated."""
+    """The stacked ascent with no exit test: the start and all 60 updates are evaluated.
+
+    Each pass takes the norms and dual maps from `lp_norm` and `_dual_map`
+    themselves.  Columns are ordered by their norms at the scale of the
+    largest entry, an exact power of two, as in `_ascent_lower`.
+    """
     n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
-    order = np.argsort(-np.linalg.norm(A, axis=-2), axis=-1)
+    _, e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
+    order = np.argsort(-np.linalg.norm(np.ldexp(A, -e), axis=-2), axis=-1)
     rng = np.random.default_rng(0x5EED0F42)
     draws = rng.standard_normal((6, n_in))
     stack = A.shape[:-2]
@@ -112,19 +118,25 @@ def _fixed_pass_ascent_lower(A, p_in, p_out):
     return best
 
 
-def _ascent_passes(monkeypatch, A, p_in, p_out):
-    """_ascent_lower's result and the number of passes it ran (two dual maps each)."""
+def _ascent_counting(monkeypatch, name, A, p_in, p_out):
+    """_ascent_lower's result and the number of calls it made to spaces.<name>."""
     calls = []
-    dual_map = spaces._dual_map
+    real = getattr(spaces, name)
 
     def counting(*args):
         calls.append(None)
-        return dual_map(*args)
+        return real(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(spaces, "_dual_map", counting)
+        m.setattr(spaces, name, counting)
         best = _ascent_lower(A, p_in, p_out)
-    return best, len(calls) // 2
+    return best, len(calls)
+
+
+def _ascent_passes(monkeypatch, A, p_in, p_out):
+    """_ascent_lower's result and the number of passes it ran (two norm-and-dual-map steps each)."""
+    best, steps = _ascent_counting(monkeypatch, "_norm_and_dual_map", A, p_in, p_out)
+    return best, steps // 2
 
 
 class TestVectorNorm:
@@ -586,3 +598,90 @@ class TestAscentExit:
             scaled = np.ldexp(A, k)
             assert np.array_equal(np.ldexp(scaled, -k), A)
             assert _ascent_lower(scaled, 1.5, 3.0) == np.ldexp(_ascent_lower(A, 1.5, 3.0), k)
+
+
+def _assert_same_step(V, p, q):
+    norm, dual = spaces._norm_and_dual_map(V, p, q)
+    assert dual.tobytes() == spaces._dual_map(V, q).tobytes()
+    if p is None:
+        assert norm is None
+    else:
+        assert norm.tobytes() == lp_norm(V, p, axis=-1).tobytes()
+
+
+class TestSharedStep:
+    """The ascent's shared norm-and-dual-map step has the bits of lp_norm and _dual_map."""
+
+    PAIRS = [(4.0 / 3.0, 4.000000000000001), (3.0, 3.0), (1.5, 3.0), (1.2, 1.7)]
+    SHAPES = [(20, 3, 3), (6, 6), (8, 8), (32, 32)]
+
+    @pytest.mark.parametrize("k", [0, 1000, -1000])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("p_in, p_out", PAIRS)
+    def test_ascent_matches_the_fixed_pass_reference(self, shape, p_in, p_out, k):
+        # n >= 8 columns sum in numpy's pairwise blocks; at 2**+-1000 the
+        # passes still take the shared step, with every row maximum normal
+        for seed in range(2):
+            A = np.ldexp(np.random.default_rng([31, seed, *shape]).standard_normal(shape), k)
+            assert _ascent_lower(A, p_in, p_out).tobytes() == _fixed_pass_ascent_lower(A, p_in, p_out).tobytes()
+
+    @pytest.mark.parametrize("p_in, p_out", PAIRS)
+    def test_generic_passes_never_fall_back(self, monkeypatch, p_in, p_out):
+        A = np.random.default_rng(32).standard_normal((20, 3, 3))
+        assert _ascent_counting(monkeypatch, "_dual_map", A, p_in, p_out)[1] == 0
+
+    @pytest.mark.parametrize(
+        "shape, p_in, p_out",
+        [
+            ((6, 6), 1.5, 1.0),
+            ((6, 6), 1.5, math.inf),
+            ((20, 3, 3), 3.0, math.inf),
+            ((20, 20), math.inf, 3.0),
+            ((2, 17, 17), math.inf, 1.5),
+        ],
+    )
+    def test_exponent_fallbacks_match(self, shape, p_in, p_out):
+        A = np.random.default_rng([33, *shape]).standard_normal(shape)
+        assert _ascent_lower(A, p_in, p_out).tobytes() == _fixed_pass_ascent_lower(A, p_in, p_out).tobytes()
+
+    @pytest.mark.parametrize("p_in, p_out", PAIRS)
+    def test_zero_rows_and_subnormal_rows_match(self, p_in, p_out):
+        rng = np.random.default_rng(34)
+        A = rng.standard_normal((5, 3, 3))
+        A[0, :, 1] = 0.0  # its basis start has a zero image
+        A[1, 2] = 0.0
+        A[2] = 0.0
+        # largest entry just below the smallest normal: the first pass's images
+        # of basis vectors are rows of subnormal maximum, with most of their bits
+        A[3] *= 0.75 * np.finfo(float).tiny / np.abs(A[3]).max()
+        for mats in (A, A[:1], A[2:3], A[3:4]):
+            assert _ascent_lower(mats, p_in, p_out).tobytes() == _fixed_pass_ascent_lower(mats, p_in, p_out).tobytes()
+
+    @pytest.mark.parametrize("p_in, p_out", PAIRS)
+    def test_empty_stack_matches(self, p_in, p_out):
+        A = np.zeros((0, 3, 3))
+        best = _ascent_lower(A, p_in, p_out)
+        assert best.shape == (0,)
+        assert best.tobytes() == _fixed_pass_ascent_lower(A, p_in, p_out).tobytes()
+
+    @pytest.mark.parametrize("p", [None, 1.0, 4.0 / 3.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("q", [1.0, 1.2, 2.0, 4.000000000000001, math.inf])
+    def test_step_matches_norm_and_dual_map(self, p, q):
+        rng = np.random.default_rng(36)
+        tiny = np.finfo(float).tiny
+        V = rng.standard_normal((4, 15, 9))
+        _assert_same_step(V, p, q)
+        _assert_same_step(V[:0], p, q)
+        _assert_same_step(np.ldexp(V, 1000), p, q)
+        with np.errstate(all="ignore"):
+            for row, fill in [(0, 0.0), (2, math.inf), (3, math.nan), (4, -math.inf)]:
+                W = V.copy()
+                W[1, row] = fill
+                _assert_same_step(W, p, q)
+            # a row whose largest entry is subnormal
+            W = V.copy()
+            W[1, 1] *= 0.75 * tiny / np.abs(W[1, 1]).max()
+            _assert_same_step(W, p, q)
+            W = V.copy()
+            W[2, 5, :2] = 1e308, math.inf
+            _assert_same_step(W, p, q)

@@ -651,6 +651,29 @@ class TestSimilarity:
         verdicts = [[similarity_spectrum_check(np.ldexp(A, k), B).matched for A, B in pairs] for k in (-40, 0, 40)]
         assert verdicts == [[True] * 300] * 3
 
+    def test_floor_is_finite_and_scale_covariant(self, monkeypatch):
+        # a Frobenius norm from np.linalg.norm squares the entries: at 1e160 it
+        # read inf, so the floor was inf and the check could not fail
+        floors = []
+        match = spectral.match_spectra
+
+        def recording(u, v, **kwargs):
+            floors.append(kwargs["abs_floor"])
+            return match(u, v, **kwargs)
+
+        monkeypatch.setattr(spectral, "match_spectra", recording)
+        rng = np.random.default_rng(0)
+        A, B = rng.standard_normal((3, 5)), rng.standard_normal((5, 3))
+        assert similarity_spectrum_check(1e160 * A, 1e-160 * B).matched
+        assert math.isfinite(floors[-1]) and floors[-1] <= 1e-6
+        similarity_spectrum_check(A, B)
+        base = floors[-1]
+        for k in (-600, -530, 530, 600):
+            similarity_spectrum_check(np.ldexp(A, k), np.ldexp(B, -k))
+            assert floors[-1] == base
+            similarity_spectrum_check(np.ldexp(A, k), B)
+            assert floors[-1] == np.ldexp(base, k)
+
 
 class TestNilpotentCheck:
     def test_strict_triangular_trace_and_spectrum(self):
