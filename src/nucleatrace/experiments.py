@@ -54,7 +54,7 @@ def parse_exponent(x) -> float:
 # config field -> (kind, bound, flag help).  A kind is "int", "number" (finite),
 # "exponent" (inf allowed, or a string naming one as parse_exponent reads it),
 # "ints" or "exponents" (lists of those), or "choice".  The bound is the least
-# value of a number or of a list's entries, and makes a list nonempty; a
+# value of an int or of a list's entries, and makes a list nonempty; a
 # choice's bound is its options.  Only a field whose default is None may be None.
 FIELDS: dict[str, tuple[str, Any, str]] = {
     "seed": ("int", 0, "Base RNG seed."),
@@ -65,7 +65,6 @@ FIELDS: dict[str, tuple[str, Any, str]] = {
     "r": ("number", None, "Lorentz index r."),
     "w": ("exponent", None, "Lorentz index w, inf allowed."),
     "alpha": ("number", None, "Projection growth exponent in [0, 1/2]."),
-    "tolerance": ("number", 0.0, "Allowed defect per unit Frobenius norm; unset, 1e-8."),
     "epsilon": ("number", None, "Target sup error."),
     "beta": ("number", None, "Decay exponent; unset, the subcommand's default or a seeded draw."),
     "beta_min": ("number", None, "Least decay exponent drawn when beta is unset."),
@@ -127,7 +126,6 @@ class ExperimentConfig:
     r: float | None = None
     w: float | None = None
     alpha: float | None = None
-    tolerance: float | None = None
     epsilon: float = 0.1
     beta: float | None = None
     beta_min: float = 1.6
@@ -406,13 +404,12 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
     time gives each trial the draws of running it alone.
     """
     rngs = list(rngs)
-    scale = cfg.tolerance if cfg.tolerance is not None else 1e-8
     exponents = [cfg.s if cfg.s is not None else trace_formula_exponent(p) for p in cfg.p]
     indices = [NuclearIndex.absolutely_summable(s) for s in exponents]
     per_trial: list[list[dict]] = [[] for _ in rngs]
     for n in cfg.dims:
         reps, rep_indices = _draw_stacks(rngs, n, cfg.p, indices)
-        audit = audit_trace_formula(reps, rep_indices, tolerance_scale=scale)
+        audit = audit_trace_formula(reps, rep_indices)
         matched, gaps = [True] * len(audit.passed), [None] * len(audit.passed)
         if n <= _ORACLE_CROSS_CHECK_DIM:
             ok, worst = match_spectra(audit.spectra, characteristic_roots(audit.matrices),
@@ -558,7 +555,7 @@ COMMANDS: dict[str, Subcommand] = {
     "factorize": Subcommand("Exact l_1 times weak-tail splits of power-decay sequences.", _per_trial(_run_factorize),
                             ("seed", "trials", "s", "beta", "beta_min", "beta_max", "truncation", "gamma")),
     "trace-audit": Subcommand("Nuclear trace versus eigenvalue sum on random representations.", _run_trace_audit,
-                              ("seed", "trials", "tolerance", "dims", "p", "s")),
+                              ("seed", "trials", "dims", "p", "s")),
     # a deterministic family: one trial tells the whole story, and it draws nothing from the seed
     "eigen-type": Subcommand("Ratio sweep of eigenvalue mass against the quasi-norm.", _per_trial(_run_eigen_type),
                              ("dims", "p", "s", "beta"), one_value=("p",)),
@@ -595,9 +592,9 @@ def run(config: ExperimentConfig) -> RunReport:
     ratios = [r["ratio"] for r in records if r.get("ratio") is not None]
     if ratios:
         aggregate["max_ratio"] = max(ratios)
-    verdicts = {r["verdict"] for r in records if "verdict" in r}
-    if verdicts:
-        aggregate["verdict"] = sorted(verdicts)[0] if len(verdicts) == 1 else "MIXED"
+    if "verdict" in records[0]:
+        # only eigen-type records carry one, and its single trial gives them all the same
+        aggregate["verdict"] = records[0]["verdict"]
     wall = time.perf_counter() - start
     return RunReport(
         subcommand=config.subcommand,

@@ -14,6 +14,7 @@ eigenvalue solver on a different matrix.
 `audit_trace_formula` also take stacks and work on all of them at once;
 each single form is the stack of one, so a row of a stack gives the bits
 of its single call.  A matrix with a NaN or infinite entry is refused.
+Every Frobenius norm comes from `_frobenius`, finite for every finite matrix.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import numpy as np
 from .approximation import projection_growth_exponent
 from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
 from .nuclear import quasi_norm as representation_quasi_norm
-from .spaces import lp_norm
 
 __all__ = [
     "TraceAudit",
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _ORACLE_DIM_LIMIT = 16
+_DEFECT_RULE = 1e-8  # a trace audit row's allowed defect per unit Frobenius norm
 
 
 def _as_square(A, stack: bool = False) -> np.ndarray:
@@ -52,6 +53,21 @@ def _as_square(A, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
     return mat
+
+
+def _frobenius(mats: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (..., m, n), finite wherever the true norm is.
+
+    Each matrix is normed by numpy, one at a time (over a stack numpy sums
+    another way), at the exact power-of-two scale that puts its largest
+    entry in [1/2, 1): in range the bits are those of the unscaled norm.
+    """
+    flat = mats.reshape((math.prod(mats.shape[:-2]),) + mats.shape[-2:])
+    # the largest entry from the max and the min, with no abs copy of the stack
+    exps = np.frexp(np.maximum(np.max(flat, axis=(-2, -1), initial=0.0), -np.min(flat, axis=(-2, -1), initial=0.0)))[1]
+    norms = [np.linalg.norm(np.ldexp(M, -e)) for M, e in zip(flat, exps.tolist())]
+    with np.errstate(over="ignore"):  # a norm beyond the double range reads inf
+        return np.ldexp(norms, exps).reshape(mats.shape[:-2])
 
 
 def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -174,7 +190,6 @@ class TraceAudit:
 def audit_trace_formula(
     reps: Representation | Sequence[Representation],
     indices: NuclearIndex | Sequence[NuclearIndex],
-    tolerance_scale: float = 1e-8,
 ) -> TraceAudit:
     """Compare the nuclear trace against the eigenvalue sum, row by row.
 
@@ -184,13 +199,12 @@ def audit_trace_formula(
     single representation is the stack of one.  The induced matrices go
     through one eigenvalue call.
 
-    A row passes when its defect |trace - spectral sum| is at most
-    tolerance_scale times the Frobenius norm of its induced matrix; the
-    rule has no absolute floor, so no representation passes for being
-    scaled down.  tolerance_scale must be finite and non-negative.
+    A row passes when its defect |trace - spectral sum| is at most 1e-8
+    times the Frobenius norm of its induced matrix.  The norm is taken at
+    the scale of the matrix's largest entry, so it is finite for every
+    finite matrix, and the rule has no absolute floor: no representation
+    passes for being scaled up or down.
     """
-    if not 0.0 <= tolerance_scale < math.inf:
-        raise ValueError("tolerance_scale must be finite and non-negative")
     if isinstance(reps, Representation):
         reps, indices = [reps], [indices]
     reps, indices = list(reps), list(indices)
@@ -211,9 +225,7 @@ def audit_trace_formula(
     spectra = eigenvalues(mats)
     sums = np.sum(spectra, axis=-1)
     defects = _modulus(traces - sums)
-    # per matrix: np.linalg.norm over a stack sums the squares
-    # another way and can differ in the last bit
-    fro = np.array([np.linalg.norm(M) for M in mats])
+    fro = _frobenius(mats)
     return TraceAudit(
         nuclear_trace=traces,
         spectral_sum=sums,
@@ -221,7 +233,7 @@ def audit_trace_formula(
         eigen_l1=np.sum(np.abs(spectra), axis=-1),
         quasi_norm=quasi_norms,
         frobenius=fro,
-        passed=defects <= tolerance_scale * fro,
+        passed=defects <= _DEFECT_RULE * fro,
         matrices=mats,
         spectra=spectra,
     )
@@ -243,25 +255,19 @@ def similarity_spectrum_check(A, B) -> SimilarityReport:
     The smaller spectrum is padded with exact zeros before greedy
     matching, so rectangular pairs compare cleanly without a zero
     threshold.  The floor is 1e-8 ||A||_F ||B||_F, which bounds both spectra,
-    so it scales with the pair; each Frobenius norm is the scaled
-    `lp_norm(., 2)`, finite for every finite matrix.  NaN or infinite
-    entries are refused.
+    so it scales with the pair; each Frobenius norm is taken at the scale
+    of the matrix's largest entry, finite for every finite matrix.  NaN or
+    infinite entries are refused.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape[::-1]:
         raise ValueError("pair must be an (m, n) and an (n, m) matrix, composable both ways")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise ValueError("pair entries must be finite")
-    ab = A @ B
-    ba = B @ A
-    floor = 1e-8 * lp_norm(A, 2.0) * lp_norm(B, 2.0)
+    ab, ba = A @ B, B @ A
+    floor = 1e-8 * float(_frobenius(A)) * float(_frobenius(B))
     matched, worst = match_spectra(eigenvalues(ab), eigenvalues(ba), abs_floor=floor)
-    return SimilarityReport(
-        dim_ab=ab.shape[0],
-        dim_ba=ba.shape[0],
-        matched=matched,
-        max_mismatch=worst,
-    )
+    return SimilarityReport(dim_ab=ab.shape[0], dim_ba=ba.shape[0], matched=matched, max_mismatch=worst)
 
 
 @dataclass(frozen=True)
@@ -295,7 +301,7 @@ def _exact_square(mat: np.ndarray) -> tuple[bool, float]:
         return False, 0.0
     unit = np.array([s / (1 << top) for s in square.flat])
     with np.errstate(over="ignore"):
-        return True, float(np.ldexp(np.linalg.norm(unit), top + 2 * (low - 53)))
+        return True, float(np.ldexp(_frobenius(unit.reshape(square.shape)), top + 2 * (low - 53)))
 
 
 def nilpotent_check(A) -> NilpotentReport:
@@ -317,31 +323,18 @@ def nilpotent_check(A) -> NilpotentReport:
     """
     mat = _as_square(A)
     nonzero, sq_norm = _exact_square(mat)
+    scale = float(_frobenius(mat))
     exp = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
-    unit = np.ldexp(mat, -exp)
-    with np.errstate(over="ignore"):  # a value beyond the double range reads inf
-        scale = float(np.ldexp(np.linalg.norm(unit), exp))
-        tr = float(np.ldexp(np.trace(unit), exp))
+    with np.errstate(over="ignore"):  # a trace beyond the double range reads inf
+        tr = float(np.ldexp(np.trace(np.ldexp(mat, -exp)), exp))
     if nonzero:
-        return NilpotentReport(
-            applied=False,
-            square_norm=sq_norm,
-            trace=tr,
-            max_modulus=float("nan"),
-            passed=None,
-            note="not 2-nilpotent, skipped",
-        )
+        return NilpotentReport(applied=False, square_norm=sq_norm, trace=tr, max_modulus=float("nan"),
+                               passed=None, note="not 2-nilpotent, skipped")
     max_mod = float(np.max(np.abs(eigenvalues(mat)), initial=0.0))
     n, eps = mat.shape[0], np.finfo(float).eps
     passed = bool(abs(tr) <= n * eps * scale and max_mod <= n * math.sqrt(eps) * scale)
-    return NilpotentReport(
-        applied=True,
-        square_norm=sq_norm,
-        trace=tr,
-        max_modulus=max_mod,
-        passed=passed,
-        note="2-nilpotent",
-    )
+    return NilpotentReport(applied=True, square_norm=sq_norm, trace=tr, max_modulus=max_mod,
+                           passed=passed, note="2-nilpotent")
 
 
 def trace_formula_exponent(p: float) -> float:

@@ -45,8 +45,11 @@ OFF_DEFAULT = {
     "gamma": 1.5, "profile": "random", "a": (1.0,), "b": (1.0,),
 }
 
-# (subcommand, config field it does not read)
-UNREAD = [(sub, name) for sub, row in COMMANDS.items() for name in FIELDS if name not in row.fields]
+# former config fields, which no subcommand reads any more
+RETIRED = ("tolerance",)
+
+# (subcommand, config field or former field it does not read)
+UNREAD = [(sub, name) for sub, row in COMMANDS.items() for name in (*FIELDS, *RETIRED) if name not in row.fields]
 
 
 def _flag(name):
@@ -97,7 +100,7 @@ class TestConfig:
         [{"dims": 8}, {"seed": "5"}, {"trials": 2.5}, {"dims": [4.7]},
          {"p": "2"}, {"a": "1,2"}, {"b": 1.0}, {"length": 64.0},
          {"truncation": True}, {"s": "0.5"}, {"r": True}, {"alpha": [1]},
-         {"tolerance": "1e-3"}, {"epsilon": None}, {"beta": "2"},
+         {"profile": 1}, {"epsilon": None}, {"beta": "2"},
          {"beta_min": None}, {"beta_max": "3"}, {"gamma": {}},
          {"p": [[1]]}, {"a": [True]}, {"b": [None]},
          {"w": [1]}, {"w": False}],
@@ -118,12 +121,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ExperimentConfig(subcommand=subcommand, **{name: value})
 
-    @pytest.mark.parametrize("subcommand", [sub for sub, row in COMMANDS.items() if "tolerance" in row.fields])
-    def test_tolerance_is_at_least_zero(self, subcommand):
-        assert ExperimentConfig(subcommand=subcommand, tolerance=0.0).tolerance == 0.0
-        with pytest.raises(ValueError, match="^tolerance must be at least 0"):
-            ExperimentConfig(subcommand=subcommand, tolerance=-1e-12)
-
     def test_beta_range_is_ordered(self):
         cfg = ExperimentConfig(subcommand="factorize", beta_min=2.0, beta_max=2.0)
         assert run(cfg).records[0]["beta"] == 2.0
@@ -132,8 +129,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("subcommand, name", UNREAD)
     def test_unread_field_off_its_default_rejected(self, subcommand, name):
-        with pytest.raises(ValueError, match=f"{subcommand} does not read {name}"):
-            ExperimentConfig(subcommand=subcommand, **{name: OFF_DEFAULT[name]})
+        refusal = f"unknown config fields: {name}" if name in RETIRED else f"{subcommand} does not read {name}"
+        with pytest.raises(ValueError, match=refusal):
+            ExperimentConfig.from_dict({"subcommand": subcommand, name: OFF_DEFAULT[name]})
 
     @pytest.mark.parametrize(
         "subcommand, name",
@@ -262,6 +260,16 @@ class TestRun:
         assert report.aggregate["verdict"] == "BOUNDED"
         assert len(report.records) == 4
 
+    @pytest.mark.parametrize("fields", [
+        {"dims": (8, 16, 32, 64, 128, 256, 512), "p": (1.0,)},  # acceptance criterion 4
+        {"dims": (4, 8, 16), "p": (2.0,)},
+        {"dims": (512, 8), "p": (1.0,)},
+    ])
+    def test_eigen_type_aggregate_verdict_is_that_of_every_record(self, fields):
+        report = run(ExperimentConfig(subcommand="eigen-type", **fields))
+        assert report.aggregate["trials"] == 1
+        assert {rec["verdict"] for rec in report.records} == {report.aggregate["verdict"]}
+
     def test_lorentz_rejects_inadmissible_index(self):
         cfg = ExperimentConfig(subcommand="lorentz", r=1.0, w=2.0)
         with pytest.raises(ValueError):
@@ -347,7 +355,6 @@ def _draw_representation(rng, n, p):
 def _reference_trace_audit(cfg, trial, rng):
     """trace-audit one trial at a time, one representation at a time, without the audit."""
     out = []
-    scale = cfg.tolerance if cfg.tolerance is not None else 1e-8
     for n in cfg.dims:
         for p in cfg.p:
             s = cfg.s if cfg.s is not None else trace_formula_exponent(p)
@@ -357,14 +364,14 @@ def _reference_trace_audit(cfg, trial, rng):
             tr, ssum = nuclear_trace(z), complex(np.sum(spectrum))
             l1, qn = float(np.sum(np.abs(spectrum))), quasi_norm(z, NuclearIndex.absolutely_summable(s))
             defect, fro = abs(tr - ssum), float(np.linalg.norm(M))
-            ok = defect <= scale * fro
+            ok = defect <= 1e-8 * fro
             oracle_gap = None
             if n <= _ORACLE_CROSS_CHECK_DIM:
                 matched, worst = match_spectra(
                     spectrum,
                     characteristic_roots(M),
                     rel=1e-7,
-                    abs_floor=1e-7,
+                    abs_floor=1e-7 * fro,
                 )
                 oracle_gap = worst
                 ok = bool(ok and matched)
@@ -398,7 +405,7 @@ class TestTraceAuditStacks:
             {"seed": 0, "trials": 5, "dims": (4, 8, 16, 32), "p": BENCHMARK_P},
             {"seed": 1, "trials": 5, "dims": (4, 8, 16, 32), "p": BENCHMARK_P},
             {"seed": 2, "trials": 5, "dims": (4, 8, 16, 32), "p": BENCHMARK_P},
-            {"seed": 3, "trials": 4, "dims": (4, 8), "p": (1.0, 2.0), "s": 0.8, "tolerance": 1e-10},
+            {"seed": 3, "trials": 4, "dims": (4, 8), "p": (1.0, 2.0), "s": 0.8},
             {"seed": 4, "trials": 3, "dims": (32, 4, 4), "p": (1.5, math.inf)},
             {"seed": 5, "trials": 6, "dims": (1, 2, 5, 6, 7), "p": (3.0,)},
             {"seed": 6, "trials": 1, "dims": (4, 8), "p": BENCHMARK_P},
@@ -524,6 +531,13 @@ class TestCli:
         assert "must be a number" in result.output
         assert not isinstance(result.exception, TypeError)
 
+    def test_config_file_with_retired_tolerance_is_refused(self, runner, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"trials": 1, "dims": [4], "tolerance": 1e-6}))
+        result = runner.invoke(main, ["trace-audit", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "Error: unknown config fields: tolerance"
+
     def test_config_file_subcommand_mismatch(self, runner, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"subcommand": "holder"}))
@@ -628,7 +642,7 @@ class TestCommandTable:
          ("holder", {"a": (1.0, 2.0), "b": (0.5,)}),
          ("lorentz", {}), ("lorentz", {"r": 0.8, "w": 1.0, "length": 8}),
          ("factorize", {"truncation": 64}), ("factorize", {"truncation": 8, "beta": 2.0, "s": 0.5, "gamma": 1.5}),
-         ("trace-audit", {"dims": (4,)}), ("trace-audit", {"dims": (4, 8), "p": (1.0, math.inf), "s": 0.8, "tolerance": 1e-10}),
+         ("trace-audit", {"dims": (4,)}), ("trace-audit", {"dims": (4, 8), "p": (1.0, math.inf), "s": 0.8}),
          ("eigen-type", {}), ("eigen-type", {"dims": (4, 8), "p": (1.5,), "s": 0.8, "beta": 2.0}),
          ("approx", {}), ("approx", {"profile": "random", "dims": (16,), "p": (4.0,), "alpha": 0.25, "epsilon": 0.2}),
          ("approx", {"beta": 2.0}), ("similarity", {"dims": (4,)})],
@@ -672,8 +686,6 @@ class TestCommandTable:
         (["factorize", "--trials", "1", "--beta-min", "3", "--beta-max", "1"], "beta_min"),
         (["factorize", "--trials", "1", "--beta-min", "nan"], "beta_min"),
         (["factorize", "--trials", "1", "--beta-max", "inf"], "beta_max"),
-        (["trace-audit", "--dims", "4", "--tolerance", "nan"], "tolerance"),
-        (["trace-audit", "--dims", "4", "--tolerance", "-1"], "tolerance"),
     ])
     def test_bad_number_is_clean_error_naming_its_field(self, runner, args, name):
         # numpy's "high - low < 0", an OverflowError traceback, or records that all FAILed

@@ -304,11 +304,8 @@ class TestStackedMatch:
 
 
 class TestAuditTraceFormula:
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
-    def test_refuses_bad_tolerance_scale(self, scale):
-        z = diag_rep([0.5, 0.25], L2(2))
-        with pytest.raises(ValueError, match="tolerance_scale"):
-            audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0), tolerance_scale=scale)
+    def test_no_tolerance_option(self):
+        assert list(inspect.signature(audit_trace_formula).parameters) == ["reps", "indices"]
 
     def test_diagonal_rep(self):
         z = diag_rep([0.5, 1.0 / 3.0], L2(2))
@@ -373,21 +370,70 @@ class TestAuditTraceFormula:
         assert audit.eigen_l1.tolist() == [0.875]
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_rule_is_scale_invariant(self, seed):
+    def test_rule_is_scale_invariant(self, seed, monkeypatch):
         # a power-of-two scale leaves the defect relative to the Frobenius
         # norm about where it was, a few 1e-16, so the verdict may not
         # change with it; an absolute floor would pass the scaled copy
+        monkeypatch.setattr(spectral, "_DEFECT_RULE", 1e-17)
         rng = np.random.default_rng([17, seed])
         space = AmbientSpace(6, 1.5)
         lam = np.sort(rng.uniform(0.1, 1.0, 6))[::-1]
         F, X = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
         idx = NuclearIndex.absolutely_summable(0.75)
         big, tiny = (
-            audit_trace_formula(Representation(c * lam, F, X, space, space), idx, tolerance_scale=1e-17)
+            audit_trace_formula(Representation(c * lam, F, X, space, space), idx)
             for c in (1.0, 2.0 ** -60)
         )
         np.testing.assert_array_equal(tiny.matrices, 2.0 ** -60 * big.matrices)
         assert tiny.passed.tolist() == big.passed.tolist() == [False]
+
+    def test_frobenius_of_scaled_functionals_is_finite_and_exact(self):
+        # np.linalg.norm squares the entries, so at 1e160 it reads inf, and a rule
+        # and floor taken from it would pass any defect and any root
+        rng = np.random.default_rng(0)
+        space, idx = AmbientSpace(4, 2.0), NuclearIndex.absolutely_summable(1.0)
+        lam, F, X = [1.0, 0.5, 0.25], rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+
+        def audit_and_oracle(c):
+            audit = audit_trace_formula(Representation(lam, c * F, X, space, space), idx)
+            floor = 1e-7 * audit.frobenius  # trace-audit's oracle floor
+            matched, _ = match_spectra(audit.spectra, characteristic_roots(audit.matrices), rel=1e-7, abs_floor=floor)
+            return audit, floor, matched
+
+        base, base_floor, base_matched = audit_and_oracle(1.0)
+        assert base.frobenius.tolist() == [np.linalg.norm(base.matrices[0])]
+        big, _, big_matched = audit_and_oracle(1e160)
+        assert np.isfinite(big.frobenius).all()
+        assert big.frobenius[0] == pytest.approx(1e160 * base.frobenius[0], rel=1e-14)
+        assert big.passed.tolist() == base.passed.tolist() == [True]
+        assert big_matched.tolist() == base_matched.tolist() == [True]
+        for k in (530, -530):
+            audit, floor, matched = audit_and_oracle(2.0 ** k)
+            assert np.isfinite(audit.frobenius).all() and audit.frobenius[0] > 0.0
+            assert audit.frobenius.tolist() == np.ldexp(base.frobenius, k).tolist()
+            assert floor.tolist() == np.ldexp(base_floor, k).tolist()
+            assert audit.passed.tolist() == base.passed.tolist()
+            assert matched.tolist() == base_matched.tolist()
+
+
+class TestFrobenius:
+    """The one Frobenius kernel behind every norm of the module."""
+
+    def test_bits_of_np_linalg_norm_in_range(self):
+        rng = np.random.default_rng(3)
+        for k in (-300, 0, 300):
+            stack = np.ldexp(rng.standard_normal((2, 3, 5, 4)), k)
+            fro = spectral._frobenius(stack)
+            assert fro.shape == (2, 3)
+            assert fro.ravel().tolist() == [np.linalg.norm(M) for M in stack.reshape(-1, 5, 4)]
+
+    def test_exact_where_the_squares_leave_the_double_range(self):
+        M = np.array([[3.0, -4.0]])
+        for k in (-1070, -600, 600, 1020):
+            assert spectral._frobenius(np.ldexp(M, k)) == np.ldexp(5.0, k)
+        assert spectral._frobenius(np.full((2, 2), 1.5e308)) == math.inf
+        assert spectral._frobenius(np.zeros((0, 0))) == 0.0
+        assert spectral._frobenius(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
 
 
 def _rank_deficient(rng, n, p):
@@ -447,7 +493,8 @@ class TestStackForms:
         with pytest.raises(ValueError):
             characteristic_roots(np.zeros((2, 3, 4)))
 
-    def test_audit_stack_matches_single_calls(self):
+    def test_audit_stack_matches_single_calls(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DEFECT_RULE", 1e-9)
         rng = np.random.default_rng(5)
         reps, indices = [], []
         for p in (1.0, 1.5, math.inf):
@@ -462,8 +509,8 @@ class TestStackForms:
                     indices.append(NuclearIndex.absolutely_summable(s))
         indices[1] = NuclearIndex.lorentz(0.5, 2.0)
         indices[2] = NuclearIndex.bracket_upper(1.0, 1.5)
-        audit = audit_trace_formula(reps, indices, tolerance_scale=1e-9)
-        singles = [audit_trace_formula(z, i, tolerance_scale=1e-9) for z, i in zip(reps, indices)]
+        audit = audit_trace_formula(reps, indices)
+        singles = [audit_trace_formula(z, i) for z, i in zip(reps, indices)]
         _assert_rows_of(audit, singles)
         np.testing.assert_array_equal(audit.matrices, [induced_matrix(z) for z in reps])
         assert audit.frobenius.tolist() == [np.linalg.norm(induced_matrix(z)) for z in reps]
