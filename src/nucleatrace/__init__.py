@@ -5,6 +5,7 @@ finite l_p spaces."""
 from .sequences import (
     FactorizationCertificate,
     LorentzIndex,
+    Padded,
     factor_l1_lorentz,
     holder_product_bound,
     lorentz_quasi_norm,
@@ -64,6 +65,7 @@ __all__ = [
     "NormBracket",
     "NuclearIndex",
     "OperatorMatrix",
+    "Padded",
     "Representation",
     "RunReport",
     "SimilarityReport",

@@ -6,6 +6,7 @@ per trial, so reports are reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import time
@@ -18,6 +19,7 @@ from .approximation import build_approximant
 from .nuclear import NuclearIndex, Representation
 from .sequences import (
     LorentzIndex,
+    Padded,
     factor_l1_lorentz,
     holder_product_bound,
     lorentz_quasi_norm,
@@ -41,6 +43,8 @@ RNG_CONTRACT_VERSION = 1
 _HOLDER_S_GRID = (0.5, 2.0 / 3.0, 0.9, 1.0)
 _ORACLE_CROSS_CHECK_DIM = 6
 _PROBE_GROWTH = 1.05
+# entries of one stacked draw in holder and lorentz; bounds their memory at any trial count
+_STACK_ENTRIES = 1 << 20
 
 
 def parse_exponent(x) -> float:
@@ -261,82 +265,127 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _holder_checks(a: np.ndarray, b: np.ndarray, s: float):
-    """lhs, rhs, the witness gap (None for a zero a), the verdict and ||a||_1 of one pair."""
-    lhs, rhs, holds = holder_product_bound(a, b, s)
-    l1 = float(np.sum(np.abs(a)))
-    witness_gap = None
-    witness_ok = True
-    if np.any(a != 0.0):
-        wit = sharpness_witness(a, s)
-        wl, _, _ = holder_product_bound(a, wit, s)
-        witness_gap = abs(wl - l1)
-        witness_ok = witness_gap <= REL_TOL * l1
-    return lhs, rhs, witness_gap, bool(holds and witness_ok), l1
+def _stack_chunks(rngs: Iterable, width: int):
+    """The trials' (number, generator) pairs in runs of at most _STACK_ENTRIES // width.
+
+    A stacked runner draws one run at a time, so its stacks stay small at
+    any trial count and length; rows are independent, so a record does
+    not depend on the run it falls in.
+    """
+    numbered = enumerate(rngs)
+    while chunk := list(itertools.islice(numbered, max(1, _STACK_ENTRIES // max(width, 1)))):
+        yield chunk
 
 
-def _run_holder(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
-    if cfg.a is not None:
-        a = np.asarray(cfg.a, dtype=float)
-        b = np.asarray(cfg.b, dtype=float)
-    else:
-        la = int(rng.integers(1, cfg.length + 1))
-        lb = int(rng.integers(1, cfg.length + 1))
-        a = rng.standard_normal(la) * float(rng.uniform(0.1, 10.0))
-        b = rng.standard_normal(lb) * float(rng.uniform(0.1, 10.0))
-    s = cfg.s if cfg.s is not None else _HOLDER_S_GRID[trial % len(_HOLDER_S_GRID)]
-    lhs, rhs, witness_gap, ok, l1 = _holder_checks(a, b, s)
-    scale_log2 = None
-    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(l1)):
-        # both sides are homogeneous in a and in b: decide on the pair with each
-        # largest entry scaled into [1/2, 1) by an exact power of two
-        scale_log2 = [int(np.frexp(np.abs(x).max(initial=0.0))[1]) for x in (a, b)]
-        lhs, rhs, witness_gap, ok, _ = _holder_checks(
-            np.ldexp(a, -scale_log2[0]), np.ldexp(b, -scale_log2[1]), s
-        )
-    rec = {
-        "trial": trial,
-        "s": s,
-        "lhs": lhs,
-        "rhs": rhs,
-        "defect": rhs - lhs,
-        "witness_gap": witness_gap,
-        "pass": ok,
-    }
-    if scale_log2 is not None:
-        rec["scale_log2"] = scale_log2
-    if not ok:
-        rec["a"] = a.tolist()
-        rec["b"] = b.tolist()
-    return [rec]
+def _holder_columns(a: Padded, b: Padded, s: float):
+    """lhs, rhs, witness gap (nan for a zero row), verdict and ||a||_1 of each row pair."""
+    lhs, rhs, ok = holder_product_bound(a, b, s)
+    l1 = lp_norm(a.rows, 1.0, axis=-1, lengths=a.lengths)
+    gap = np.full(l1.shape, math.nan)
+    nonzero = np.flatnonzero(np.any(a.rows != 0.0, axis=-1))
+    if nonzero.size:
+        sub = Padded(a.rows[nonzero], a.lengths[nonzero])
+        wl, _, _ = holder_product_bound(sub, Padded(sharpness_witness(sub, s), sub.lengths), s)
+        with np.errstate(invalid="ignore"):  # inf - inf where ||a||_1 overflows; the caller rescales that row
+            gap[nonzero] = np.abs(wl - l1[nonzero])
+        ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
+    return lhs, rhs, gap, ok, l1
 
 
-def _run_lorentz(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
+def _run_holder(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
+    """Check the product bound and its witness on one stack per exponent s.
+
+    Each trial's generator draws its pair as a trial run alone would;
+    the pairs go into zero-padded stacks with their stored lengths.
+    """
+    width = cfg.length if cfg.a is None else max(len(cfg.a), len(cfg.b))
+    records = []
+    for chunk in _stack_chunks(rngs, width):
+        if cfg.a is not None:
+            a, b = (np.tile(np.asarray(x, dtype=float), (len(chunk), 1)) for x in (cfg.a, cfg.b))
+            la, lb = np.full(len(chunk), a.shape[1]), np.full(len(chunk), b.shape[1])
+        else:
+            a, b = np.zeros((len(chunk), width)), np.zeros((len(chunk), width))
+            la, lb = np.empty(len(chunk), dtype=int), np.empty(len(chunk), dtype=int)
+            for i, (_, rng) in enumerate(chunk):
+                la[i] = n = rng.integers(1, cfg.length + 1)
+                lb[i] = m = rng.integers(1, cfg.length + 1)
+                a[i, :n] = rng.standard_normal(n) * float(rng.uniform(0.1, 10.0))
+                b[i, :m] = rng.standard_normal(m) * float(rng.uniform(0.1, 10.0))
+        exponents = [cfg.s if cfg.s is not None else _HOLDER_S_GRID[t % len(_HOLDER_S_GRID)] for t, _ in chunk]
+        chunk_records = [None] * len(chunk)
+        for s in sorted(set(exponents)):
+            rows = np.flatnonzero(np.equal(exponents, s))
+            pa, pb = Padded(a[rows], la[rows]), Padded(b[rows], lb[rows])
+            lhs, rhs, gap, ok, l1 = _holder_columns(pa, pb, s)
+            scale_log2 = [None] * rows.size
+            over = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(l1)))
+            if over.size:
+                # both sides are homogeneous in a and in b: decide on the pair with each
+                # largest entry scaled into [1/2, 1) by an exact power of two
+                k = np.stack([np.frexp(np.abs(x.rows[over]).max(axis=-1, initial=0.0))[1] for x in (pa, pb)], axis=-1)
+                scaled = [Padded(np.ldexp(x.rows[over], -k[:, j, None]), x.lengths[over]) for j, x in enumerate((pa, pb))]
+                lhs[over], rhs[over], gap[over], ok[over], _ = _holder_columns(*scaled, s)
+                for i, ki in zip(over.tolist(), k.tolist()):
+                    scale_log2[i] = ki
+            for row, lhs_i, rhs_i, gap_i, ok_i, k_i in zip(
+                rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist(), scale_log2
+            ):
+                rec = {
+                    "trial": chunk[row][0],
+                    "s": s,
+                    "lhs": lhs_i,
+                    "rhs": rhs_i,
+                    "defect": rhs_i - lhs_i,
+                    "witness_gap": None if math.isnan(gap_i) else gap_i,  # nan marks a zero a
+                    "pass": ok_i,
+                }
+                if k_i is not None:
+                    rec["scale_log2"] = k_i
+                if not ok_i:
+                    rec["a"] = a[row, : la[row]].tolist()
+                    rec["b"] = b[row, : lb[row]].tolist()
+                chunk_records[row] = rec
+        records += chunk_records
+    return records
+
+
+def _run_lorentz(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
+    """Check rearrangement invariance and homogeneity on three stacked calls per run of trials."""
     r = cfg.r if cfg.r is not None else 0.5
     w = cfg.w if cfg.w is not None else math.inf
     NuclearIndex.lorentz(r, w)  # admissibility gate, rejects r = 1 with w > 1
     index = LorentzIndex(r, w)
-    a = rng.standard_normal(cfg.length)
-    norm = lorentz_quasi_norm(a, index)
-    perm = rng.permutation(cfg.length)
-    norm_perm = lorentz_quasi_norm(a[perm], index)
-    c = float(rng.uniform(0.1, 10.0))
-    norm_scaled = lorentz_quasi_norm(c * a, index)
-    invariant = abs(norm - norm_perm) <= REL_TOL * norm
-    homogeneous = abs(norm_scaled - c * norm) <= REL_TOL * (c * norm)
-    ok = bool(invariant and homogeneous)
-    rec = {
-        "trial": trial,
-        "r": r,
-        "w": w,
-        "norm": norm,
-        "rearrangement_invariant": bool(invariant),
-        "homogeneous": bool(homogeneous),
-        "pass": ok,
-    }
-    if not ok:
-        rec["a"] = a.tolist()
-    return [rec]
+    records = []
+    for chunk in _stack_chunks(rngs, cfg.length):
+        a = np.empty((len(chunk), cfg.length))
+        perm = np.empty((len(chunk), cfg.length), dtype=int)
+        c = np.empty(len(chunk))
+        for i, (_, rng) in enumerate(chunk):
+            a[i] = rng.standard_normal(cfg.length)
+            perm[i] = rng.permutation(cfg.length)
+            c[i] = rng.uniform(0.1, 10.0)
+        norm = lorentz_quasi_norm(a, index)
+        norm_perm = lorentz_quasi_norm(np.take_along_axis(a, perm, axis=-1), index)
+        norm_scaled = lorentz_quasi_norm(c[:, None] * a, index)
+        invariant = np.abs(norm - norm_perm) <= REL_TOL * norm
+        homogeneous = np.abs(norm_scaled - c * norm) <= REL_TOL * (c * norm)
+        for i, ((t, _), value, inv, hom) in enumerate(
+            zip(chunk, norm.tolist(), invariant.tolist(), homogeneous.tolist())
+        ):
+            rec = {
+                "trial": t,
+                "r": r,
+                "w": w,
+                "norm": value,
+                "rearrangement_invariant": inv,
+                "homogeneous": hom,
+                "pass": inv and hom,
+            }
+            if not rec["pass"]:
+                rec["a"] = a[i].tolist()
+            records.append(rec)
+    return records
 
 
 def _run_factorize(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
@@ -548,9 +597,9 @@ class Subcommand(NamedTuple):
 
 
 COMMANDS: dict[str, Subcommand] = {
-    "holder": Subcommand("Product bound against l_1, with sharpness witnesses.", _per_trial(_run_holder),
+    "holder": Subcommand("Product bound against l_1, with sharpness witnesses.", _run_holder,
                          ("seed", "trials", "s", "length", "a", "b")),
-    "lorentz": Subcommand("Lorentz quasi-norm sanity checks on random sequences.", _per_trial(_run_lorentz),
+    "lorentz": Subcommand("Lorentz quasi-norm sanity checks on random sequences.", _run_lorentz,
                           ("seed", "trials", "r", "w", "length")),
     "factorize": Subcommand("Exact l_1 times weak-tail splits of power-decay sequences.", _per_trial(_run_factorize),
                             ("seed", "trials", "s", "beta", "beta_min", "beta_max", "truncation", "gamma")),

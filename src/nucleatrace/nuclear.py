@@ -270,8 +270,8 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
     BRACKET_LOWER multiplies the l_r mass of (lambda_k x'_k) by the weak
     p'-norm of the vector system; BRACKET_UPPER swaps the roles.  A
     single representation is the stack of one and gives a float; a stack
-    gives the array of its rows' values: S as one row-wise norm, LORENTZ
-    row by row, the bracket variants with one stacked ascent.  The atoms
+    gives the array of its rows' values: S and LORENTZ as one row-wise
+    norm each, the bracket variants with one stacked ascent.  The atoms
     are finite, so an infinite magnitude is overflow, and its row's S or
     LORENTZ value is inf.
     """
@@ -279,11 +279,11 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
         out = lp_norm(z.magnitudes(), index.s, axis=-1)
     elif index.variant == LORENTZ_VARIANT:
         mags = z.magnitudes()
-        lorentz = LorentzIndex(index.r, index.w)
         flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)
-        overflow = np.isinf(flat).any(axis=-1)
-        rows = [math.inf if o else lorentz_quasi_norm(row, lorentz) for row, o in zip(flat, overflow)]
-        out = np.reshape(rows, mags.shape[:-1])
+        finite = ~np.isinf(flat).any(axis=-1)
+        out = np.full(flat.shape[0], math.inf)
+        out[finite] = lorentz_quasi_norm(flat[finite], LorentzIndex(index.r, index.w))
+        out = out.reshape(mags.shape[:-1])
     elif z.atom_count == 0:
         out = np.zeros(z.coefficients.shape[:-1])
     else:

@@ -6,11 +6,18 @@ quasi-norms, the Holder-type bound for pointwise products against
 summable sequences with its sharpness witness, and a factorization of a
 non-increasing sequence through l_1 times a weak-type tail, with an
 exact reconstruction certificate.
+
+The Lorentz quasi-norm, the product bound and the witness also take a
+stack of sequences, one per row: a 2-d array, or a `Padded` stack of
+zero-padded rows with each row's stored length.  A row's result has the
+bits of the call on that row alone, so a runner makes one call per
+stack where it would make one per sequence.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from .tolerances import REL_TOL
 
 __all__ = [
     "LorentzIndex",
+    "Padded",
     "FactorizationCertificate",
     "lorentz_quasi_norm",
     "holder_product_bound",
@@ -33,6 +41,38 @@ def as_values(a) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("expected a one dimensional sequence")
     return arr
+
+
+class Padded(NamedTuple):
+    """A stack of sequences of mixed stored lengths, as zero-padded rows.
+
+    Row i holds sequence i in its first ``lengths[i]`` entries and zeros
+    after them.  Functions of this module read a row exactly as the 1-d
+    sequence of its stored length, to the last bit.
+    """
+
+    rows: np.ndarray
+    lengths: np.ndarray
+
+
+def _as_stack(a) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, stored lengths, whether a was one sequence) of a sequence, a 2-d stack or a Padded stack."""
+    # C order keeps every row reduction running along its own row
+    if isinstance(a, Padded):
+        rows = np.ascontiguousarray(a.rows, dtype=float)
+        lengths = np.asarray(a.lengths)
+        if rows.ndim != 2 or lengths.shape != rows.shape[:1]:
+            raise ValueError("a padded stack needs 2-d rows and one stored length per row")
+        if lengths.dtype.kind not in "iu" or np.any((lengths < 0) | (lengths > rows.shape[1])):
+            raise ValueError("stored lengths must be integers from 0 to the row width")
+        if np.any(rows[np.arange(rows.shape[1]) >= lengths[:, None]] != 0.0):
+            raise ValueError("a padded row must be zero beyond its stored length")
+        return rows, lengths, False
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError("expected a sequence or a 2-d stack of sequences")
+    rows = np.ascontiguousarray(arr[None, :] if arr.ndim == 1 else arr)
+    return rows, np.full(rows.shape[0], rows.shape[1]), arr.ndim == 1
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -66,8 +106,8 @@ class LorentzIndex:
             raise ValueError("p = inf requires q = inf")
 
 
-def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
-    """Lorentz quasi-norm of a finite sequence.
+def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
+    """Lorentz quasi-norm of a finite sequence, or of each row of a stack.
 
     For finite q this is (sum_k (k**(1/p - 1/q) a*_k)**q)**(1/q) over the
     stored length, where a* is the decreasing rearrangement.  For q = inf
@@ -77,23 +117,28 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float:
 
     Parameters
     ----------
-    a : array-like
+    a : array-like or Padded
+        One sequence, a 2-d stack of equal-length rows, or a Padded stack.
     index : LorentzIndex
 
     Returns
     -------
-    float
+    float for one sequence; for a stack, the array of each row's value,
+    with the bits of the call on that row alone.
     """
-    av = as_values(a)
-    star = np.sort(np.abs(av))[::-1]
-    k = np.arange(1, star.size + 1, dtype=float)
-    out = lp_norm(k ** (1.0 / index.p - 1.0 / index.q) * star, index.q)
-    if not math.isfinite(out):
+    av, lengths, single = _as_stack(a)
+    # sorting moves a row's padding to its end, so its stored length still holds
+    star = np.abs(av)
+    star.sort(axis=-1)
+    star = star[:, ::-1]
+    k = np.arange(1, av.shape[1] + 1, dtype=float)
+    out = lp_norm(k ** (1.0 / index.p - 1.0 / index.q) * star, index.q, axis=-1, lengths=lengths)
+    if not np.all(np.isfinite(out)):
         _require_finite(av)
-    return out
+    return float(out[0]) if single else out
 
 
-def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
+def holder_product_bound(a, b, s: float):
     """Evaluate the product bound ||a b||_s <= ||a||_1 ||b||_q.
 
     Here 1/q = 1/s - 1, so s in (0, 1] and q = s/(1-s), with q = inf at
@@ -103,7 +148,9 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
 
     Parameters
     ----------
-    a, b : array-like
+    a, b : array-like or Padded
+        Two sequences, or two stacks with the same number of rows (each a
+        2-d array of full rows or a Padded stack), paired row by row.
     s : float
         Product exponent in (0, 1].
 
@@ -112,20 +159,26 @@ def holder_product_bound(a, b, s: float) -> tuple[float, float, bool]:
     (lhs, rhs, holds) : tuple of float, float, bool
         holds allows a relative slack of 1e-9 on the right side.  NaN or
         infinite entries raise ValueError; finite entries whose product
-        overflows give inf.
+        overflows give inf.  For stacks, three arrays with a row's values
+        in each, with the bits of the call on that pair alone.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
-    av = as_values(a)
-    bv = as_values(b)
-    m = min(av.size, bv.size)
-    prod = np.abs(av[:m] * bv[:m])
-    lhs = lp_norm(prod, s)
+    av, la, single_a = _as_stack(a)
+    bv, lb, single_b = _as_stack(b)
+    if av.shape[0] != bv.shape[0]:
+        raise ValueError("stacks must have the same number of rows")
+    w = min(av.shape[1], bv.shape[1])
+    lhs = lp_norm(av[:, :w] * bv[:, :w], s, axis=-1, lengths=np.minimum(la, lb))
     q = math.inf if s == 1.0 else s / (1.0 - s)
-    rhs = lp_norm(av, 1.0) * lp_norm(bv, q)
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+    with np.errstate(over="ignore", invalid="ignore"):  # a product of two norms behaves as for floats
+        rhs = lp_norm(av, 1.0, axis=-1, lengths=la) * lp_norm(bv, q, axis=-1, lengths=lb)
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         _require_finite(av, bv)
-    return lhs, rhs, bool(lhs <= rhs + REL_TOL * rhs)
+    holds = lhs <= rhs + REL_TOL * rhs
+    if single_a and single_b:
+        return float(lhs[0]), float(rhs[0]), bool(holds[0])
+    return lhs, rhs, holds
 
 
 def sharpness_witness(a, s: float) -> np.ndarray:
@@ -134,20 +187,25 @@ def sharpness_witness(a, s: float) -> np.ndarray:
     For s < 1 returns b_k = |a_k|**(1/q) / ||a||_1**(1/q) with
     q = s/(1-s), which has unit l_q norm whenever a is nonzero and turns
     the bound into lhs = rhs = ||a||_1.  For s = 1 the all-ones sequence
-    plays the same role against the sup norm.  NaN or infinite entries
-    raise ValueError.
+    plays the same role against the sup norm.  For a stack (2-d or
+    Padded) it returns the 2-d array of each row's witness, zero beyond
+    the row's stored length.  NaN or infinite entries, or a zero
+    sequence, raise ValueError.
     """
-    av = as_values(a)
+    av, lengths, single = _as_stack(a)
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
     _require_finite(av)
-    if av.size == 0 or not np.any(av != 0.0):
+    if av.shape[1] == 0 or not np.all(np.any(av != 0.0, axis=-1)):
         raise ValueError("witness requires a nonzero sequence")
     if s == 1.0:
-        return np.ones_like(av)
-    q = s / (1.0 - s)
-    l1 = float(np.sum(np.abs(av)))
-    return np.abs(av) ** (1.0 / q) / l1 ** (1.0 / q)
+        wit = (np.arange(av.shape[1]) < lengths[:, None]).astype(float)
+    else:
+        q = s / (1.0 - s)
+        l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
+        # the divisor is a Python float power per row, as for a single sequence
+        wit = np.abs(av) ** (1.0 / q) / np.array([x ** (1.0 / q) for x in l1.tolist()])[:, None]
+    return wit[0] if single else wit
 
 
 @dataclass(frozen=True)

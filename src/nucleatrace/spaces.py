@@ -86,7 +86,7 @@ _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 
 
-def lp_norm(arr, p: float, axis: int | None = None):
+def lp_norm(arr, p: float, axis: int | None = None, lengths=None):
     """l_p norm of an array, or one norm per slice along ``axis``.
 
     p lies in (0, inf]; below 1 the value is the l_p quasi-norm.  Except
@@ -95,6 +95,10 @@ def lp_norm(arr, p: float, axis: int | None = None):
     accurate result.  An infinite entry gives inf, a NaN entry NaN.  Empty
     input has norm 0.  Without an axis the array, flattened in memory
     order, is one slice with a float norm; with one, norms per slice.
+
+    ``lengths`` (with axis -1 on a 2-d array) gives each row's stored
+    length; the row must be zero beyond it.  Each row's norm then has the
+    bits of the norm of its leading ``lengths[i]`` entries alone.
     """
     if not (p > 0.0):
         raise ValueError("exponent must satisfy p > 0")
@@ -105,12 +109,26 @@ def lp_norm(arr, p: float, axis: int | None = None):
     if math.isinf(p):
         out = a.max(axis=axis, initial=0.0)
     elif p == 1.0:
-        out = a.sum(axis=axis)
+        out = a.sum(axis=axis) if lengths is None else _row_sums(a, lengths)
     else:
         m = a.max(axis=axis, initial=_TINY, keepdims=True)
-        total = ((a / np.minimum(m, _HUGE)) ** p).sum(axis=axis)
+        r = (a / np.minimum(m, _HUGE)) ** p
+        total = r.sum(axis=axis) if lengths is None else _row_sums(r, lengths)
         out = m.squeeze(axis) * np.power(total, 1.0 / p)
     return float(out) if whole else out
+
+
+def _row_sums(a: np.ndarray, lengths) -> np.ndarray:
+    """Each row's sum over its first lengths[i] entries, with the bits of that slice's own sum.
+
+    Summed with the padding, a row would fall into other pairwise-summation
+    blocks and change its last bits.  Masked off, the padding is skipped:
+    the reduction runs over each row's leading run of entries alone.
+    """
+    lengths = np.asarray(lengths)
+    if np.all(lengths == a.shape[-1]):
+        return a.sum(axis=-1)  # the same bits, without the masked loop's cost
+    return np.add.reduce(a, axis=-1, where=np.arange(a.shape[-1]) < lengths[:, None])
 
 
 def vector_norm(v: Vector) -> float:

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nucleatrace import AmbientSpace, NormBracket, NuclearIndex, Representation, induced_matrix, nuclear_trace, quasi_norm
+from nucleatrace import (
+    AmbientSpace,
+    LorentzIndex,
+    NormBracket,
+    NuclearIndex,
+    Representation,
+    holder_product_bound,
+    induced_matrix,
+    lorentz_quasi_norm,
+    nuclear_trace,
+    quasi_norm,
+    sharpness_witness,
+)
 from nucleatrace import approximation, experiments
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
@@ -26,6 +38,7 @@ from nucleatrace.spectral import (
     match_spectra,
     trace_formula_exponent,
 )
+from nucleatrace.tolerances import REL_TOL
 
 
 @pytest.fixture
@@ -450,6 +463,113 @@ class TestTraceAuditStacks:
         monkeypatch.setattr(experiments, "_trial_rng", rngs)
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
+
+
+def _reference_holder_checks(a, b, s):
+    lhs, rhs, holds = holder_product_bound(a, b, s)
+    l1 = float(np.sum(np.abs(a)))
+    gap, witness_ok = None, True
+    if np.any(a != 0.0):
+        wl, _, _ = holder_product_bound(a, sharpness_witness(a, s), s)
+        gap = abs(wl - l1)
+        witness_ok = gap <= REL_TOL * l1
+    return lhs, rhs, gap, bool(holds and witness_ok), l1
+
+
+def _reference_holder(cfg, trial, rng):
+    """holder one trial at a time, on the 1-d pair of that trial."""
+    if cfg.a is not None:
+        a, b = np.asarray(cfg.a, dtype=float), np.asarray(cfg.b, dtype=float)
+    else:
+        la = int(rng.integers(1, cfg.length + 1))
+        lb = int(rng.integers(1, cfg.length + 1))
+        a = rng.standard_normal(la) * float(rng.uniform(0.1, 10.0))
+        b = rng.standard_normal(lb) * float(rng.uniform(0.1, 10.0))
+    s = cfg.s if cfg.s is not None else (0.5, 2.0 / 3.0, 0.9, 1.0)[trial % 4]
+    lhs, rhs, gap, ok, l1 = _reference_holder_checks(a, b, s)
+    rec = {}
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(l1)):
+        rec["scale_log2"] = [int(np.frexp(np.abs(x).max(initial=0.0))[1]) for x in (a, b)]
+        lhs, rhs, gap, ok, _ = _reference_holder_checks(
+            np.ldexp(a, -rec["scale_log2"][0]), np.ldexp(b, -rec["scale_log2"][1]), s)
+    rec.update({"trial": trial, "s": s, "lhs": lhs, "rhs": rhs, "defect": rhs - lhs,
+                "witness_gap": gap, "pass": ok})
+    if not ok:
+        rec["a"], rec["b"] = a.tolist(), b.tolist()
+    return [rec]
+
+
+def _reference_lorentz(cfg, trial, rng):
+    """lorentz one trial at a time, on the 1-d sequence of that trial."""
+    r = cfg.r if cfg.r is not None else 0.5
+    w = cfg.w if cfg.w is not None else math.inf
+    index = LorentzIndex(r, w)
+    a = rng.standard_normal(cfg.length)
+    norm = lorentz_quasi_norm(a, index)
+    norm_perm = lorentz_quasi_norm(a[rng.permutation(cfg.length)], index)
+    c = float(rng.uniform(0.1, 10.0))
+    norm_scaled = lorentz_quasi_norm(c * a, index)
+    invariant = abs(norm - norm_perm) <= REL_TOL * norm
+    homogeneous = abs(norm_scaled - c * norm) <= REL_TOL * (c * norm)
+    rec = {"trial": trial, "r": r, "w": w, "norm": norm, "rearrangement_invariant": invariant,
+           "homogeneous": homogeneous, "pass": invariant and homogeneous}
+    if not rec["pass"]:
+        rec["a"] = a.tolist()
+    return [rec]
+
+
+def _body(records):
+    """Records as the report body writes them: sorted keys."""
+    return json.dumps(_jsonable(records), sort_keys=True)
+
+
+class TestSequenceStacks:
+    """Stacking holder and lorentz across trials changes no record bit."""
+
+    REFERENCES = {"holder": _reference_holder, "lorentz": _reference_lorentz}
+
+    @pytest.mark.parametrize(
+        "subcommand, fields",
+        [
+            ("holder", {"seed": 0, "trials": 200}),
+            ("holder", {"seed": 1, "trials": 60}),
+            ("holder", {"seed": 2, "trials": 60}),
+            ("holder", {"seed": 3, "trials": 40, "length": 1}),
+            ("holder", {"seed": 4, "trials": 40, "length": 300}),
+            ("holder", {"seed": 5, "trials": 40, "s": 1.0}),
+            ("holder", {"seed": 6, "trials": 4, "a": (1.0, 2.0, 3.0), "b": (0.5, 0.25)}),
+            ("holder", {"a": (1e308, 1e308), "b": (1.0, 1.0), "s": 0.5}),
+            ("holder", {"trials": 8, "a": (1e308, 1e308, 3.0), "b": (1e308, 1.0, 1.0)}),
+            ("holder", {"trials": 2, "a": (0.0, 0.0), "b": (1.0, 1.0)}),
+            ("lorentz", {"seed": 0, "trials": 200, "length": 256}),
+            ("lorentz", {"seed": 1, "trials": 60}),
+            ("lorentz", {"seed": 2, "trials": 40, "length": 1}),
+            ("lorentz", {"seed": 3, "trials": 40, "length": 300}),
+            ("lorentz", {"seed": 4, "trials": 40, "r": 0.8, "w": 1.0, "length": 129}),
+        ],
+        ids=["holder-bench", "holder-1", "holder-2", "holder-length-1", "holder-length-300", "holder-s-1",
+             "holder-pair", "holder-1e308", "holder-1e308-mixed", "holder-zero-a",
+             "lorentz-bench", "lorentz-1", "lorentz-length-1", "lorentz-length-300", "lorentz-r-w"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_records_match_per_trial_reference(self, subcommand, fields):
+        cfg = ExperimentConfig(subcommand=subcommand, **fields)
+        reference = self.REFERENCES[subcommand]
+        expected = [rec for t in range(cfg.trials) for rec in reference(cfg, t, _trial_rng(cfg.seed, t))]
+        assert _body(run(cfg).records) == _body(expected)
+
+    @pytest.mark.parametrize("subcommand", ["holder", "lorentz"])
+    def test_records_do_not_depend_on_the_trial_count(self, subcommand):
+        few = run(ExperimentConfig(subcommand=subcommand, seed=9, trials=7)).records
+        many = run(ExperimentConfig(subcommand=subcommand, seed=9, trials=200)).records
+        assert _body(few) == _body(many[:7])
+
+    @pytest.mark.parametrize("subcommand", ["holder", "lorentz"])
+    def test_runs_of_trials_give_the_records_of_one_stack(self, monkeypatch, subcommand):
+        cfg = ExperimentConfig(subcommand=subcommand, seed=3, trials=50)
+        whole = run(cfg).records
+        monkeypatch.setattr(experiments, "_STACK_ENTRIES", 3 * cfg.length)
+        assert _body(run(cfg).records) == _body(whole)
 
 
 class TestCli:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nucleatrace import (
     LorentzIndex,
+    Padded,
     factor_l1_lorentz,
     holder_product_bound,
     lorentz_quasi_norm,
@@ -189,7 +190,7 @@ class TestHolderProductBound:
         lp_norm = sequences.lp_norm
         monkeypatch.setattr(
             sequences, "lp_norm",
-            lambda arr, p: lp_norm(arr, p) * (1.0 + 1e-6 if p == s else 1.0),
+            lambda arr, p, **kw: lp_norm(arr, p, **kw) * (1.0 + 1e-6 if p == s else 1.0),
         )
         lhs, rhs, holds = holder_product_bound(a, b, s)
         assert lhs > rhs and not holds
@@ -476,7 +477,11 @@ class TestFactorizationReference:
 
 
 class TestArrayInput:
-    """Every sequence function takes a 1-d array of finite entries and refuses the rest."""
+    """Every sequence function takes arrays of finite entries and refuses the rest.
+
+    The three stack-first functions take a 1-d sequence or a 2-d stack;
+    factor_l1_lorentz takes a 1-d sequence only.
+    """
 
     CALLS = {
         "lorentz_quasi_norm": lambda a: lorentz_quasi_norm(a, LorentzIndex(0.5, 1.0)),
@@ -484,10 +489,137 @@ class TestArrayInput:
         "sharpness_witness": lambda a: sharpness_witness(a, 0.5),
         "factor_l1_lorentz": lambda a: factor_l1_lorentz(a, 0.5),
     }
+    CASES = [(name, "nan") for name in CALLS] + [("factor_l1_lorentz", "matrix")]
 
-    @pytest.mark.parametrize("bad", ["matrix", "nan"])
-    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("name, bad", CASES, ids=[f"{name}-{bad}" for name, bad in CASES])
     def test_rejects(self, name, bad):
         a = np.ones((2, 2)) if bad == "matrix" else np.array([1.0, math.nan])
         with pytest.raises(ValueError, match="one dimensional" if bad == "matrix" else "finite"):
             self.CALLS[name](a)
+
+    @pytest.mark.parametrize("name", [name for name in CALLS if name != "factor_l1_lorentz"])
+    def test_rejects_three_axes(self, name):
+        with pytest.raises(ValueError, match="2-d stack"):
+            self.CALLS[name](np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("name", [name for name in CALLS if name != "factor_l1_lorentz"])
+    @pytest.mark.parametrize(
+        "rows, lengths, match",
+        [
+            ([[1.0, 2.0], [3.0, 0.0]], [2, 1.0], "integers"),
+            ([[1.0, 2.0], [3.0, 0.0]], [2, 3], "integers"),
+            ([[1.0, 2.0], [3.0, 0.0]], [2, -1], "integers"),
+            ([[1.0, 2.0], [3.0, 4.0]], [2, 1], "zero beyond"),
+            ([[1.0, 2.0], [3.0, math.nan]], [2, 1], "zero beyond"),
+            ([[1.0, 2.0], [3.0, 0.0]], [2], "one stored length per row"),
+            ([1.0, 2.0], [2], "2-d rows"),
+        ],
+    )
+    def test_rejects_bad_padded_stack(self, name, rows, lengths, match):
+        with pytest.raises(ValueError, match=match):
+            self.CALLS[name](Padded(np.array(rows), np.array(lengths)))
+
+    def test_holder_stacks_pair_row_by_row(self):
+        with pytest.raises(ValueError, match="same number of rows"):
+            holder_product_bound(np.ones((3, 2)), np.ones((2, 2)), 0.5)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# numpy's pairwise summation unrolls by 8 and splits blocks above 128
+STACK_LENGTHS = (1, 7, 8, 9, 16, 127, 128, 129, 300)
+
+
+def _padded_stack(rng, lengths, width=None):
+    """A Padded stack of Gaussian rows at mixed scales: row 0 zero, row 1 near 1e308."""
+    width = max(lengths) if width is None else width
+    rows = np.zeros((len(lengths), width))
+    for i, n in enumerate(lengths):
+        rows[i, :n] = rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40)
+    rows[0] = 0.0
+    rows[1, : lengths[1]] = np.ldexp(rng.uniform(0.5, 1.0, lengths[1]), 1023)
+    return Padded(rows, np.array(lengths))
+
+
+class TestStacks:
+    """A stack gives, row by row, the bits of the 1-d call on each row's stored length."""
+
+    @pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_holder_and_witness_match_single_calls(self, s, seed):
+        rng = np.random.default_rng([11, seed])
+        la = [int(x) for x in rng.permutation(STACK_LENGTHS)]
+        lb = [int(x) for x in rng.permutation(STACK_LENGTHS)]
+        a, b = _padded_stack(rng, la, width=310), _padded_stack(rng, lb)
+        b.rows[1] = 0.0  # the pair (1e308-ish, 0) gives inf * 0 on the right side
+        lhs, rhs, holds = holder_product_bound(a, b, s)
+        live = Padded(a.rows[1:], a.lengths[1:])
+        wit = sharpness_witness(live, s)
+        wl, wr, wh = holder_product_bound(live, Padded(wit, live.lengths), s)
+        for i, (n, m) in enumerate(zip(la, lb)):
+            one = holder_product_bound(a.rows[i, :n], b.rows[i, :m], s)
+            assert _bits(one[:2]) == _bits([lhs[i], rhs[i]]) and one[2] == holds[i]
+            if i == 0:
+                continue
+            row_wit = sharpness_witness(a.rows[i, :n], s)
+            assert _bits(row_wit) == _bits(wit[i - 1, :n]) and not wit[i - 1, n:].any()
+            one = holder_product_bound(a.rows[i, :n], row_wit, s)
+            assert _bits(one[:2]) == _bits([wl[i - 1], wr[i - 1]]) and one[2] == wh[i - 1]
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_full_width_stack_is_a_padded_one_with_full_lengths(self, s):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((6, 129)), rng.standard_normal((6, 129))
+        full = np.full(6, 129)
+        assert _bits(holder_product_bound(a, b, s)[:2]) == _bits(
+            holder_product_bound(Padded(a, full), Padded(b, full), s)[:2])
+        assert _bits(sharpness_witness(a, s)) == _bits(sharpness_witness(Padded(a, full), s))
+
+    @pytest.mark.parametrize(
+        "index", [LorentzIndex(0.5), LorentzIndex(2.0 / 3.0, 1.0), LorentzIndex(0.9, 0.9),
+                  LorentzIndex(1.0, 1.0), LorentzIndex(2.0, 0.5), LorentzIndex(math.inf)],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_lorentz_matches_single_calls(self, index):
+        rng = np.random.default_rng(7)
+        for n in STACK_LENGTHS:
+            rows = rng.standard_normal((5, n)) * 2.0 ** rng.integers(-40, 40, (5, 1))
+            rows[0] = 0.0
+            rows[1] = np.ldexp(rng.uniform(0.5, 1.0, n), 1023)
+            got = lorentz_quasi_norm(rows, index)
+            assert _bits(got) == _bits([lorentz_quasi_norm(row, index) for row in rows])
+        mixed = _padded_stack(rng, list(STACK_LENGTHS), width=301)
+        got = lorentz_quasi_norm(mixed, index)
+        assert _bits(got) == _bits(
+            [lorentz_quasi_norm(row[:n], index) for row, n in zip(mixed.rows, STACK_LENGTHS)])
+
+    def test_fortran_ordered_stack_matches_single_calls(self):
+        rng = np.random.default_rng(6)
+        a, b = (np.asfortranarray(rng.standard_normal((20, 129))) for _ in range(2))
+        index = LorentzIndex(2.0 / 3.0, 1.0)
+        assert _bits(lorentz_quasi_norm(a, index)) == _bits([lorentz_quasi_norm(row, index) for row in a])
+        lhs, rhs, _ = holder_product_bound(Padded(a, np.full(20, 129)), b, 0.9)
+        pairs = np.array([holder_product_bound(x, y, 0.9)[:2] for x, y in zip(a, b)])
+        assert _bits([lhs, rhs]) == _bits(pairs.T)
+
+    def test_one_sequence_gives_floats_and_a_stack_arrays(self):
+        index = LorentzIndex(0.5)
+        assert type(lorentz_quasi_norm([1.0, 2.0], index)) is float
+        assert lorentz_quasi_norm([[1.0, 2.0]], index).shape == (1,)
+        lhs, rhs, holds = holder_product_bound([1.0, 2.0], [3.0], 0.5)
+        assert (type(lhs), type(rhs), type(holds)) == (float, float, bool)
+        assert sharpness_witness([1.0, 2.0], 0.5).shape == (2,)
+        assert sharpness_witness([[1.0, 2.0]], 0.5).shape == (1, 2)
+
+    def test_empty_stack(self):
+        index = LorentzIndex(0.5)
+        assert lorentz_quasi_norm(np.zeros((0, 4)), index).shape == (0,)
+        lhs, rhs, holds = holder_product_bound(np.zeros((0, 4)), np.zeros((0, 2)), 0.5)
+        assert lhs.shape == rhs.shape == holds.shape == (0,)
+
+    def test_zero_row_has_no_witness(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            sharpness_witness(Padded(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([2, 1])), 0.5)

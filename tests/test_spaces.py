@@ -184,6 +184,19 @@ class TestLpNorm:
         np.testing.assert_array_equal(rows, [lp_norm(y, p) for y in Y])
         assert rows[2] == 0.0
 
+    @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0, 1.0, 2.0, 9.0, math.inf])
+    def test_lengths_give_the_bits_of_each_leading_slice(self, p):
+        # padding moves numpy's pairwise-summation blocks at 8 and 128 entries
+        rng = np.random.default_rng(8)
+        lengths = np.array([0, 1, 7, 8, 9, 16, 127, 128, 129, 300, 310, 300])
+        Y = rng.standard_normal((lengths.size, 310)) * 10.0 ** rng.integers(-150, 150, size=(lengths.size, 1))
+        Y[np.arange(310) >= lengths[:, None]] = 0.0
+        Y[-1] = 0.0
+        rows = lp_norm(Y, p, axis=-1, lengths=lengths)
+        assert rows.tobytes() == np.array([lp_norm(y[:n], p) for y, n in zip(Y, lengths)]).tobytes()
+        full = np.full(lengths.size, 310)
+        assert lp_norm(Y, p, axis=-1, lengths=full).tobytes() == lp_norm(Y, p, axis=-1).tobytes()
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0, math.inf])
     def test_no_axis_is_the_one_row_axis_call(self, p):
         rng = np.random.default_rng(6)
