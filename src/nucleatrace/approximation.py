@@ -5,6 +5,8 @@ smallest cutoff N whose tail already fits under epsilon deflated by the
 projection-growth allowance N**alpha + 1, then project onto the leading
 span.  When the projection norm stays within its allowance, the sup
 error over the whole system is at most epsilon; nothing here checks it.
+The system comes in as `Vector`s, whose norms are taken one by one;
+everything after that works on their coordinates stacked as rows.
 """
 from __future__ import annotations
 
@@ -102,20 +104,17 @@ def build_approximant(
     vectors = list(xs)
     if len(vectors) == 0:
         raise ValueError("approximant needs at least one vector")
-    for v in vectors:
-        if v.home.dim != space.dim:
-            raise ValueError("vector dimension mismatch")
     norms = np.array([vector_norm(v) for v in vectors])
-    order = tuple(int(i) for i in np.argsort(-norms, kind="stable"))
-    sorted_vecs = [vectors[i] for i in order]
-    sorted_norms = norms[list(order)]
-    N = select_rank(sorted_norms, epsilon, alpha)
-    span = sorted_vecs[: min(N, len(sorted_vecs))]
-    P, bracket = projection_onto_span(span, space)
+    X = np.stack([v.coords for v in vectors])  # refuses mixed dimensions
+    if X.shape[1] != space.dim:
+        raise ValueError("vector dimension mismatch")
+    order = np.argsort(-norms, kind="stable")
+    N = select_rank(norms[order], epsilon, alpha)
+    P, bracket = projection_onto_span(X[order[:N]], space.exponent)
     rank = int(round(float(np.trace(P))))
-    sup_error = 0.0
-    for v in vectors:
-        sup_error = max(sup_error, lp_norm(v.coords - P @ v.coords, space.exponent))
+    # P @ x per row, as a stack of matrix-vector products: X @ P.T rounds differently
+    residuals = X - (P @ X[..., None])[..., 0]
+    sup_error = lp_norm(residuals, space.exponent, axis=-1).max()
     guarantee = bool(
         N <= len(vectors)
         and bracket.upper <= N ** alpha * (1.0 + 1e-12) + 1e-12
@@ -128,6 +127,6 @@ def build_approximant(
         sup_error=float(sup_error),
         rank=rank,
         guarantee_regime=guarantee,
-        order=order,
+        order=tuple(order.tolist()),
     )
     return P, cert

@@ -57,9 +57,9 @@ def parse_exponent(x) -> float:
 
 # config field -> (kind, bound, flag help).  A kind is "int", "number" (finite),
 # "exponent" (inf allowed, or a string naming one as parse_exponent reads it),
-# "ints" or "exponents" (lists of those), or "choice".  The bound is the least
-# value of an int or of a list's entries, and makes a list nonempty; a
-# choice's bound is its options.  Only a field whose default is None may be None.
+# "ints" or "exponents" (lists of those), or "choice".  A list is never empty.
+# The bound is the least value of an int or of a list's entries; a choice's
+# bound is its options.  Only a field whose default is None may be None.
 FIELDS: dict[str, tuple[str, Any, str]] = {
     "seed": ("int", 0, "Base RNG seed."),
     "trials": ("int", 1, "Number of seeded trials."),
@@ -104,9 +104,11 @@ def _checked(name: str, value):
     many = kind in ("ints", "exponents")
     if many and not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list")
+    if many and len(value) == 0:
+        raise ValueError(f"{name} must be a nonempty list")
     entries = tuple(_entry(name, kind[:-1] if many else kind, x) for x in (value if many else [value]))
-    if bound is not None and not (entries and all(x >= bound for x in entries)):
-        raise ValueError(f"{name} must be {'a nonempty list of values ' if many else ''}at least {bound}")
+    if bound is not None and not all(x >= bound for x in entries):
+        raise ValueError(f"{name} must be {'a list of values ' if many else ''}at least {bound}")
     return entries if many else entries[0]
 
 
@@ -523,18 +525,13 @@ def _run_approx(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     alpha = cfg.alpha if cfg.alpha is not None else 0.5
     if cfg.profile == "coordinate":
         beta = cfg.beta if cfg.beta is not None else 1.0
-        xs = []
-        for n in range(1, dim + 1):
-            e = np.zeros(dim)
-            e[n - 1] = float(n) ** (-beta)
-            xs.append(Vector(e, space))
+        X = np.diag([float(n) ** (-beta) for n in range(1, dim + 1)])
     else:
         beta = cfg.beta if cfg.beta is not None else float(rng.uniform(0.75, 2.5))
-        xs = []
-        for n in range(1, dim + 1):
-            g = rng.standard_normal(dim)
-            g = g / lp_norm(g, p)
-            xs.append(Vector(float(n) ** (-beta) * g, space))
+        G = rng.standard_normal((dim, dim))
+        scales = np.array([float(n) ** (-beta) for n in range(1, dim + 1)])
+        X = scales[:, None] * (G / lp_norm(G, p, axis=-1)[:, None])
+    xs = [Vector(x, space) for x in X]
     _, cert = build_approximant(xs, cfg.epsilon, space, alpha)
     ok = (not cert.guarantee_regime) or cert.sup_error <= cfg.epsilon * (1.0 + REL_TOL)
     rec = {

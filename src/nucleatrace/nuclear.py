@@ -393,9 +393,9 @@ def improve_representation(
     non-negative integer.
 
     Returns (swept representation, old value, min(old value, best value)).
-    The swept representation's own bracket value can exceed the old value,
-    since rebalancing can raise it when no rescaling wins back the
-    difference (ROADMAP item 4).
+    A known defect: the swept representation's own bracket value can exceed
+    the old value, as the sweep starts from rebalance(z) even when z is worth
+    less; perfbench's strict xfail on the improver pins it.
     """
     _require_single(z)
     if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 0:

@@ -4,12 +4,14 @@ Operator norms between l_p spaces are only cheap in a handful of exact
 cases.  Everywhere else this module returns a two-sided bracket: the
 lower end is attained by an ascent iterate, the upper end comes from
 interpolation between exact endpoints or from dimension-factor routes.
+Matrices and vector systems (one vector per row) are plain arrays; `Vector`
+and `OperatorMatrix` are only the inputs of build_approximant and operator_norm.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,9 +77,6 @@ class Vector:
         if not np.all(np.isfinite(arr)):
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "coords", arr)
-
-    def norm(self) -> float:
-        return vector_norm(self)
 
 
 # bounds of the scaling divisor: the floor makes an all-zero slice give 0
@@ -380,28 +379,29 @@ def operator_norm(A: OperatorMatrix) -> NormBracket:
     return NormBracket(float(lower), float(upper))
 
 
-def projection_onto_span(
-    vectors: Sequence[Vector], space: AmbientSpace
-) -> tuple[np.ndarray, NormBracket]:
-    """Orthogonal projection onto the span of the given vectors, as a (dim, dim) array.
+def projection_onto_span(rows, p: float) -> tuple[np.ndarray, NormBracket]:
+    """Orthogonal projection onto the span of the rows of a (k, dim) array, as a (dim, dim) array.
 
-    The span is orthonormalized by singular value decomposition with
-    singular values below 1e-10 of the largest treated as rank noise.
-    The returned bracket encloses the projection's operator norm on the
-    given space, from `operator_norm`; on l_2 it is exactly (1, 1).
+    The rows must form a 2-d array with at least one row and finite
+    entries, and p >= 1.  The span is orthonormalized by singular value
+    decomposition with singular values below 1e-10 of the largest
+    treated as rank noise.  The returned bracket encloses the
+    projection's l_p -> l_p operator norm, from `operator_brackets`; on
+    l_2 it is exactly (1, 1).
     """
-    if len(vectors) == 0:
-        raise ValueError("projection requires at least one vector")
-    for v in vectors:
-        if v.home.dim != space.dim:
-            raise ValueError("vector dimension mismatch")
-    M = np.stack([v.coords for v in vectors], axis=1)
-    U, sing, _ = np.linalg.svd(M, full_matrices=False)
+    rows = np.asarray(rows, dtype=float)
+    p = _check_exponent(p)
+    if rows.ndim != 2 or len(rows) == 0:
+        raise ValueError("projection requires a 2-d array of at least one row")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("spanning vectors must be finite")
+    U, sing, _ = np.linalg.svd(rows.T, full_matrices=False)
     if sing.size == 0 or sing[0] == 0.0:
         raise ValueError("span is degenerate after rank filtering")
     r = int(np.sum(sing > _RANK_CUTOFF * sing[0]))
     Q = U[:, :r]
     P = Q @ Q.T
-    if space.exponent == 2.0:
+    if p == 2.0:
         return P, NormBracket(1.0, 1.0)
-    return P, operator_norm(OperatorMatrix(P, space, space))
+    lower, upper = operator_brackets(P, p, p)
+    return P, NormBracket(float(lower), float(upper))

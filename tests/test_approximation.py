@@ -9,8 +9,11 @@ from nucleatrace import approximation
 from nucleatrace import (
     AmbientSpace,
     NormBracket,
+    OperatorMatrix,
     Vector,
     build_approximant,
+    lp_norm,
+    operator_norm,
     projection_growth_exponent,
     select_rank,
     vector_norm,
@@ -35,6 +38,49 @@ def coordinate_system(dim, p, decay):
         e[n - 1] = float(n) ** (-decay)
         xs.append(Vector(e, space))
     return xs, space
+
+
+def random_system(dim, p, decay, seed):
+    """Directions drawn one vector at a time, unit in l_p, scaled by n**-decay."""
+    rng = np.random.default_rng(seed)
+    space = AmbientSpace(dim, p)
+    xs = []
+    for n in range(1, dim + 1):
+        g = rng.standard_normal(dim)
+        xs.append(Vector(float(n) ** (-decay) * (g / lp_norm(g, p)), space))
+    return xs, space
+
+
+def _reference_approximant(xs, epsilon, space, alpha):
+    """The approximant one Vector at a time: per-vector span, projection and residual loop."""
+    norms = np.array([vector_norm(v) for v in xs])
+    order = tuple(int(i) for i in np.argsort(-norms, kind="stable"))
+    N = select_rank(norms[list(order)], epsilon, alpha)
+    span = [xs[i] for i in order][:N]
+    U, sing, _ = np.linalg.svd(np.stack([v.coords for v in span], axis=1), full_matrices=False)
+    if sing.size == 0 or sing[0] == 0.0:
+        raise ValueError("span is degenerate after rank filtering")
+    Q = U[:, : int(np.sum(sing > 1e-10 * sing[0]))]
+    P = Q @ Q.T
+    if space.exponent == 2.0:
+        bracket = NormBracket(1.0, 1.0)
+    else:
+        bracket = operator_norm(OperatorMatrix(P, space, space))
+    sup_error = 0.0
+    for v in xs:
+        sup_error = max(sup_error, lp_norm(v.coords - P @ v.coords, space.exponent))
+    return P, bracket, N, int(round(float(np.trace(P)))), order, float(sup_error)
+
+
+def _assert_matches_reference(xs, epsilon, space, alpha=0.5):
+    P, cert = build_approximant(xs, epsilon, space, alpha)
+    P_ref, bracket, N, rank, order, sup_error = _reference_approximant(xs, epsilon, space, alpha)
+    assert P.tobytes() == P_ref.tobytes()
+    assert cert.projection_norm_bracket == bracket
+    assert type(cert.projection_norm_bracket.lower) is float
+    assert (cert.cutoff, cert.rank, cert.order) == (N, rank, order)
+    assert type(cert.sup_error) is float and cert.sup_error == sup_error
+    return cert
 
 
 class TestSelectRank:
@@ -178,11 +224,52 @@ class TestBuildApproximant:
     def test_violated_guarantee_is_reported_not_raised(self, monkeypatch):
         # a projection that keeps nothing inside its allowance: the regime holds, the promise fails
         monkeypatch.setattr(approximation, "projection_onto_span",
-                            lambda span, space: (np.zeros((space.dim, space.dim)), NormBracket(1.0, 1.0)))
+                            lambda rows, p: (np.zeros((rows.shape[1],) * 2), NormBracket(1.0, 1.0)))
         xs, space = coordinate_system(16, 2.0, 1.0)
         _, cert = build_approximant(xs, 0.5, space, 0.5)
         assert cert.guarantee_regime and cert.cutoff == 8
         assert cert.rank == 0 and cert.sup_error == 1.0
+
+
+class TestRowsMatchReference:
+    """Stacking the system into rows changes no bit of the approximant or its certificate."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 32, 64])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_coordinate_system(self, p, dim):
+        xs, space = coordinate_system(dim, p, 1.0)
+        _assert_matches_reference(xs, 0.1, space)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 32, 64])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_random_system(self, p, dim):
+        for seed, decay, epsilon in ((dim, 1.2, 0.1), (dim + 100, 0.8, 0.3)):
+            xs, space = random_system(dim, p, decay, seed)
+            _assert_matches_reference(xs, epsilon, space)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+    def test_repeated_row_is_rank_noise(self, p):
+        xs, space = random_system(8, p, 1.0, 3)
+        xs = [xs[0]] + xs  # the largest vector twice: the leading span has a repeated row
+        cert = _assert_matches_reference(xs, 0.05, space)
+        assert cert.order[:2] == (0, 1) and cert.cutoff > 2
+        assert cert.rank == min(cert.cutoff, len(xs)) - 1
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_zero_span_is_refused_as_by_the_reference(self, p):
+        space = AmbientSpace(4, p)
+        xs = [Vector(np.zeros(4), space) for _ in range(3)]
+        with pytest.raises(ValueError, match="degenerate"):
+            _reference_approximant(xs, 0.1, space, 0.5)
+        with pytest.raises(ValueError, match="degenerate"):
+            build_approximant(xs, 0.1, space, 0.5)
+
+    def test_mixed_dimensions_refused(self):
+        xs = [Vector(np.ones(3), AmbientSpace(3, 2.0)), Vector(np.ones(4), AmbientSpace(4, 2.0))]
+        with pytest.raises(ValueError):
+            build_approximant(xs, 0.1, AmbientSpace(3, 2.0), 0.5)
+        with pytest.raises(ValueError, match="mismatch"):
+            build_approximant(xs[:1], 0.1, AmbientSpace(4, 2.0), 0.5)
 
 
 class TestGrowthExponent:

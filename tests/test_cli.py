@@ -14,9 +14,12 @@ from nucleatrace import (
     NormBracket,
     NuclearIndex,
     Representation,
+    Vector,
+    build_approximant,
     holder_product_bound,
     induced_matrix,
     lorentz_quasi_norm,
+    lp_norm,
     nuclear_trace,
     quasi_norm,
     sharpness_witness,
@@ -103,6 +106,9 @@ class TestConfig:
             # lorentz at length 0 passed vacuously, and holder failed inside numpy
             ("lorentz", {"length": 0}), ("holder", {"length": 0}),
             ("factorize", {"truncation": 0}), ("approx", {"profile": "diagonal"}),
+            # a list field is never empty, bound or not
+            ("trace-audit", {"p": ()}), ("holder", {"a": (), "b": ()}),
+            ("holder", {"a": (1.0,), "b": ()}), ("holder", {"a": (), "b": (1.0,)}),
         ]
         for subcommand, bad in cases:
             with pytest.raises(ValueError, match="must"):
@@ -518,6 +524,46 @@ def _reference_lorentz(cfg, trial, rng):
     return [rec]
 
 
+def _reference_approx(cfg, trial, rng):
+    """approx with its system drawn one vector at a time."""
+    dim, p = cfg.dims[0], cfg.p[0]
+    space = AmbientSpace(dim, p)
+    alpha = cfg.alpha if cfg.alpha is not None else 0.5
+    xs = []
+    if cfg.profile == "coordinate":
+        beta = cfg.beta if cfg.beta is not None else 1.0
+        for n in range(1, dim + 1):
+            e = np.zeros(dim)
+            e[n - 1] = float(n) ** (-beta)
+            xs.append(Vector(e, space))
+    else:
+        beta = cfg.beta if cfg.beta is not None else float(rng.uniform(0.75, 2.5))
+        for n in range(1, dim + 1):
+            g = rng.standard_normal(dim)
+            xs.append(Vector(float(n) ** (-beta) * (g / lp_norm(g, p)), space))
+    _, cert = build_approximant(xs, cfg.epsilon, space, alpha)
+    ok = (not cert.guarantee_regime) or cert.sup_error <= cfg.epsilon * (1.0 + REL_TOL)
+    return [{"trial": trial, "profile": cfg.profile, "beta": beta, "dim": dim, "p": p, "alpha": alpha,
+             "epsilon": cfg.epsilon, "cutoff": cert.cutoff, "rank": cert.rank,
+             "projection_lower": cert.projection_norm_bracket.lower,
+             "projection_upper": cert.projection_norm_bracket.upper,
+             "sup_error": cert.sup_error, "guarantee_regime": cert.guarantee_regime, "pass": bool(ok)}]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"profile": profile, "dims": (dim,), "p": (p,), "seed": seed, "trials": 2}
+     for profile in ("coordinate", "random")
+     for dim, p, seed in ((1, 1.5, 0), (2, math.inf, 1), (8, 3.0, 2), (32, 4.0, 3), (64, 1.0, 4))]
+    + [{"profile": "random", "dims": (16,), "p": (1.5,), "beta": 1.1, "alpha": 0.25, "epsilon": 0.3}],
+    ids=lambda f: "-".join(str(v[0] if isinstance(v, tuple) else v) for v in f.values()),
+)
+def test_approx_records_match_per_vector_draws(fields):
+    cfg = ExperimentConfig(subcommand="approx", **fields)
+    expected = [rec for t in range(cfg.trials) for rec in _reference_approx(cfg, t, _trial_rng(cfg.seed, t))]
+    assert _body(run(cfg).records) == _body(expected)
+
+
 def _body(records):
     """Records as the report body writes them: sorted keys."""
     return json.dumps(_jsonable(records), sort_keys=True)
@@ -657,6 +703,16 @@ class TestCli:
         result = runner.invoke(main, ["trace-audit", "--config", str(config)])
         assert result.exit_code == 1
         assert result.output.splitlines()[-1] == "Error: unknown config fields: tolerance"
+
+    @pytest.mark.parametrize("pair, name", [({"a": [], "b": []}, "a"), ({"a": [1.0], "b": []}, "b")])
+    def test_config_file_with_empty_fixed_pair_is_refused(self, runner, tmp_path, pair, name):
+        # it gave passing records on no data: lhs = rhs = 0, witness_gap null
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(pair))
+        result = runner.invoke(main, ["holder", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == f"Error: {name} must be a nonempty list"
+        assert "Traceback" not in result.output
 
     def test_config_file_subcommand_mismatch(self, runner, tmp_path):
         config = tmp_path / "cfg.json"
@@ -819,7 +875,7 @@ class TestCommandTable:
     def test_violated_approx_guarantee_is_a_fail_record(self, runner, monkeypatch):
         # the approximant raised RuntimeError here, which the command line does not catch
         monkeypatch.setattr(approximation, "projection_onto_span",
-                            lambda span, space: (np.zeros((space.dim, space.dim)), NormBracket(1.0, 1.0)))
+                            lambda rows, p: (np.zeros((rows.shape[1],) * 2), NormBracket(1.0, 1.0)))
         result = runner.invoke(main, ["approx", "--profile", "coordinate", "--dims", "16", "--epsilon", "0.5"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)

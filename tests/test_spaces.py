@@ -151,9 +151,9 @@ class TestVectorNorm:
     def test_l1_sum(self):
         assert vector_norm(Vector([1.0, 1.0, 1.0, 1.0], space(4, 1.0))) == 4.0
 
-    def test_method_matches_function(self):
+    def test_matches_lp_norm(self):
         v = Vector([1.0, -2.0, 0.5], space(3, 1.5))
-        assert v.norm() == vector_norm(v)
+        assert vector_norm(v) == lp_norm(v.coords, 1.5)
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=8))
     def test_norms_nested(self, coords):
@@ -387,43 +387,48 @@ class TestOperatorNorm:
 
 class TestProjection:
     def test_single_basis_vector(self):
-        sp = space(3, 2.0)
-        P, bracket = projection_onto_span([Vector([1.0, 0.0, 0.0], sp)], sp)
+        P, bracket = projection_onto_span(np.array([[1.0, 0.0, 0.0]]), 2.0)
         np.testing.assert_array_equal(P, np.diag([1.0, 0.0, 0.0]))
         assert bracket == (1.0, 1.0)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_coordinate_span(self, p):
-        sp = space(3, p)
-        vs = [Vector([1.0, 0.0, 0.0], sp), Vector([0.0, 1.0, 0.0], sp)]
-        P, bracket = projection_onto_span(vs, sp)
+        P, bracket = projection_onto_span(np.eye(2, 3), p)
         np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0]), atol=1e-14)
         assert bracket.lower <= 1.0 + 1e-9
         assert bracket.upper >= 1.0 - 1e-9
         assert bracket.upper <= 1.0 + 1e-9
 
     def test_diagonal_rank_one_in_l1(self):
-        sp = space(2, 1.0)
-        P, bracket = projection_onto_span([Vector([1.0, 1.0], sp)], sp)
+        P, bracket = projection_onto_span([[1.0, 1.0]], 1.0)
         np.testing.assert_allclose(P, 0.5 * np.ones((2, 2)), rtol=1e-14)
         assert bracket.lower == pytest.approx(1.0, rel=1e-12)
         assert bracket.upper == pytest.approx(1.0, rel=1e-12)
         assert bracket.lower <= bracket.upper
 
     def test_duplicate_vectors_rank_filtered(self):
-        sp = space(3, 2.0)
-        v = Vector([1.0, 2.0, -1.0], sp)
-        P, _ = projection_onto_span([v, v], sp)
+        P, _ = projection_onto_span([[1.0, 2.0, -1.0]] * 2, 2.0)
         assert round(float(np.trace(P))) == 1
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            projection_onto_span([], space(2, 2.0))
+        with pytest.raises(ValueError, match="at least one row"):
+            projection_onto_span(np.zeros((0, 2)), 2.0)
 
     def test_zero_span_rejected(self):
-        sp = space(2, 2.0)
-        with pytest.raises(ValueError):
-            projection_onto_span([Vector([0.0, 0.0], sp)], sp)
+        with pytest.raises(ValueError, match="degenerate"):
+            projection_onto_span([[0.0, 0.0]], 2.0)
+
+    @pytest.mark.parametrize("rows, p, match", [
+        (np.array([1.0, 0.0]), 2.0, "2-d"),
+        (np.ones((1, 2, 2)), 2.0, "2-d"),
+        ([[1.0, 0.0], [math.nan, 1.0]], 2.0, "finite"),
+        ([[1.0, 0.0], [math.inf, 1.0]], 1.5, "finite"),
+        ([[1.0, 0.0]], 0.5, "p >= 1"),
+        ([[1.0, 0.0]], math.nan, "p >= 1"),
+    ], ids=["one-axis", "three-axes", "nan-row", "inf-row", "p-below-one", "p-nan"])
+    def test_rejects_bad_input(self, rows, p, match):
+        with pytest.raises(ValueError, match=match):
+            projection_onto_span(rows, p)
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -433,16 +438,15 @@ class TestProjection:
     @settings(max_examples=40, deadline=None)
     def test_idempotent_and_range_fixing(self, m, seed, p):
         rng = np.random.default_rng(seed)
-        sp = space(6, p)
-        vs = [Vector(rng.standard_normal(6), sp) for _ in range(m)]
-        P, bracket = projection_onto_span(vs, sp)
+        rows = rng.standard_normal((m, 6))
+        P, bracket = projection_onto_span(rows, p)
         np.testing.assert_allclose(
             P @ P, P, atol=1e-10
         )
         np.testing.assert_allclose(P, P.T, atol=1e-12)
-        for v in vs:
+        for x in rows:
             np.testing.assert_allclose(
-                P @ v.coords, v.coords, atol=1e-9
+                P @ x, x, atol=1e-9
             )
         assert bracket.lower <= bracket.upper + 1e-12
 
