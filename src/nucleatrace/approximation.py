@@ -95,19 +95,21 @@ def build_approximant(
 ) -> tuple[np.ndarray, ApproximationCertificate]:
     """Project the system onto the span of its largest members.
 
-    The vectors are sorted internally by non-increasing norm (original
-    order recorded in the certificate), the cutoff comes from
-    select_rank, and the returned (dim, dim) array projects onto the span
-    of the first min(cutoff, len(xs)) sorted vectors.  sup_error is the
+    Every vector must live in `space`.  The vectors are sorted
+    internally by non-increasing norm (original order recorded in the
+    certificate), the cutoff comes from select_rank, and the returned
+    (dim, dim) array projects onto the span of the first
+    min(cutoff, len(xs)) sorted vectors.  sup_error is the
     largest l_p norm of a residual x - P x over the entire system.
     """
     vectors = list(xs)
     if len(vectors) == 0:
         raise ValueError("approximant needs at least one vector")
+    # the norms that sort the system must be those it is projected and measured in
+    if any(v.home != space for v in vectors):
+        raise ValueError("vector home space mismatch: every vector must live in space")
     norms = np.array([vector_norm(v) for v in vectors])
-    X = np.stack([v.coords for v in vectors])  # refuses mixed dimensions
-    if X.shape[1] != space.dim:
-        raise ValueError("vector dimension mismatch")
+    X = np.stack([v.coords for v in vectors])
     order = np.argsort(-norms, kind="stable")
     N = select_rank(norms[order], epsilon, alpha)
     P, bracket = projection_onto_span(X[order[:N]], space.exponent)

@@ -6,10 +6,11 @@ stdout or --out.  The process exits nonzero exactly when some record
 failed its check.
 
 A subcommand offers a flag for each config field that its row in
-``experiments.COMMANDS`` reads, typed by the field's kind in
-``experiments.FIELDS``, and no other.  Each flag sets the config field
-of the same name (``--beta-min`` sets ``beta_min``); only ``--config``,
-``--out`` and ``--format`` are not config fields.
+``experiments.COMMANDS`` reads, and no other.  The flag's type and help
+come from the field's declaration in ``ExperimentConfig`` (read through
+``experiments.FIELDS``).  Each flag sets the config field of the same
+name (``--beta-min`` sets ``beta_min``); only ``--config``, ``--out``
+and ``--format`` are not config fields.
 """
 from __future__ import annotations
 

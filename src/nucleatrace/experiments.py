@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -55,33 +55,6 @@ def parse_exponent(x) -> float:
     return _entry("exponent", "exponent", x)
 
 
-# config field -> (kind, bound, flag help).  A kind is "int", "number" (finite),
-# "exponent" (inf allowed, or a string naming one as parse_exponent reads it),
-# "ints" or "exponents" (lists of those), or "choice".  A list is never empty.
-# The bound is the least value of an int or of a list's entries; a choice's
-# bound is its options.  Only a field whose default is None may be None.
-FIELDS: dict[str, tuple[str, Any, str]] = {
-    "seed": ("int", 0, "Base RNG seed."),
-    "trials": ("int", 1, "Number of seeded trials."),
-    "dims": ("ints", 1, "Comma separated dimensions, e.g. 4,8,16."),
-    "p": ("exponents", 1.0, "Comma separated exponents, inf allowed, e.g. 1,2,inf."),
-    "s": ("number", None, "Summability exponent."),
-    "r": ("number", None, "Lorentz index r."),
-    "w": ("exponent", None, "Lorentz index w, inf allowed."),
-    "alpha": ("number", None, "Projection growth exponent in [0, 1/2]."),
-    "epsilon": ("number", None, "Target sup error."),
-    "beta": ("number", None, "Decay exponent; unset, the subcommand's default or a seeded draw."),
-    "beta_min": ("number", None, "Least decay exponent drawn when beta is unset."),
-    "beta_max": ("number", None, "Largest decay exponent drawn when beta is unset."),
-    "length": ("int", 1, "Sequence length per draw (holder: the largest)."),
-    "truncation": ("int", 1, "Sequence length."),
-    "gamma": ("number", None, "Envelope exponent for the weak factor."),
-    "profile": ("choice", ("coordinate", "random"), "Deterministic coordinate family or seeded random directions."),
-    "a": ("exponents", None, "Fixed left sequence, comma separated; needs --b."),
-    "b": ("exponents", None, "Fixed right sequence, comma separated; needs --a."),
-}
-
-
 def _entry(name: str, kind: str, x):
     """`x` checked as an "int", a finite "number" or an "exponent"; bools are neither."""
     if kind == "exponent" and isinstance(x, str):
@@ -112,36 +85,49 @@ def _checked(name: str, value):
     return entries if many else entries[0]
 
 
+def _field(default, kind: str, bound, help: str):
+    """A config field with its default, and its kind, bound and flag help as metadata.
+
+    A kind is "int", "number" (finite), "exponent" (inf allowed, or a
+    string naming one as parse_exponent reads it), "ints" or "exponents"
+    (lists of those), or "choice".  A list is never empty.  The bound is
+    the least value of an int or of a list's entries; a choice's bound is
+    its options.  Only a field whose default is None may be None.
+    """
+    return field(default=default, metadata={"kind": kind, "bound": bound, "help": help})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs steering one experiment run.
 
-    Each field is checked as its kind in `FIELDS` says, lists stored as
-    tuples and exponents as floats; a field the subcommand's row in
+    Each field is checked as its `_field` declaration says, lists stored
+    as tuples and exponents as floats; a field the subcommand's row in
     `COMMANDS` does not read must keep its default, ``a`` and ``b`` go
     together, and ``beta_min`` is at most ``beta_max``.  A bad value
     raises ValueError naming its field.  The report echoes every field.
     """
 
     subcommand: str
-    seed: int = 0
-    trials: int = 1
-    dims: tuple[int, ...] = (8,)
-    p: tuple[float, ...] = (2.0,)
-    s: float | None = None
-    r: float | None = None
-    w: float | None = None
-    alpha: float | None = None
-    epsilon: float = 0.1
-    beta: float | None = None
-    beta_min: float = 1.6
-    beta_max: float = 3.0
-    length: int = 64
-    truncation: int = 4096
-    gamma: float | None = None
-    profile: str = "coordinate"
-    a: tuple[float, ...] | None = None
-    b: tuple[float, ...] | None = None
+    seed: int = _field(0, "int", 0, "Base RNG seed.")
+    trials: int = _field(1, "int", 1, "Number of seeded trials.")
+    dims: tuple[int, ...] = _field((8,), "ints", 1, "Comma separated dimensions, e.g. 4,8,16.")
+    p: tuple[float, ...] = _field((2.0,), "exponents", 1.0, "Comma separated exponents, inf allowed, e.g. 1,2,inf.")
+    s: float | None = _field(None, "number", None, "Summability exponent.")
+    r: float | None = _field(None, "number", None, "Lorentz index r.")
+    w: float | None = _field(None, "exponent", None, "Lorentz index w, inf allowed.")
+    alpha: float | None = _field(None, "number", None, "Projection growth exponent in [0, 1/2].")
+    epsilon: float = _field(0.1, "number", None, "Target sup error.")
+    beta: float | None = _field(None, "number", None, "Decay exponent; unset, the subcommand's default or a seeded draw.")
+    beta_min: float = _field(1.6, "number", None, "Least decay exponent drawn when beta is unset.")
+    beta_max: float = _field(3.0, "number", None, "Largest decay exponent drawn when beta is unset.")
+    length: int = _field(64, "int", 1, "Sequence length per draw (holder: the largest).")
+    truncation: int = _field(4096, "int", 1, "Sequence length.")
+    gamma: float | None = _field(None, "number", None, "Envelope exponent for the weak factor.")
+    profile: str = _field("coordinate", "choice", ("coordinate", "random"),
+                          "Deterministic coordinate family or seeded random directions.")
+    a: tuple[float, ...] | None = _field(None, "exponents", None, "Fixed left sequence, comma separated; needs --b.")
+    b: tuple[float, ...] | None = _field(None, "exponents", None, "Fixed right sequence, comma separated; needs --a.")
 
     def __post_init__(self):
         if self.subcommand not in COMMANDS:
@@ -170,10 +156,13 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return asdict(self)
+
+
+# config field -> (kind, bound, flag help), in declaration order; see _field
+FIELDS: dict[str, tuple[str, Any, str]] = {
+    f.name: (f.metadata["kind"], f.metadata["bound"], f.metadata["help"]) for f in fields(ExperimentConfig)[1:]
+}
 
 
 def _jsonable(obj):

@@ -95,13 +95,16 @@ def lp_norm(arr, p: float, axis: int | None = None, lengths=None):
     input has norm 0.  Without an axis the array, flattened in memory
     order, is one slice with a float norm; with one, norms per slice.
 
-    ``lengths`` (with axis -1 on a 2-d array) gives each row's stored
-    length; the row must be zero beyond it.  Each row's norm then has the
-    bits of the norm of its leading ``lengths[i]`` entries alone.
+    ``lengths`` (only with axis -1 or 1 on a 2-d array: one integer per
+    row, from 0 to the row width) gives each row's stored length; the row
+    must be zero beyond it.  Each row's norm then has the bits of the norm
+    of its leading ``lengths[i]`` entries alone.
     """
     if not (p > 0.0):
         raise ValueError("exponent must satisfy p > 0")
     a = np.abs(np.asarray(arr, dtype=float))
+    if lengths is not None:
+        lengths = _row_lengths(a, axis, lengths)
     whole = axis is None
     if whole:
         a, axis = a.ravel(order="K"), 0
@@ -117,14 +120,25 @@ def lp_norm(arr, p: float, axis: int | None = None, lengths=None):
     return float(out) if whole else out
 
 
-def _row_sums(a: np.ndarray, lengths) -> np.ndarray:
+def _row_lengths(a: np.ndarray, axis, lengths) -> np.ndarray:
+    """`lengths` checked as one integer stored length per row of the 2-d `a`, normed along its rows."""
+    lengths = np.asarray(lengths)
+    if a.ndim != 2 or axis not in (-1, 1):
+        raise ValueError("lengths need a 2-d array with axis -1 or 1")
+    if lengths.shape != a.shape[:1] or lengths.dtype.kind not in "iu":
+        raise ValueError("lengths must hold one integer per row")
+    if lengths.size and (lengths.min() < 0 or lengths.max() > a.shape[1]):
+        raise ValueError("lengths must lie between 0 and the row width")
+    return lengths
+
+
+def _row_sums(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each row's sum over its first lengths[i] entries, with the bits of that slice's own sum.
 
     Summed with the padding, a row would fall into other pairwise-summation
     blocks and change its last bits.  Masked off, the padding is skipped:
     the reduction runs over each row's leading run of entries alone.
     """
-    lengths = np.asarray(lengths)
     if np.all(lengths == a.shape[-1]):
         return a.sum(axis=-1)  # the same bits, without the masked loop's cost
     return np.add.reduce(a, axis=-1, where=np.arange(a.shape[-1]) < lengths[:, None])

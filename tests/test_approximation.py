@@ -271,6 +271,16 @@ class TestRowsMatchReference:
         with pytest.raises(ValueError, match="mismatch"):
             build_approximant(xs[:1], 0.1, AmbientSpace(4, 2.0), 0.5)
 
+    def test_vectors_homed_outside_space_refused(self):
+        # sorted by their l_1 norms these order (0, 1); in l_inf, where they would be projected, (1, 0)
+        home = AmbientSpace(4, 1.0)
+        xs = [Vector([1.0, 1.0, 1.0, 1.0], home), Vector([1.9, 0.0, 0.0, 0.0], home)]
+        with pytest.raises(ValueError, match="home space mismatch"):
+            build_approximant(xs, 0.1, AmbientSpace(4, math.inf), 0.5)
+        _, cert = build_approximant([Vector(x.coords, AmbientSpace(4, math.inf)) for x in xs], 0.1,
+                                    AmbientSpace(4, math.inf), 0.5)
+        assert cert.order == (1, 0)
+
 
 class TestGrowthExponent:
     @pytest.mark.parametrize(

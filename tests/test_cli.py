@@ -3,6 +3,9 @@ import importlib
 import io
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from nucleatrace import (
     quasi_norm,
     sharpness_witness,
 )
-from nucleatrace import approximation, experiments
+import nucleatrace
+from nucleatrace import approximation, experiments, nuclear, sequences, spaces, spectral
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
     _ORACLE_CROSS_CHECK_DIM,
@@ -82,6 +86,17 @@ class TestConfig:
     def test_unknown_field(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"subcommand": "holder", "bogus": 1})
+
+    def test_field_table_is_the_dataclass_fields(self):
+        declared = fields(ExperimentConfig)
+        assert declared[0].name == "subcommand"
+        assert list(FIELDS) == [f.name for f in declared[1:]]
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_default_passes_its_own_kind_and_bound(self, name):
+        default = next(f.default for f in fields(ExperimentConfig) if f.name == name)
+        if default is not None:
+            assert experiments._checked(name, default) == default
 
     def test_exponent_parsing(self):
         cfg = ExperimentConfig.from_dict(
@@ -797,6 +812,11 @@ class TestCommandTable:
     def test_commands_are_the_subcommands(self):
         assert sorted(main.commands) == sorted(COMMANDS)
 
+    def test_readme_flags_table_is_the_command_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = {sub: flags.split() for sub, flags in re.findall(r"^\| `([a-z-]+)` +\| `(--[^`]*)` +\|$", readme, re.M)}
+        assert table == {sub: ["--" + name.replace("_", "-") for name in row.fields] for sub, row in COMMANDS.items()}
+
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_parameters_are_config_fields(self, name):
         params = [param.name for param in main.commands[name].params]
@@ -892,6 +912,20 @@ class TestCommandTable:
 
 
 class TestExports:
+    LIBRARY = (sequences, spaces, nuclear, spectral, approximation)
+
+    def test_package_exports_are_the_library_exports(self):
+        names = [name for module in self.LIBRARY for name in module.__all__]
+        assert nucleatrace.__all__ == [*names, "ExperimentConfig", "RunReport", "run"]
+
+    def test_no_name_is_exported_by_two_modules(self):
+        # a star import would let a later module silently shadow an earlier one
+        names = [name for module in (*self.LIBRARY, experiments) for name in module.__all__]
+        assert len(set(names)) == len(names)
+        for module in self.LIBRARY:
+            for name in module.__all__:
+                assert getattr(nucleatrace, name) is getattr(module, name)
+
     @pytest.mark.parametrize("module", [
         "nucleatrace", "nucleatrace.sequences", "nucleatrace.spaces", "nucleatrace.nuclear",
         "nucleatrace.spectral", "nucleatrace.approximation", "nucleatrace.experiments",

@@ -196,6 +196,31 @@ class TestLpNorm:
         assert rows.tobytes() == np.array([lp_norm(y[:n], p) for y, n in zip(Y, lengths)]).tobytes()
         full = np.full(lengths.size, 310)
         assert lp_norm(Y, p, axis=-1, lengths=full).tobytes() == lp_norm(Y, p, axis=-1).tobytes()
+        assert lp_norm(Y, p, axis=1, lengths=lengths).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "shape, axis, lengths, match",
+        [
+            ((2, 3), 0, [1, 2], "2-d array with axis"),  # would be masked row sums read as column norms
+            ((2, 3), None, [1, 2], "2-d array with axis"),
+            ((2, 2, 2), -1, [1, 2], "2-d array with axis"),
+            ((3,), -1, [1], "2-d array with axis"),
+            ((2, 3), -1, [1, 2, 3], "one integer per row"),
+            ((2, 3), -1, [[1, 2]], "one integer per row"),
+            ((2, 3), -1, [1.0, 2.0], "one integer per row"),
+            ((2, 3), -1, [True, False], "one integer per row"),
+            ((2, 3), -1, [1, 4], "between 0 and the row width"),
+            ((2, 3), 1, [-1, 2], "between 0 and the row width"),
+        ],
+    )
+    def test_lengths_misuse_is_refused(self, p, shape, axis, lengths, match):
+        with pytest.raises(ValueError, match=match):
+            lp_norm(np.ones(shape), p, axis=axis, lengths=lengths)
+
+    def test_lengths_of_an_empty_stack(self):
+        out = lp_norm(np.zeros((0, 3)), 2.0, axis=-1, lengths=np.zeros(0, dtype=int))
+        assert out.shape == (0,)
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 8.0, math.inf])
     def test_no_axis_is_the_one_row_axis_call(self, p):
