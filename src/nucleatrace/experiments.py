@@ -11,7 +11,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ RNG_CONTRACT_VERSION = 1
 _HOLDER_S_GRID = (0.5, 2.0 / 3.0, 0.9, 1.0)
 _ORACLE_CROSS_CHECK_DIM = 6
 _PROBE_GROWTH = 1.05
-# entries of one stacked draw in holder and lorentz; bounds their memory at any trial count
+# entries of the stacks one run of trials draws; bounds a run's memory at any trial count
 _STACK_ENTRIES = 1 << 20
 
 
@@ -56,7 +56,10 @@ def parse_exponent(x) -> float:
 
 
 def _entry(name: str, kind: str, x):
-    """`x` checked as an "int", a finite "number" or an "exponent"; bools are neither."""
+    """`x` checked as an "int", a finite "number" or an "exponent"; bools are neither.
+
+    It comes back a built-in int or float (an exponent always a float).
+    """
     if kind == "exponent" and isinstance(x, str):
         return math.inf if x.strip().lower() in ("inf", "infinity", "oo") else float(x)
     types = (int, np.integer) if kind == "int" else (int, float, np.integer, np.floating)
@@ -64,7 +67,7 @@ def _entry(name: str, kind: str, x):
         raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, not {x!r}")
     if kind == "number" and not math.isfinite(x):
         raise ValueError(f"{name} must be finite, not {x!r}")
-    return float(x) if kind == "exponent" else x
+    return int(x) if kind != "exponent" and isinstance(x, (int, np.integer)) else float(x)
 
 
 def _checked(name: str, value):
@@ -168,10 +171,10 @@ FIELDS: dict[str, tuple[str, Any, str]] = {
 def _jsonable(obj):
     """Recursively convert report values to deterministic JSON-safe types.
 
-    Non-finite floats become "inf", "-inf" and "nan", complex numbers
-    [real, imag] pairs, numpy scalars and arrays their Python values.
-    Runners hand over Python scalars almost everywhere, so the exact
-    built-in types are tested first.
+    Reports hold built-in values only (the config converts its numpy
+    scalars, runners call tolist()).  Non-finite floats become "inf",
+    "-inf" and "nan", complex numbers [real, imag] pairs; any other type
+    raises TypeError.
     """
     kind = type(obj)
     if kind is float:
@@ -184,17 +187,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (float, np.floating)):
-        return _jsonable(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _jsonable(complex(obj))
-    if isinstance(obj, (np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, (str, int)):
-        return obj
-    return str(obj)
+    raise TypeError(f"a report holds no {kind.__name__} value")
 
 
 def _compact_json(obj) -> str:
@@ -256,15 +249,14 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _stack_chunks(rngs: Iterable, width: int):
+def _stack_chunks(trials: Iterator, width: int):
     """The trials' (number, generator) pairs in runs of at most _STACK_ENTRIES // width.
 
-    A stacked runner draws one run at a time, so its stacks stay small at
-    any trial count and length; rows are independent, so a record does
-    not depend on the run it falls in.
+    A runner draws one run at a time, so its stacks stay small at any
+    trial count; rows are independent, so a record does not depend on
+    the run it falls in.
     """
-    numbered = enumerate(rngs)
-    while chunk := list(itertools.islice(numbered, max(1, _STACK_ENTRIES // max(width, 1)))):
+    while chunk := list(itertools.islice(trials, max(1, _STACK_ENTRIES // width))):
         yield chunk
 
 
@@ -283,99 +275,95 @@ def _holder_columns(a: Padded, b: Padded, s: float):
     return lhs, rhs, gap, ok, l1
 
 
-def _run_holder(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
+def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
     """Check the product bound and its witness on one stack per exponent s.
 
     Each trial's generator draws its pair as a trial run alone would;
     the pairs go into zero-padded stacks with their stored lengths.
     """
-    width = cfg.length if cfg.a is None else max(len(cfg.a), len(cfg.b))
-    records = []
-    for chunk in _stack_chunks(rngs, width):
-        if cfg.a is not None:
-            a, b = (np.tile(np.asarray(x, dtype=float), (len(chunk), 1)) for x in (cfg.a, cfg.b))
-            la, lb = np.full(len(chunk), a.shape[1]), np.full(len(chunk), b.shape[1])
-        else:
-            a, b = np.zeros((len(chunk), width)), np.zeros((len(chunk), width))
-            la, lb = np.empty(len(chunk), dtype=int), np.empty(len(chunk), dtype=int)
-            for i, (_, rng) in enumerate(chunk):
-                la[i] = n = rng.integers(1, cfg.length + 1)
-                lb[i] = m = rng.integers(1, cfg.length + 1)
-                a[i, :n] = rng.standard_normal(n) * float(rng.uniform(0.1, 10.0))
-                b[i, :m] = rng.standard_normal(m) * float(rng.uniform(0.1, 10.0))
-        exponents = [cfg.s if cfg.s is not None else _HOLDER_S_GRID[t % len(_HOLDER_S_GRID)] for t, _ in chunk]
-        chunk_records = [None] * len(chunk)
-        for s in sorted(set(exponents)):
-            rows = np.flatnonzero(np.equal(exponents, s))
-            pa, pb = Padded(a[rows], la[rows]), Padded(b[rows], lb[rows])
-            lhs, rhs, gap, ok, l1 = _holder_columns(pa, pb, s)
-            scale_log2 = [None] * rows.size
-            over = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(l1)))
-            if over.size:
-                # both sides are homogeneous in a and in b: decide on the pair with each
-                # largest entry scaled into [1/2, 1) by an exact power of two
-                k = np.stack([np.frexp(np.abs(x.rows[over]).max(axis=-1, initial=0.0))[1] for x in (pa, pb)], axis=-1)
-                scaled = [Padded(np.ldexp(x.rows[over], -k[:, j, None]), x.lengths[over]) for j, x in enumerate((pa, pb))]
-                lhs[over], rhs[over], gap[over], ok[over], _ = _holder_columns(*scaled, s)
-                for i, ki in zip(over.tolist(), k.tolist()):
-                    scale_log2[i] = ki
-            for row, lhs_i, rhs_i, gap_i, ok_i, k_i in zip(
-                rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist(), scale_log2
-            ):
-                rec = {
-                    "trial": chunk[row][0],
-                    "s": s,
-                    "lhs": lhs_i,
-                    "rhs": rhs_i,
-                    "defect": rhs_i - lhs_i,
-                    "witness_gap": None if math.isnan(gap_i) else gap_i,  # nan marks a zero a
-                    "pass": ok_i,
-                }
-                if k_i is not None:
-                    rec["scale_log2"] = k_i
-                if not ok_i:
-                    rec["a"] = a[row, : la[row]].tolist()
-                    rec["b"] = b[row, : lb[row]].tolist()
-                chunk_records[row] = rec
-        records += chunk_records
+    if cfg.a is not None:
+        a, b = (np.tile(np.asarray(x, dtype=float), (len(trials), 1)) for x in (cfg.a, cfg.b))
+        la, lb = np.full(len(trials), a.shape[1]), np.full(len(trials), b.shape[1])
+    else:
+        a, b = np.zeros((len(trials), cfg.length)), np.zeros((len(trials), cfg.length))
+        la, lb = np.empty(len(trials), dtype=int), np.empty(len(trials), dtype=int)
+        for i, (_, rng) in enumerate(trials):
+            la[i] = n = rng.integers(1, cfg.length + 1)
+            lb[i] = m = rng.integers(1, cfg.length + 1)
+            a[i, :n] = rng.standard_normal(n) * float(rng.uniform(0.1, 10.0))
+            b[i, :m] = rng.standard_normal(m) * float(rng.uniform(0.1, 10.0))
+    exponents = [cfg.s if cfg.s is not None else _HOLDER_S_GRID[t % len(_HOLDER_S_GRID)] for t, _ in trials]
+    records = [None] * len(trials)
+    for s in sorted(set(exponents)):
+        rows = np.flatnonzero(np.equal(exponents, s))
+        pa, pb = Padded(a[rows], la[rows]), Padded(b[rows], lb[rows])
+        lhs, rhs, gap, ok, l1 = _holder_columns(pa, pb, s)
+        scale_log2 = [None] * rows.size
+        over = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(l1)))
+        if over.size:
+            # both sides are homogeneous in a and in b: decide on the pair with each
+            # largest entry scaled into [1/2, 1) by an exact power of two
+            k = np.stack([np.frexp(np.abs(x.rows[over]).max(axis=-1, initial=0.0))[1] for x in (pa, pb)], axis=-1)
+            scaled = [Padded(np.ldexp(x.rows[over], -k[:, j, None]), x.lengths[over]) for j, x in enumerate((pa, pb))]
+            lhs[over], rhs[over], gap[over], ok[over], _ = _holder_columns(*scaled, s)
+            for i, ki in zip(over.tolist(), k.tolist()):
+                scale_log2[i] = ki
+        for row, lhs_i, rhs_i, gap_i, ok_i, k_i in zip(
+            rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist(), scale_log2
+        ):
+            rec = {
+                "trial": trials[row][0],
+                "s": s,
+                "lhs": lhs_i,
+                "rhs": rhs_i,
+                "defect": rhs_i - lhs_i,
+                "witness_gap": None if math.isnan(gap_i) else gap_i,  # nan marks a zero a
+                "pass": ok_i,
+            }
+            if k_i is not None:
+                rec["scale_log2"] = k_i
+            if not ok_i:
+                rec["a"] = a[row, : la[row]].tolist()
+                rec["b"] = b[row, : lb[row]].tolist()
+            records[row] = rec
     return records
 
 
-def _run_lorentz(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
-    """Check rearrangement invariance and homogeneity on three stacked calls per run of trials."""
+def _run_lorentz(cfg: ExperimentConfig, trials: list) -> list[dict]:
+    """Check rearrangement invariance and homogeneity on three stacked calls."""
     r = cfg.r if cfg.r is not None else 0.5
     w = cfg.w if cfg.w is not None else math.inf
     NuclearIndex.lorentz(r, w)  # admissibility gate, rejects r = 1 with w > 1
+    with np.errstate(over="ignore"):  # past the double range, the largest weight makes every norm inf
+        if not np.isfinite(np.float64(cfg.length) ** (1.0 / r - 1.0 / w)):
+            raise ValueError(f"r = {r} is too small for length {cfg.length}: the Lorentz weights overflow")
     index = LorentzIndex(r, w)
+    a = np.empty((len(trials), cfg.length))
+    perm = np.empty((len(trials), cfg.length), dtype=int)
+    c = np.empty(len(trials))
+    for i, (_, rng) in enumerate(trials):
+        a[i] = rng.standard_normal(cfg.length)
+        perm[i] = rng.permutation(cfg.length)
+        c[i] = rng.uniform(0.1, 10.0)
+    norm = lorentz_quasi_norm(a, index)
+    norm_perm = lorentz_quasi_norm(np.take_along_axis(a, perm, axis=-1), index)
+    norm_scaled = lorentz_quasi_norm(c[:, None] * a, index)
+    invariant = np.abs(norm - norm_perm) <= REL_TOL * norm
+    homogeneous = np.abs(norm_scaled - c * norm) <= REL_TOL * (c * norm)
     records = []
-    for chunk in _stack_chunks(rngs, cfg.length):
-        a = np.empty((len(chunk), cfg.length))
-        perm = np.empty((len(chunk), cfg.length), dtype=int)
-        c = np.empty(len(chunk))
-        for i, (_, rng) in enumerate(chunk):
-            a[i] = rng.standard_normal(cfg.length)
-            perm[i] = rng.permutation(cfg.length)
-            c[i] = rng.uniform(0.1, 10.0)
-        norm = lorentz_quasi_norm(a, index)
-        norm_perm = lorentz_quasi_norm(np.take_along_axis(a, perm, axis=-1), index)
-        norm_scaled = lorentz_quasi_norm(c[:, None] * a, index)
-        invariant = np.abs(norm - norm_perm) <= REL_TOL * norm
-        homogeneous = np.abs(norm_scaled - c * norm) <= REL_TOL * (c * norm)
-        for i, ((t, _), value, inv, hom) in enumerate(
-            zip(chunk, norm.tolist(), invariant.tolist(), homogeneous.tolist())
-        ):
-            rec = {
-                "trial": t,
-                "r": r,
-                "w": w,
-                "norm": value,
-                "rearrangement_invariant": inv,
-                "homogeneous": hom,
-                "pass": inv and hom,
-            }
-            if not rec["pass"]:
-                rec["a"] = a[i].tolist()
-            records.append(rec)
+    for i, ((t, _), value, inv, hom) in enumerate(zip(trials, norm.tolist(), invariant.tolist(), homogeneous.tolist())):
+        rec = {
+            "trial": t,
+            "r": r,
+            "w": w,
+            "norm": value,
+            "rearrangement_invariant": inv,
+            "homogeneous": hom,
+            "pass": inv and hom,
+        }
+        if not rec["pass"]:
+            rec["a"] = a[i].tolist()
+        records.append(rec)
     return records
 
 
@@ -436,17 +424,17 @@ def _draw_stacks(
     return reps, rep_indices
 
 
-def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
-    """Audit each entry of dims as one stack over all trials and exponents.
+def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
+    """Audit each entry of dims as one stack over the trials and exponents.
 
     Each trial's generator draws in the order dims, then p, however the
     trials interleave, so drawing one entry of dims for every trial at a
     time gives each trial the draws of running it alone.
     """
-    rngs = list(rngs)
+    rngs = [rng for _, rng in trials]
     exponents = [cfg.s if cfg.s is not None else trace_formula_exponent(p) for p in cfg.p]
     indices = [NuclearIndex.absolutely_summable(s) for s in exponents]
-    per_trial: list[list[dict]] = [[] for _ in rngs]
+    per_trial: list[list[dict]] = [[] for _ in trials]
     for n in cfg.dims:
         reps, rep_indices = _draw_stacks(rngs, n, cfg.p, indices)
         audit = audit_trace_formula(reps, rep_indices)
@@ -460,9 +448,9 @@ def _run_trace_audit(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
                       audit.passed.tolist(), matched, gaps)
         # rows run over exponents, then trials
         for i, (tr, ssum, defect, l1, qn, fro, passed, agrees, gap) in enumerate(columns):
-            j, trial = divmod(i, len(rngs))
-            per_trial[trial].append({
-                "trial": trial,
+            j, row = divmod(i, len(trials))
+            per_trial[row].append({
+                "trial": trials[row][0],
                 "n": n,
                 "p": cfg.p[j],
                 "s": exponents[j],
@@ -565,32 +553,36 @@ def _run_similarity(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
 
 
 def _per_trial(runner: Callable[[ExperimentConfig, int, Any], list[dict]]):
-    """A runner of every trial from one of a single trial, called trial by trial."""
+    """A runner of a run of trials from one of a single trial, called trial by trial."""
 
-    def run_trials(cfg: ExperimentConfig, rngs: Iterable) -> list[dict]:
-        return [rec for t, rng in enumerate(rngs) for rec in runner(cfg, t, rng)]
+    def run_trials(cfg: ExperimentConfig, trials: list) -> list[dict]:
+        return [rec for t, rng in trials for rec in runner(cfg, t, rng)]
 
     return run_trials
 
 
 class Subcommand(NamedTuple):
-    """A row of COMMANDS: a runner of the config and the trials' generators, the fields it reads."""
+    """A row of COMMANDS: a runner of the config and a run of (trial, generator) pairs, the fields it reads."""
 
     help: str
-    runner: Callable[[ExperimentConfig, Iterable], list[dict]]
+    runner: Callable[[ExperimentConfig, list], list[dict]]
     fields: tuple[str, ...]
     one_value: tuple[str, ...] = ()  # list fields the runner reads one entry of
+    # stack entries one trial adds; a per-trial row's trial fills a stack, so it runs alone
+    entries: Callable[[ExperimentConfig], int] = lambda cfg: _STACK_ENTRIES
 
 
 COMMANDS: dict[str, Subcommand] = {
     "holder": Subcommand("Product bound against l_1, with sharpness witnesses.", _run_holder,
-                         ("seed", "trials", "s", "length", "a", "b")),
+                         ("seed", "trials", "s", "length", "a", "b"),
+                         entries=lambda cfg: cfg.length if cfg.a is None else max(len(cfg.a), len(cfg.b))),
     "lorentz": Subcommand("Lorentz quasi-norm sanity checks on random sequences.", _run_lorentz,
-                          ("seed", "trials", "r", "w", "length")),
+                          ("seed", "trials", "r", "w", "length"), entries=lambda cfg: cfg.length),
     "factorize": Subcommand("Exact l_1 times weak-tail splits of power-decay sequences.", _per_trial(_run_factorize),
                             ("seed", "trials", "s", "beta", "beta_min", "beta_max", "truncation", "gamma")),
     "trace-audit": Subcommand("Nuclear trace versus eigenvalue sum on random representations.", _run_trace_audit,
-                              ("seed", "trials", "dims", "p", "s")),
+                              ("seed", "trials", "dims", "p", "s"),
+                              entries=lambda cfg: len(cfg.p) * max(n + 2 * n * n for n in cfg.dims)),
     # a deterministic family: one trial tells the whole story, and it draws nothing from the seed
     "eigen-type": Subcommand("Ratio sweep of eigenvalue mass against the quasi-norm.", _per_trial(_run_eigen_type),
                              ("dims", "p", "s", "beta"), one_value=("p",)),
@@ -606,11 +598,13 @@ def run(config: ExperimentConfig) -> RunReport:
 
     Trials are independent: trial t draws from a pcg64 generator seeded
     with SeedSequence([seed, t]), so the report body is byte-identical
-    across repeat runs.
+    across repeat runs.  The runner gets these (t, generator) pairs, built
+    run by run, in runs of at most _STACK_ENTRIES // entries(config) trials.
     """
-    runner = COMMANDS[config.subcommand].runner
+    row = COMMANDS[config.subcommand]
     start = time.perf_counter()
-    records = runner(config, (_trial_rng(config.seed, t) for t in range(config.trials)))
+    trials = ((t, _trial_rng(config.seed, t)) for t in range(config.trials))
+    records = [rec for chunk in _stack_chunks(trials, row.entries(config)) for rec in row.runner(config, chunk)]
 
     pass_count = sum(1 for r in records if r.get("pass"))
     fail_count = len(records) - pass_count

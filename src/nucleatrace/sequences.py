@@ -113,7 +113,8 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
     stored length, where a* is the decreasing rearrangement.  For q = inf
     it is sup_k k**(1/p) a*_k (plain sup norm when p = inf).  The zero
     sequence returns 0.0, and l_{p,p} agrees with the plain l_p norm.
-    NaN or infinite entries raise ValueError.
+    A zero entry contributes 0 even where its weight overflows.  NaN or
+    infinite entries raise ValueError.
 
     Parameters
     ----------
@@ -131,8 +132,14 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
     star = np.abs(av)
     star.sort(axis=-1)
     star = star[:, ::-1]
-    k = np.arange(1, av.shape[1] + 1, dtype=float)
-    out = lp_norm(k ** (1.0 / index.p - 1.0 / index.q) * star, index.q, axis=-1, lengths=lengths)
+    weights = np.arange(1, av.shape[1] + 1, dtype=float) ** (1.0 / index.p - 1.0 / index.q)
+    if weights.size and np.isinf(weights[-1]):
+        # a weight past the double range is inf, and inf * 0 is nan: a zero entry contributes 0
+        with np.errstate(invalid="ignore"):
+            terms = np.where(star == 0.0, 0.0, weights * star)
+    else:
+        terms = weights * star
+    out = lp_norm(terms, index.q, axis=-1, lengths=lengths)
     if not np.all(np.isfinite(out)):
         _require_finite(av)
     return float(out[0]) if single else out
@@ -189,8 +196,8 @@ def sharpness_witness(a, s: float) -> np.ndarray:
     the bound into lhs = rhs = ||a||_1.  For s = 1 the all-ones sequence
     plays the same role against the sup norm.  For a stack (2-d or
     Padded) it returns the 2-d array of each row's witness, zero beyond
-    the row's stored length.  NaN or infinite entries, or a zero
-    sequence, raise ValueError.
+    the row's stored length.  NaN or infinite entries, a zero sequence,
+    or an s so small that ||a||_1**(1/q) overflows raise ValueError.
     """
     av, lengths, single = _as_stack(a)
     if not (0.0 < s <= 1.0):
@@ -204,7 +211,11 @@ def sharpness_witness(a, s: float) -> np.ndarray:
         q = s / (1.0 - s)
         l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
         # the divisor is a Python float power per row, as for a single sequence
-        wit = np.abs(av) ** (1.0 / q) / np.array([x ** (1.0 / q) for x in l1.tolist()])[:, None]
+        try:
+            divisor = np.array([x ** (1.0 / q) for x in l1.tolist()])
+        except OverflowError:
+            raise ValueError(f"s = {s} is too small for this sequence: ||a||_1**(1/q) overflows") from None
+        wit = np.abs(av) ** (1.0 / q) / divisor[:, None]
     return wit[0] if single else wit
 
 
@@ -229,12 +240,14 @@ _SCALES = (0.0,) + tuple(2.0 ** -e for e in range(43, 8, -1))
 _ULP_STEPS = 6
 
 
-def _exact_pair_down(d: float, target: float) -> tuple[float, float]:
+def _exact_pair_down(d: float, target: float, s: float) -> tuple[float, float]:
     """Find (alpha, beta) with alpha * beta == d exactly and beta <= target.
 
     Searches downward from target through coarse relative backoffs and a
     few unit-in-last-place steps.  The downward bias keeps the caller's
     running cap honest: every accepted beta respects the monotone budget.
+    Where every candidate misses, the split of d at exponent s leaves the
+    double range, and ValueError names s.
     """
     if d == 0.0:
         return 0.0, target
@@ -249,7 +262,7 @@ def _exact_pair_down(d: float, target: float) -> tuple[float, float]:
                 if a * b == d:
                     return a, b
             b = math.nextafter(b, 0.0)
-    raise RuntimeError("no exactly representable factor pair near target")
+    raise ValueError(f"no exact split at s = {s}: k**(1/q) or d_k / beta_k leaves the double range")
 
 
 def _exact_pairs_down(d: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +330,8 @@ def factor_l1_lorentz(
     Returns
     -------
     (alpha, beta, certificate)
+        Where no exact split stays in the double range (k**(1/q) or
+        d_k / beta_k overflows, as at a small s), ValueError names s.
 
     Notes
     -----
@@ -398,13 +413,13 @@ def factor_l1_lorentz(
     cap = cap[start - 1] if start else math.inf
     for i in range(start, L):
         target = min(eps[i], cap)
-        a, b = _exact_pair_down(dv[i], target / w[i])
+        a, b = _exact_pair_down(dv[i], target / w[i], s)
         if w[i] * b > cap:
             # w * t rounds monotonically in t, so every b <= t keeps w * b <= target
             t = target / w[i]
             while w[i] * t > target:
                 t = math.nextafter(t, 0.0)
-            a, b = _exact_pair_down(dv[i], t)
+            a, b = _exact_pair_down(dv[i], t, s)
         alpha[i] = a
         beta[i] = 0.0 if eps[i] == 0.0 else b
         if beta[i] > 0.0:

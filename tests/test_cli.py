@@ -361,21 +361,42 @@ class TestJsonable:
         "value, expected",
         [
             (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (0.25, 0.25),
-            (np.float64(-math.inf), "-inf"), (np.float32(0.1), float(np.float32(0.1))),
             (2.0 - 1.5j, [2.0, -1.5]), (complex(math.inf, math.nan), ["inf", "nan"]),
-            (np.complex128(1j), [0.0, 1.0]), (np.complex64(0.5 - 2j), [0.5, -2.0]),
-            (np.int64(-7), -7), (np.uint8(200), 200), (np.bool_(True), True), (np.bool_(False), False),
             (True, True), (3, 3), ("x", "x"), (None, None),
             ((1, 2.5, (math.nan,)), [1, 2.5, ["nan"]]),
-            (np.array(1.5), 1.5), (np.array(np.nan), "nan"),
-            (np.array([[1.0, math.inf], [0.0, -2.0]]), [[1.0, "inf"], [0.0, -2.0]]),
-            (np.array([1j, 2]), [[0.0, 1.0], [2.0, 0.0]]), (np.array([True, False]), [True, False]),
-            ({"a": {"b": (np.int64(1), math.nan)}, 3: [np.bool_(False)]}, {"a": {"b": [1, "nan"]}, "3": [False]}),
+            ({"a": {"b": (1, math.nan)}, 3: [False]}, {"a": {"b": [1, "nan"]}, "3": [False]}),
         ],
     )
     def test_values(self, value, expected):
         # json text tells True from 1 and 1.0 from 1
         assert json.dumps(_jsonable(value)) == json.dumps(expected)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(1.0), np.float32(0.1), np.complex128(1j), np.int64(-7), np.bool_(True),
+         np.array([1.0]), [1, {"a": np.int64(1)}], object()],
+        ids=["float64", "float32", "complex128", "int64", "bool_", "ndarray", "nested-int64", "object"],
+    )
+    def test_other_types_are_refused(self, value):
+        # the config converts numpy scalars and runners call tolist(), so none reaches a report
+        with pytest.raises(TypeError):
+            _jsonable(value)
+
+    def test_numpy_scalar_config_gives_the_bytes_of_built_in_values(self):
+        cases = [
+            ("factorize", {"seed": np.int64(3), "beta": np.float64(2.0), "truncation": np.int32(64)},
+             {"seed": 3, "beta": 2.0, "truncation": 64}),
+            ("trace-audit", {"seed": np.uint8(4), "dims": (np.int64(2), np.int16(4)), "p": (np.int64(1), np.float32(2.0))},
+             {"seed": 4, "dims": (2, 4), "p": (1.0, 2.0)}),
+            ("approx", {"beta": np.int64(2), "epsilon": np.float64(0.2)}, {"beta": 2, "epsilon": 0.2}),
+        ]
+        for subcommand, numpy_fields, built_in in cases:
+            cfg = ExperimentConfig(subcommand=subcommand, **numpy_fields)
+            assert run(cfg).body_text() == run(ExperimentConfig(subcommand=subcommand, **built_in)).body_text()
+        # an int stays an int in the echo
+        for beta in (2, np.int64(2)):
+            echo = json.loads(run(ExperimentConfig(subcommand="factorize", beta=beta)).body_text())["config"]["beta"]
+            assert type(echo) is int and echo == 2
 
 
 def _draw_representation(rng, n, p):
@@ -625,12 +646,57 @@ class TestSequenceStacks:
         many = run(ExperimentConfig(subcommand=subcommand, seed=9, trials=200)).records
         assert _body(few) == _body(many[:7])
 
-    @pytest.mark.parametrize("subcommand", ["holder", "lorentz"])
-    def test_runs_of_trials_give_the_records_of_one_stack(self, monkeypatch, subcommand):
-        cfg = ExperimentConfig(subcommand=subcommand, seed=3, trials=50)
+    @pytest.mark.parametrize(
+        "subcommand, fields",
+        [("holder", {"trials": 50}), ("lorentz", {"trials": 50}),
+         ("trace-audit", {"trials": 7, "dims": (8, 4), "p": (1.0, 2.0, math.inf)})],
+        ids=["holder", "lorentz", "trace-audit"],
+    )
+    def test_runs_of_trials_give_the_records_of_one_stack(self, monkeypatch, subcommand, fields):
+        cfg = ExperimentConfig(subcommand=subcommand, seed=3, **fields)
         whole = run(cfg).records
-        monkeypatch.setattr(experiments, "_STACK_ENTRIES", 3 * cfg.length)
-        assert _body(run(cfg).records) == _body(whole)
+        # three trials a run, then one: trace-audit's trial fills a run at its largest n
+        for per_run in (3, 1):
+            monkeypatch.setattr(experiments, "_STACK_ENTRIES", per_run * COMMANDS[subcommand].entries(cfg))
+            assert _body(run(cfg).records) == _body(whole)
+
+
+class TestRuns:
+    """run() hands each runner its trials in runs of bounded stack entries."""
+
+    def test_no_audit_gets_more_rows_than_one_run_allows(self, monkeypatch):
+        cfg = ExperimentConfig(subcommand="trace-audit", trials=7, dims=(4, 8), p=(1.0, math.inf))
+        monkeypatch.setattr(experiments, "_STACK_ENTRIES", 2 * COMMANDS["trace-audit"].entries(cfg))
+        real, rows = experiments.audit_trace_formula, []
+
+        def counting_audit(reps, indices):
+            audit = real(reps, indices)
+            rows.append(len(audit.passed))
+            return audit
+
+        monkeypatch.setattr(experiments, "audit_trace_formula", counting_audit)
+        run(cfg)
+        # two trials a run, one row per trial and exponent
+        assert max(rows) <= 2 * len(cfg.p)
+        assert sum(rows) == cfg.trials * len(cfg.dims) * len(cfg.p)
+
+    @pytest.mark.parametrize("subcommand", ["factorize", "approx", "similarity"])
+    def test_per_trial_rows_build_their_generators_one_trial_at_a_time(self, monkeypatch, subcommand):
+        built, seen = [], []
+        real_rng, row = experiments._trial_rng, COMMANDS[subcommand]
+
+        def counting_rng(seed, trial):
+            built.append(trial)
+            return real_rng(seed, trial)
+
+        def recording_runner(cfg, trials):
+            seen.append(([t for t, _ in trials], len(built)))
+            return row.runner(cfg, trials)
+
+        monkeypatch.setattr(experiments, "_trial_rng", counting_rng)
+        monkeypatch.setitem(COMMANDS, subcommand, row._replace(runner=recording_runner))
+        run(ExperimentConfig(subcommand=subcommand, trials=5))
+        assert seen == [([t], t + 1) for t in range(5)]
 
 
 class TestCli:
@@ -852,9 +918,11 @@ class TestCommandTable:
                 self.read.add(name)
                 return getattr(self.cfg, name)
 
-        cfg = Recorder(ExperimentConfig(subcommand=subcommand, **fields))
-        COMMANDS[subcommand].runner(cfg, (_trial_rng(0, t) for t in range(2)))
-        assert cfg.read <= set(COMMANDS[subcommand].fields)
+        row = COMMANDS[subcommand]
+        for call in (row.entries, lambda cfg: row.runner(cfg, [(t, _trial_rng(0, t)) for t in range(2)])):
+            cfg = Recorder(ExperimentConfig(subcommand=subcommand, **fields))
+            call(cfg)
+            assert cfg.read <= set(row.fields)
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_help(self, runner, name):
@@ -902,6 +970,25 @@ class TestCommandTable:
         (rec,) = json.loads(result.output)["records"]
         assert rec["guarantee_regime"] and rec["sup_error"] == 1.0 and not rec["pass"]
         assert "Traceback" not in result.output
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("args, name", [
+        (["factorize", "--trials", "1", "--s", "0.01"], "s"),
+        (["holder", "--trials", "50", "--s", "0.005"], "s"),
+        (["lorentz", "--trials", "20", "--r", "0.005"], "r"),
+    ])
+    def test_exponent_past_the_double_range_is_clean_error(self, runner, args, name):
+        # a RuntimeError or OverflowError traceback, or 20 of 20 lorentz records FAILed on inf norms
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert re.match(rf"Error: (.*\b)?{name} = ", result.output.splitlines()[-1])
+        assert "Traceback" not in result.output
+
+    def test_lorentz_weights_just_inside_the_double_range_pass(self, runner):
+        # 64**(1/0.006) is about 2**1000
+        result = invoke(runner, ["lorentz", "--trials", "20", "--r", "0.006"])
+        assert result.exit_code == 0
 
     def test_infinite_gamma_is_clean_error(self, runner):
         result = runner.invoke(main, ["factorize", "--trials", "1", "--gamma", "inf"])

@@ -88,6 +88,15 @@ class TestLorentzQuasiNorm:
     def test_finite_overflow_is_inf(self):
         assert lorentz_quasi_norm([1e308, 1e308], LorentzIndex(0.5)) == math.inf
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_zero_entry_under_an_overflowing_weight_contributes_zero(self):
+        # the weight 3**999 is inf, and inf * 0 made the norm nan
+        assert lorentz_quasi_norm([1.0, 0.0, 0.0], LorentzIndex(0.001, 1.0)) == 1.0
+        np.testing.assert_array_equal(
+            lorentz_quasi_norm([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 2.0]], LorentzIndex(0.001, 1.0)),
+            [1.0, 0.0, math.inf],
+        )
+
     def test_power_decay_weak(self):
         k = np.arange(1, 257.0)
         assert lorentz_quasi_norm(k ** -0.75, LorentzIndex(2.0)) == 1.0
@@ -257,6 +266,14 @@ class TestSharpnessWitness:
         with pytest.raises(ValueError, match="finite"):
             sharpness_witness([bad, 1.0], s)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_divisor_names_s(self):
+        # ||a||_1**(1/q) = 100**199 raised OverflowError
+        with pytest.raises(ValueError, match="^s = 0.005 "):
+            sharpness_witness([60.0, 40.0], 0.005)
+        with pytest.raises(ValueError, match="^s = 0.005 "):
+            sharpness_witness(np.array([[0.5, 0.5], [60.0, 40.0]]), 0.005)
+
     @given(seqs, s_values)
     @settings(max_examples=200)
     def test_witness_attains_l1_mass(self, a, s):
@@ -287,6 +304,16 @@ class TestFactorization:
         np.testing.assert_array_equal(alpha, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(beta, [1.0, 0.0, 0.0])
         assert cert.l1_alpha == 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("d, s", [
+        ([1e307, 5e306], 0.1),  # d_2 / beta_2 = 5e306 * 512 overflows
+        (np.arange(1, 4097.0) ** -2.0, 0.01),  # k**(1/q) = k**99 overflows
+    ])
+    def test_split_past_the_double_range_names_s(self, d, s):
+        # a RuntimeError here ended the command line in a traceback
+        with pytest.raises(ValueError, match=f"^no exact split at s = {s}:"):
+            factor_l1_lorentz(d, s)
 
     def test_zero_sequence(self):
         alpha, beta, _ = factor_l1_lorentz([0.0, 0.0], 0.5)
