@@ -1,10 +1,15 @@
 """Seeded experiment runners behind the command line interface.
 
-Each subcommand draws its inputs from a counter-based generator seeded
-per trial, so reports are reproducible for a fixed config and seed.
+Each subcommand draws its inputs trial by trial: trial t draws the
+pcg64 stream of ``np.random.default_rng(np.random.SeedSequence([seed, t]))``
+(PCG64, a permuted congruential generator; the report names it as
+``{"name": "pcg64", "version": 1}``).  The seeds are hashed block by block,
+many trials in one array pass, and each generator is built as its trial
+is reached, so reports are reproducible for a fixed config and seed.
 """
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -45,6 +50,12 @@ _ORACLE_CROSS_CHECK_DIM = 6
 _PROBE_GROWTH = 1.05
 # entries of the stacks one run of trials draws; bounds a run's memory at any trial count
 _STACK_ENTRIES = 1 << 20
+# trials whose seeds are hashed in one pass: 8 uint32 output words each, 128 KiB a block
+_HASH_BLOCK = 4096
+# NumPy's SeedSequence hash constants (NEP 19 keeps its output stable), pool size 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
 
 
 def parse_exponent(x) -> float:
@@ -245,8 +256,127 @@ class RunReport:
         return self.aggregate.get("fail_count", 0) > 0
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+def _words32(n: int) -> list[int]:
+    """The little-endian 32-bit words of an int n >= 0, as SeedSequence reads it; 0 is one word."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@functools.lru_cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count: a hash's constants in the order it uses them."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    out = np.array(out, dtype=np.uint32)
+    out.flags.writeable = False  # shared by every call
+    return out
+
+
+@functools.lru_cache
+def _mix_constants(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants, shape (width, 4), of the hashmix of entropy word src into pool word d.
+
+    SeedSequence hashes each pool word into every other pool word, then
+    each entropy word past the pool into every pool word, in this order,
+    after the pool's own 4 hashes.  A pool word's slot for itself is unused.
+    """
+    number = np.zeros((width, _POOL_SIZE), dtype=int)
+    pairs = [(src, d) for src in range(width) for d in range(_POOL_SIZE) if d != src]
+    for k, (src, d) in enumerate(pairs, start=_POOL_SIZE):
+        number[src, d] = k
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE + len(pairs) + 1)
+    out = c[number], c[number + 1]
+    for arr in out:
+        arr.flags.writeable = False  # shared by every call
+    return out
+
+
+def _seed_states(seed: int, trials: range) -> np.ndarray:
+    """Row i is SeedSequence([seed, trials[i]]).generate_state(4, np.uint64).
+
+    NumPy's hash, in uint32 arithmetic over the whole block at once: the
+    entropy (the words of seed, then of t) goes into a pool of 4 words,
+    the pool mixes with itself and with the entropy past its size, and 8
+    output words are hashed from it.  Each source word mixes into all 4
+    pool words in one array operation; a pool word then gets its own
+    value back, since it does not mix into itself.  Every t must have as
+    many words as the first, and lie below 2**64.
+    """
+    seed_words, t_words = _words32(seed), len(_words32(trials[0]))
+    if len(_words32(trials[-1])) != t_words:
+        raise ValueError("a block of trials must not mix word counts")
+    ts = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    width = max(_POOL_SIZE, len(seed_words) + t_words)
+    entropy = np.zeros((ts.size, width), dtype=np.uint32)  # hashing a missing word hashes 0
+    entropy[:, : len(seed_words)] = seed_words
+    for k in range(t_words):
+        entropy[:, len(seed_words) + k] = ts >> np.uint64(32 * k)  # the cast keeps the low word
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE + 1)
+    pool = entropy[:, :_POOL_SIZE] ^ c[:-1]
+    pool *= c[1:]
+    pool ^= pool >> 16
+    cx, cm = _mix_constants(width)
+    for src in range(width):
+        h = (pool[:, src, None] if src < _POOL_SIZE else entropy[:, src, None]) ^ cx[src]
+        h *= cm[src]
+        h ^= h >> 16
+        mixed = pool * _MIX_MULT_L - h * _MIX_MULT_R
+        mixed ^= mixed >> 16
+        if src < _POOL_SIZE:
+            mixed[:, src] = pool[:, src]
+        pool = mixed
+    d = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+    out = np.concatenate((pool, pool), axis=1) ^ d[:-1]
+    out *= d[1:]
+    out ^= out >> 16
+    # two uint32 words make one uint64 little-endian, as generate_state reads them
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _hashed_state_type() -> type:
+    """The seed sequence that hands PCG64 one trial's hashed state words.
+
+    Defined on first use, since numpy loads numpy.random lazily and
+    importing this module should not load it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("a trial's state is 4 uint64 words, for PCG64")
+            return self.words
+
+    return HashedState
+
+
+def _hash_blocks(trials: range) -> Iterator[range]:
+    """`trials` (step 1) in blocks of at most _HASH_BLOCK, none holding two word counts of t."""
+    start = trials.start
+    while start < trials.stop:
+        stop = min(start + _HASH_BLOCK, trials.stop, 1 << (32 * len(_words32(start))))
+        yield range(start, stop)
+        start = stop
+
+
+def _trial_generators(seed: int, trials: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """(t, generator) for each t < trials, each generator built as it is reached.
+
+    Trial t's generator is ``default_rng(SeedSequence([seed, t]))``: its
+    state words are hashed a block of trials at a time, and PCG64 seeds
+    itself from them.
+    """
+    hashed_state = _hashed_state_type()
+    for block in _hash_blocks(range(trials)):
+        for t, words in zip(block, _seed_states(seed, block)):
+            yield t, np.random.Generator(np.random.PCG64(hashed_state(words)))
 
 
 def _stack_chunks(trials: Iterator, width: int):
@@ -261,17 +391,21 @@ def _stack_chunks(trials: Iterator, width: int):
 
 
 def _holder_columns(a: Padded, b: Padded, s: float):
-    """lhs, rhs, witness gap (nan for a zero row), verdict and ||a||_1 of each row pair."""
+    """lhs, rhs, witness gap (nan for a zero row), verdict and ||a||_1 of each row pair.
+
+    A row whose ||a||_1 overflows reads inf there (its witness is zero
+    and its gap inf - inf); the caller decides that row again at unit scale.
+    """
     lhs, rhs, ok = holder_product_bound(a, b, s)
-    l1 = lp_norm(a.rows, 1.0, axis=-1, lengths=a.lengths)
-    gap = np.full(l1.shape, math.nan)
-    nonzero = np.flatnonzero(np.any(a.rows != 0.0, axis=-1))
-    if nonzero.size:
-        sub = Padded(a.rows[nonzero], a.lengths[nonzero])
-        wl, _, _ = holder_product_bound(sub, Padded(sharpness_witness(sub, s), sub.lengths), s)
-        with np.errstate(invalid="ignore"):  # inf - inf where ||a||_1 overflows; the caller rescales that row
+    with np.errstate(over="ignore", invalid="ignore"):  # one scope for the whole stack
+        l1 = lp_norm(a.rows, 1.0, axis=-1, lengths=a.lengths)
+        gap = np.full(l1.shape, math.nan)
+        nonzero = np.flatnonzero(np.any(a.rows != 0.0, axis=-1))
+        if nonzero.size:
+            sub = Padded(a.rows[nonzero], a.lengths[nonzero])
+            wl, _, _ = holder_product_bound(sub, Padded(sharpness_witness(sub, s), sub.lengths), s)
             gap[nonzero] = np.abs(wl - l1[nonzero])
-        ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
+            ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
     return lhs, rhs, gap, ok, l1
 
 
@@ -596,14 +730,15 @@ COMMANDS: dict[str, Subcommand] = {
 def run(config: ExperimentConfig) -> RunReport:
     """Execute all trials of a subcommand and assemble the report.
 
-    Trials are independent: trial t draws from a pcg64 generator seeded
-    with SeedSequence([seed, t]), so the report body is byte-identical
-    across repeat runs.  The runner gets these (t, generator) pairs, built
-    run by run, in runs of at most _STACK_ENTRIES // entries(config) trials.
+    Trials are independent: trial t draws the stream of
+    ``default_rng(SeedSequence([seed, t]))``, its seed words hashed block
+    by block, so the report body is byte-identical across repeat runs.
+    The runner gets these (t, generator) pairs, each built as it is
+    reached, in runs of at most _STACK_ENTRIES // entries(config) trials.
     """
     row = COMMANDS[config.subcommand]
     start = time.perf_counter()
-    trials = ((t, _trial_rng(config.seed, t)) for t in range(config.trials))
+    trials = _trial_generators(config.seed, config.trials)
     records = [rec for chunk in _stack_chunks(trials, row.entries(config)) for rec in row.runner(config, chunk)]
 
     pass_count = sum(1 for r in records if r.get("pass"))

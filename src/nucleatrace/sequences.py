@@ -132,14 +132,15 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
     star = np.abs(av)
     star.sort(axis=-1)
     star = star[:, ::-1]
-    weights = np.arange(1, av.shape[1] + 1, dtype=float) ** (1.0 / index.p - 1.0 / index.q)
-    if weights.size and np.isinf(weights[-1]):
-        # a weight past the double range is inf, and inf * 0 is nan: a zero entry contributes 0
-        with np.errstate(invalid="ignore"):
+    # weights and finite entries past the double range give inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.arange(1, av.shape[1] + 1, dtype=float) ** (1.0 / index.p - 1.0 / index.q)
+        if weights.size and np.isinf(weights[-1]):
+            # a weight past the double range is inf, and inf * 0 is nan: a zero entry contributes 0
             terms = np.where(star == 0.0, 0.0, weights * star)
-    else:
-        terms = weights * star
-    out = lp_norm(terms, index.q, axis=-1, lengths=lengths)
+        else:
+            terms = weights * star
+        out = lp_norm(terms, index.q, axis=-1, lengths=lengths)
     if not np.all(np.isfinite(out)):
         _require_finite(av)
     return float(out[0]) if single else out
@@ -176,9 +177,10 @@ def holder_product_bound(a, b, s: float):
     if av.shape[0] != bv.shape[0]:
         raise ValueError("stacks must have the same number of rows")
     w = min(av.shape[1], bv.shape[1])
-    lhs = lp_norm(av[:, :w] * bv[:, :w], s, axis=-1, lengths=np.minimum(la, lb))
     q = math.inf if s == 1.0 else s / (1.0 - s)
-    with np.errstate(over="ignore", invalid="ignore"):  # a product of two norms behaves as for floats
+    # finite entries past the double range give inf, as for floats; non-finite ones raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = lp_norm(av[:, :w] * bv[:, :w], s, axis=-1, lengths=np.minimum(la, lb))
         rhs = lp_norm(av, 1.0, axis=-1, lengths=la) * lp_norm(bv, q, axis=-1, lengths=lb)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         _require_finite(av, bv)

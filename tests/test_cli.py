@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucleatrace import (
     AmbientSpace,
@@ -36,7 +38,6 @@ from nucleatrace.experiments import (
     FIELDS,
     ExperimentConfig,
     _jsonable,
-    _trial_rng,
     run,
 )
 from nucleatrace.spectral import (
@@ -55,6 +56,16 @@ def runner():
 
 def invoke(runner, args, env=None):
     return runner.invoke(main, args, env=env, catch_exceptions=False)
+
+
+def _contract_rng(seed, trial):
+    """Trial `trial`'s generator as the determinism contract states it."""
+    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+
+
+def _contract_generators(seed, trials):
+    """The (t, generator) pairs of run(), each built by numpy's default_rng."""
+    return ((t, _contract_rng(seed, t)) for t in range(trials))
 
 
 # a valid value off the default for each config field
@@ -228,7 +239,6 @@ class TestRun:
         l1 = float(np.sum(np.abs(np.ldexp(a, -ka))))
         return rec["pass"], rec["defect"] / rec["rhs"], rec["witness_gap"] / l1, (ka, kb)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_holder_overflow_is_decided_at_unit_scale(self):
         # at 1e308 ||a||_1 overflowed: lhs, rhs and the witness gap read inf, the
         # witness was all zeros, and the record passed vacuously
@@ -474,7 +484,7 @@ class TestTraceAuditStacks:
         cfg = ExperimentConfig(subcommand="trace-audit", **fields)
         expected = [
             rec for t in range(cfg.trials)
-            for rec in _reference_trace_audit(cfg, t, _trial_rng(cfg.seed, t))
+            for rec in _reference_trace_audit(cfg, t, _contract_rng(cfg.seed, t))
         ]
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
@@ -497,12 +507,17 @@ class TestTraceAuditStacks:
                 return self.rng.standard_normal(*args, **kwargs)
 
         def rngs(seed, trial):
-            return ZeroOnThirdUniform(_trial_rng(seed, trial))
+            return ZeroOnThirdUniform(_contract_rng(seed, trial))
+
+        real_generators = experiments._trial_generators
+
+        def generators(seed, trials):
+            return ((t, ZeroOnThirdUniform(rng)) for t, rng in real_generators(seed, trials))
 
         # every trial's third draw, n = 8 and p = 1, holds the zero
         cfg = ExperimentConfig(subcommand="trace-audit", seed=2, trials=3, dims=(4, 8), p=(1.0, 2.0))
         expected = [rec for t in range(cfg.trials) for rec in _reference_trace_audit(cfg, t, rngs(cfg.seed, t))]
-        monkeypatch.setattr(experiments, "_trial_rng", rngs)
+        monkeypatch.setattr(experiments, "_trial_generators", generators)
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
 
@@ -596,7 +611,7 @@ def _reference_approx(cfg, trial, rng):
 )
 def test_approx_records_match_per_vector_draws(fields):
     cfg = ExperimentConfig(subcommand="approx", **fields)
-    expected = [rec for t in range(cfg.trials) for rec in _reference_approx(cfg, t, _trial_rng(cfg.seed, t))]
+    expected = [rec for t in range(cfg.trials) for rec in _reference_approx(cfg, t, _contract_rng(cfg.seed, t))]
     assert _body(run(cfg).records) == _body(expected)
 
 
@@ -637,7 +652,7 @@ class TestSequenceStacks:
     def test_records_match_per_trial_reference(self, subcommand, fields):
         cfg = ExperimentConfig(subcommand=subcommand, **fields)
         reference = self.REFERENCES[subcommand]
-        expected = [rec for t in range(cfg.trials) for rec in reference(cfg, t, _trial_rng(cfg.seed, t))]
+        expected = [rec for t in range(cfg.trials) for rec in reference(cfg, t, _contract_rng(cfg.seed, t))]
         assert _body(run(cfg).records) == _body(expected)
 
     @pytest.mark.parametrize("subcommand", ["holder", "lorentz"])
@@ -683,20 +698,111 @@ class TestRuns:
     @pytest.mark.parametrize("subcommand", ["factorize", "approx", "similarity"])
     def test_per_trial_rows_build_their_generators_one_trial_at_a_time(self, monkeypatch, subcommand):
         built, seen = [], []
-        real_rng, row = experiments._trial_rng, COMMANDS[subcommand]
+        real_generators, row = experiments._trial_generators, COMMANDS[subcommand]
 
-        def counting_rng(seed, trial):
-            built.append(trial)
-            return real_rng(seed, trial)
+        def counting_generators(seed, trials):
+            for t, rng in real_generators(seed, trials):
+                built.append(t)
+                yield t, rng
 
         def recording_runner(cfg, trials):
             seen.append(([t for t, _ in trials], len(built)))
             return row.runner(cfg, trials)
 
-        monkeypatch.setattr(experiments, "_trial_rng", counting_rng)
+        monkeypatch.setattr(experiments, "_trial_generators", counting_generators)
         monkeypatch.setitem(COMMANDS, subcommand, row._replace(runner=recording_runner))
         run(ExperimentConfig(subcommand=subcommand, trials=5))
         assert seen == [([t], t + 1) for t in range(5)]
+
+
+# seeds of 1 to 5 entropy words
+WIDE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 17, 2**128 + 1)
+
+
+def _reference_states(seed, trials):
+    return np.stack([np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in trials])
+
+
+class TestTrialGenerators:
+    """The block hash gives each trial numpy's SeedSequence([seed, t]) words and pcg64 state."""
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    @pytest.mark.parametrize("trials", [range(0, 9), range(2**32 - 4, 2**32), range(2**32, 2**32 + 4),
+                                        range(2**64 - 3, 2**64), range(3, 40, 7)],
+                             ids=["first", "below-2^32", "from-2^32", "below-2^64", "stepped"])
+    def test_hashed_words_are_seed_sequence_words(self, seed, trials):
+        got = experiments._seed_states(seed, trials)
+        assert got.dtype == np.uint64 and got.shape == (len(trials), 4)
+        np.testing.assert_array_equal(got, _reference_states(seed, trials))
+
+    def test_a_block_of_two_word_counts_is_refused(self):
+        with pytest.raises(ValueError, match="word counts"):
+            experiments._seed_states(0, range(2**32 - 1, 2**32 + 1))
+
+    @given(st.integers(0, 2**160), st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_hashed_words_and_state_of_any_trial(self, seed, t):
+        words = experiments._seed_states(seed, range(t, t + 1))
+        np.testing.assert_array_equal(words, _reference_states(seed, [t]))
+        rng = np.random.Generator(np.random.PCG64(experiments._hashed_state_type()(words[0])))
+        assert rng.bit_generator.state == _contract_rng(seed, t).bit_generator.state
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_generators_are_the_contract_generators(self, monkeypatch, seed, block):
+        monkeypatch.setattr(experiments, "_HASH_BLOCK", block)
+        got = list(experiments._trial_generators(seed, 10))
+        assert [t for t, _ in got] == list(range(10))
+        for (t, rng), (_, ref) in zip(got, _contract_generators(seed, 10)):
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    def test_blocks_are_cut_where_the_word_count_of_t_changes(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_HASH_BLOCK", 4)
+        assert list(experiments._hash_blocks(range(2**32 - 5, 2**32 + 3))) == [
+            range(2**32 - 5, 2**32 - 1), range(2**32 - 1, 2**32), range(2**32, 2**32 + 3)]
+        assert list(experiments._hash_blocks(range(10))) == [range(0, 4), range(4, 8), range(8, 10)]
+        assert list(experiments._hash_blocks(range(0))) == []
+
+    def test_generators_are_built_as_they_are_reached(self, monkeypatch):
+        built, real = [], experiments._hashed_state_type()
+
+        def counting_state(words):
+            built.append(words)
+            return real(words)
+
+        monkeypatch.setattr(experiments, "_hashed_state_type", lambda: counting_state)
+        for t, _ in experiments._trial_generators(3, 6):
+            assert len(built) == t + 1
+
+    def test_hashed_state_serves_pcg64_only(self):
+        state = experiments._hashed_state_type()(experiments._seed_states(0, range(1))[0])
+        with pytest.raises(ValueError, match="PCG64"):
+            state.generate_state(4)
+
+
+# a short config of each subcommand; eigen-type reads no seed
+BODY_CONFIGS = {
+    "holder": {"trials": 20},
+    "lorentz": {"trials": 20, "length": 32},
+    "factorize": {"trials": 3, "truncation": 256},
+    "trace-audit": {"trials": 3, "dims": (4, 8), "p": (1.0, math.inf)},
+    "eigen-type": {"dims": (4, 8, 16)},
+    "approx": {"profile": "random", "dims": (8,), "p": (4.0,), "trials": 2},
+    "similarity": {"trials": 5, "dims": (4,)},
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, seed",
+    [(sub, seed) for sub in BODY_CONFIGS for seed in ((0,) if sub == "eigen-type" else (0, 7, 2**64 + 5))],
+)
+def test_body_is_that_of_numpy_default_rng_generators(monkeypatch, subcommand, seed):
+    fields = BODY_CONFIGS[subcommand] if subcommand == "eigen-type" else {"seed": seed, **BODY_CONFIGS[subcommand]}
+    cfg = ExperimentConfig(subcommand=subcommand, **fields)
+    got = run(cfg).body_text()
+    monkeypatch.setattr(experiments, "_trial_generators", _contract_generators)
+    assert got == run(cfg).body_text()
 
 
 class TestCli:
@@ -919,10 +1025,17 @@ class TestCommandTable:
                 return getattr(self.cfg, name)
 
         row = COMMANDS[subcommand]
-        for call in (row.entries, lambda cfg: row.runner(cfg, [(t, _trial_rng(0, t)) for t in range(2)])):
+        for call in (row.entries, lambda cfg: row.runner(cfg, [(t, _contract_rng(0, t)) for t in range(2)])):
             cfg = Recorder(ExperimentConfig(subcommand=subcommand, **fields))
             call(cfg)
             assert cfg.read <= set(row.fields)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_holder_pair_writes_nothing_to_stderr(self, runner):
+        # its record is decided at unit scale; the first pass's overflow printed two RuntimeWarnings
+        result = runner.invoke(main, ["holder", "--a", "1e308,1e308", "--b", "1,1", "--s", "0.5"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert json.loads(result.stdout)["aggregate"]["fail_count"] == 0
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_help(self, runner, name):

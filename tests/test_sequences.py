@@ -21,6 +21,9 @@ finite_floats = st.floats(
 seqs = st.lists(finite_floats, min_size=1, max_size=64).map(np.array)
 s_values = st.sampled_from([0.5, 2.0 / 3.0, 0.9, 1.0])
 
+# a documented result (inf for finite overflow, a ValueError for bad input) comes without a warning
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 class TestRearrangement:
     """lorentz_quasi_norm sees only the decreasing rearrangement of |a|."""
@@ -88,7 +91,6 @@ class TestLorentzQuasiNorm:
     def test_finite_overflow_is_inf(self):
         assert lorentz_quasi_norm([1e308, 1e308], LorentzIndex(0.5)) == math.inf
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_zero_entry_under_an_overflowing_weight_contributes_zero(self):
         # the weight 3**999 is inf, and inf * 0 made the norm nan
         assert lorentz_quasi_norm([1.0, 0.0, 0.0], LorentzIndex(0.001, 1.0)) == 1.0
@@ -266,7 +268,6 @@ class TestSharpnessWitness:
         with pytest.raises(ValueError, match="finite"):
             sharpness_witness([bad, 1.0], s)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_divisor_names_s(self):
         # ||a||_1**(1/q) = 100**199 raised OverflowError
         with pytest.raises(ValueError, match="^s = 0.005 "):
@@ -305,14 +306,13 @@ class TestFactorization:
         np.testing.assert_array_equal(beta, [1.0, 0.0, 0.0])
         assert cert.l1_alpha == 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("d, s", [
         ([1e307, 5e306], 0.1),  # d_2 / beta_2 = 5e306 * 512 overflows
         (np.arange(1, 4097.0) ** -2.0, 0.01),  # k**(1/q) = k**99 overflows
     ])
     def test_split_past_the_double_range_names_s(self, d, s):
-        # a RuntimeError here ended the command line in a traceback
-        with pytest.raises(ValueError, match=f"^no exact split at s = {s}:"):
+        # a RuntimeError here ended the command line in a traceback; the split overflows on its way
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^no exact split at s = {s}:"):
             factor_l1_lorentz(d, s)
 
     def test_zero_sequence(self):
@@ -575,7 +575,6 @@ class TestStacks:
 
     @pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.9, 1.0])
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_holder_and_witness_match_single_calls(self, s, seed):
         rng = np.random.default_rng([11, seed])
         la = [int(x) for x in rng.permutation(STACK_LENGTHS)]
@@ -584,14 +583,16 @@ class TestStacks:
         b.rows[1] = 0.0  # the pair (1e308-ish, 0) gives inf * 0 on the right side
         lhs, rhs, holds = holder_product_bound(a, b, s)
         live = Padded(a.rows[1:], a.lengths[1:])
-        wit = sharpness_witness(live, s)
+        with np.errstate(over="ignore"):  # ||a||_1 of the row near 1e308 overflows in the witness
+            wit = sharpness_witness(live, s)
         wl, wr, wh = holder_product_bound(live, Padded(wit, live.lengths), s)
         for i, (n, m) in enumerate(zip(la, lb)):
             one = holder_product_bound(a.rows[i, :n], b.rows[i, :m], s)
             assert _bits(one[:2]) == _bits([lhs[i], rhs[i]]) and one[2] == holds[i]
             if i == 0:
                 continue
-            row_wit = sharpness_witness(a.rows[i, :n], s)
+            with np.errstate(over="ignore"):
+                row_wit = sharpness_witness(a.rows[i, :n], s)
             assert _bits(row_wit) == _bits(wit[i - 1, :n]) and not wit[i - 1, n:].any()
             one = holder_product_bound(a.rows[i, :n], row_wit, s)
             assert _bits(one[:2]) == _bits([wl[i - 1], wr[i - 1]]) and one[2] == wh[i - 1]
@@ -609,7 +610,6 @@ class TestStacks:
         "index", [LorentzIndex(0.5), LorentzIndex(2.0 / 3.0, 1.0), LorentzIndex(0.9, 0.9),
                   LorentzIndex(1.0, 1.0), LorentzIndex(2.0, 0.5), LorentzIndex(math.inf)],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_lorentz_matches_single_calls(self, index):
         rng = np.random.default_rng(7)
         for n in STACK_LENGTHS:
