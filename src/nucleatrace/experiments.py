@@ -393,8 +393,8 @@ def _stack_chunks(trials: Iterator, width: int):
 def _holder_columns(a: Padded, b: Padded, s: float):
     """lhs, rhs, witness gap (nan for a zero row), verdict and ||a||_1 of each row pair.
 
-    A row whose ||a||_1 overflows reads inf there (its witness is zero
-    and its gap inf - inf); the caller decides that row again at unit scale.
+    A row whose ||a||_1 overflows reads inf there, and its gap inf or nan;
+    the caller decides that row again at unit scale.
     """
     lhs, rhs, ok = holder_product_bound(a, b, s)
     with np.errstate(over="ignore", invalid="ignore"):  # one scope for the whole stack
@@ -526,16 +526,11 @@ def _run_factorize(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     return [rec]
 
 
-def _draw_stacks(
-    rngs: list, n: int, ps: tuple[float, ...], indices: list[NuclearIndex]
-) -> tuple[list[Representation], list[NuclearIndex]]:
-    """trace-audit's representations at dimension n, with their indices.
+def _draw_stacks(rngs: list, n: int, ps: tuple[float, ...]) -> list[Representation]:
+    """trace-audit's representations at dimension n: one stack over the trials per exponent.
 
     Each trial's generator draws one representation per exponent in turn:
-    its sorted coefficients, then F, then X.  The draws of one exponent
-    form one stack over the trials, unless a coefficient drawn is 0.0,
-    which a single representation drops and a stack refuses; that
-    exponent's draws then go in as single representations.
+    its sorted coefficients, then F, then X.
     """
     trials = len(rngs)
     draws = [(np.empty((trials, n)), np.empty((trials, n, n)), np.empty((trials, n, n))) for _ in ps]
@@ -544,18 +539,12 @@ def _draw_stacks(
             lam[t] = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
             F[t] = rng.standard_normal((n, n))
             X[t] = rng.standard_normal((n, n))
-    reps, rep_indices = [], []
-    for p, index in zip(ps, indices):
+    reps = []
+    for p in ps:
         # a Representation copies its arrays: each exponent's draws are freed after the copy
-        lam, F, X = draws.pop(0)
         space = AmbientSpace(n, p)
-        if np.all(lam > 0.0):
-            reps.append(Representation(lam, F, X, space, space))
-            rep_indices.append(index)
-        else:
-            reps += [Representation(*draw, space, space) for draw in zip(lam, F, X)]
-            rep_indices += [index] * trials
-    return reps, rep_indices
+        reps.append(Representation(*draws.pop(0), space, space))
+    return reps
 
 
 def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
@@ -570,8 +559,7 @@ def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
     indices = [NuclearIndex.absolutely_summable(s) for s in exponents]
     per_trial: list[list[dict]] = [[] for _ in trials]
     for n in cfg.dims:
-        reps, rep_indices = _draw_stacks(rngs, n, cfg.p, indices)
-        audit = audit_trace_formula(reps, rep_indices)
+        audit = audit_trace_formula(_draw_stacks(rngs, n, cfg.p), indices)
         matched, gaps = [True] * len(audit.passed), [None] * len(audit.passed)
         if n <= _ORACLE_CROSS_CHECK_DIM:
             ok, worst = match_spectra(audit.spectra, characteristic_roots(audit.matrices),
@@ -604,7 +592,9 @@ def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
 def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     """Audit the diagonal family lam_k = k**-beta at each entry of dims and call the ratio trend.
 
-    The first coefficient is 1, so no quasi-norm vanishes.  The verdict
+    The coefficients go in non-increasing order, so every sum over atoms
+    runs from the largest, also at a negative beta, where k**-beta rises.
+    One coefficient is 1, so no quasi-norm vanishes.  The verdict
     is BOUNDED when the second half of the sweep's largest ratio of
     eigenvalue mass to quasi-norm is at most _PROBE_GROWTH times the
     first half's largest, UNBOUNDED otherwise.
@@ -616,7 +606,7 @@ def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     records = []
     for n in cfg.dims:
         space = AmbientSpace(n, p)
-        lam = np.arange(1, n + 1, dtype=float) ** (-beta)
+        lam = np.sort(np.arange(1, n + 1, dtype=float) ** (-beta))[::-1]
         eye = np.eye(n)
         audit = audit_trace_formula(Representation.from_arrays(lam, eye, eye, space, space), index)
         l1, qn = audit.eigen_l1.item(), audit.quasi_norm.item()

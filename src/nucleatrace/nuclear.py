@@ -98,22 +98,23 @@ class NuclearIndex:
 
 @dataclass(frozen=True)
 class Representation:
-    """Sorted rank-one expansion sum_k lambda_k <x'_k, .> x_k.
+    """Rank-one expansion sum_k lambda_k <x'_k, .> x_k.
 
     Atom k is row k of F (its functional, in the dual of the domain) and
-    row k of X (its vector, in the codomain).  Construction sorts atoms by
-    non-increasing coefficient (stable) and drops zero coefficients.  The
-    spaces are stored explicitly so an empty representation still knows
-    where it acts.
+    row k of X (its vector, in the codomain).  Atoms are stored in the
+    order given, each of coefficients, F and X as one copy; a zero
+    coefficient is an atom of magnitude zero.  The trace and the
+    quasi-norms do not depend on the order of the atoms, up to rounding.
+    The spaces are stored explicitly so an empty representation still
+    knows where it acts.
 
     A stack of representations sharing spaces and atom count has
     coefficients of shape (..., m), F of shape (..., m, domain dim) and X
-    of shape (..., m, codomain dim), one representation per row.  Rows are
-    sorted on their own; a stack cannot drop atoms, so its coefficients
-    must be positive.  A single representation is the stack of one.
-    `induced_matrix`, `nuclear_trace`, `magnitudes` and `quasi_norm` give
-    one result per row, equal to the single representation's; the other
-    functions of this module refuse a stack.
+    of shape (..., m, codomain dim), one representation per row.  A single
+    representation is the stack of one.  `induced_matrix`,
+    `nuclear_trace`, `magnitudes` and `quasi_norm` give one result per
+    row, equal to the single representation's; the other functions of
+    this module refuse a stack.
     """
 
     coefficients: np.ndarray
@@ -123,9 +124,10 @@ class Representation:
     codomain: AmbientSpace
 
     def __post_init__(self):
-        lam = np.asarray(self.coefficients, dtype=float)
-        F = np.asarray(self.F, dtype=float)
-        X = np.asarray(self.X, dtype=float)
+        # C order keeps every reduction over atoms or coordinates running along its own row
+        lam = np.array(self.coefficients, dtype=float, order="C")
+        F = np.array(self.F, dtype=float, order="C")
+        X = np.array(self.X, dtype=float, order="C")
         if lam.ndim == 0:
             raise ValueError("coefficients must be one dimensional, or a stack of rows")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
@@ -134,19 +136,9 @@ class Representation:
             raise ValueError("F must be atoms x domain dim, X atoms x codomain dim")
         if not (np.all(np.isfinite(F)) and np.all(np.isfinite(X))):
             raise ValueError("atoms must be finite")
-        if lam.ndim > 1 and np.any(lam == 0.0):
-            raise ValueError("a stack's coefficients must be positive")
-        # a stable sort of each row, gathered as atoms of the flattened stack
-        # (a single representation is the stack of one row, whose zero
-        # coefficients sort last, where they are cut)
-        rows, m = math.prod(lam.shape[:-1]), lam.shape[-1]
-        kept = m if lam.ndim > 1 else np.count_nonzero(lam)
-        order = np.argsort(-lam, axis=-1, kind="stable").reshape(rows, m)[:, :kept]
-        take = (order + m * np.arange(rows)[:, None]).ravel()
-        shape = lam.shape[:-1] + (kept,)
-        object.__setattr__(self, "coefficients", lam.reshape(rows * m)[take].reshape(shape))
-        object.__setattr__(self, "F", F.reshape(rows * m, F.shape[-1])[take].reshape(shape + F.shape[-1:]))
-        object.__setattr__(self, "X", X.reshape(rows * m, X.shape[-1])[take].reshape(shape + X.shape[-1:]))
+        object.__setattr__(self, "coefficients", lam)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "X", X)
 
     @classmethod
     def from_arrays(

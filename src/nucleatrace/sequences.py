@@ -198,8 +198,11 @@ def sharpness_witness(a, s: float) -> np.ndarray:
     the bound into lhs = rhs = ||a||_1.  For s = 1 the all-ones sequence
     plays the same role against the sup norm.  For a stack (2-d or
     Padded) it returns the 2-d array of each row's witness, zero beyond
-    the row's stored length.  NaN or infinite entries, a zero sequence,
-    or an s so small that ||a||_1**(1/q) overflows raise ValueError.
+    the row's stored length.  The witness does not depend on the scale
+    of a, so a row whose ||a||_1 overflows is taken at the exact power of
+    two that puts its largest entry in [1/2, 1).  NaN or infinite
+    entries, a zero sequence, or an s so small that ||a||_1**(1/q)
+    overflows raise ValueError.
     """
     av, lengths, single = _as_stack(a)
     if not (0.0 < s <= 1.0):
@@ -211,7 +214,13 @@ def sharpness_witness(a, s: float) -> np.ndarray:
         wit = (np.arange(av.shape[1]) < lengths[:, None]).astype(float)
     else:
         q = s / (1.0 - s)
-        l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
+        with np.errstate(over="ignore"):
+            l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
+        big = np.isinf(l1)
+        if big.any():
+            _, e = np.frexp(np.abs(av).max(axis=-1))
+            av = np.ldexp(av, -np.where(big, e, 0)[:, None])
+            l1[big] = lp_norm(av[big], 1.0, axis=-1, lengths=lengths[big])
         # the divisor is a Python float power per row, as for a single sequence
         try:
             divisor = np.array([x ** (1.0 / q) for x in l1.tolist()])
@@ -253,17 +262,19 @@ def _exact_pair_down(d: float, target: float, s: float) -> tuple[float, float]:
     """
     if d == 0.0:
         return 0.0, target
-    for t in _SCALES:
-        base = target * (1.0 - t)
-        if base <= 0.0:
-            continue
-        b = base
-        for _ in range(_ULP_STEPS):
-            a0 = d / b
-            for a in (a0, math.nextafter(a0, math.inf), math.nextafter(a0, 0.0)):
-                if a * b == d:
-                    return a, b
-            b = math.nextafter(b, 0.0)
+    # a candidate past the double range just misses, as in the array search
+    with np.errstate(over="ignore"):
+        for t in _SCALES:
+            base = target * (1.0 - t)
+            if base <= 0.0:
+                continue
+            b = base
+            for _ in range(_ULP_STEPS):
+                a0 = d / b
+                for a in (a0, math.nextafter(a0, math.inf), math.nextafter(a0, 0.0)):
+                    if a * b == d:
+                        return a, b
+                b = math.nextafter(b, 0.0)
     raise ValueError(f"no exact split at s = {s}: k**(1/q) or d_k / beta_k leaves the double range")
 
 
@@ -372,7 +383,8 @@ def factor_l1_lorentz(
     q = s / (1.0 - s)
     L = dv.size
     k = np.arange(1, L + 1, dtype=float)
-    w = k ** (1.0 / q)
+    with np.errstate(over="ignore"):  # a weight past the double range is inf
+        w = k ** (1.0 / q)
 
     if epsilon is not None:
         eps = as_values(epsilon)
@@ -390,7 +402,8 @@ def factor_l1_lorentz(
         if dv[0] == 0.0:
             eps = np.zeros(L)
         else:
-            eps = np.sqrt(w * dv / dv[0])
+            with np.errstate(over="ignore"):  # and so is an envelope past it
+                eps = np.sqrt(w * dv / dv[0])
             eps = np.minimum.accumulate(eps)
     # a large gamma, or a default envelope whose d_k / d_1 underflows, can
     # vanish too; no beta_k > 0 then meets it

@@ -489,9 +489,9 @@ class TestTraceAuditStacks:
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
 
-    def test_zero_coefficient_draw_goes_in_alone(self, monkeypatch):
-        # uniform(0, 1) returns 0.0 with probability 2**-53 per entry; a single
-        # representation drops that atom, where a stack would refuse it
+    def test_zero_coefficient_draw_stays_in_its_stack(self, monkeypatch):
+        # uniform(0, 1) returns 0.0 with probability 2**-53 per entry; that atom
+        # stays in its exponent's stack with magnitude zero
         class ZeroOnThirdUniform:
             def __init__(self, rng):
                 self.rng, self.calls = rng, 0

@@ -117,22 +117,28 @@ class TestNuclearIndex:
 
 
 class TestRepresentation:
-    def test_sorts_and_drops_zeros(self):
+    def test_keeps_atoms_in_order_with_zeros(self):
         sp = L2(3)
-        z = Representation.from_arrays(
-            [0.0, 1.0, 2.0], np.eye(3), np.eye(3), sp, sp
-        )
-        np.testing.assert_array_equal(z.coefficients, [2.0, 1.0])
-        assert z.atom_count == 2
-        # atoms follow their coefficients through the sort
-        assert z.F[0, 2] == 1.0
+        lam, F, X = np.array([0.0, 1.0, 2.0]), np.eye(3), -np.eye(3)
+        z = Representation.from_arrays(lam, F, X, sp, sp)
+        np.testing.assert_array_equal(z.coefficients, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(z.F, F)
+        np.testing.assert_array_equal(z.X, X)
+        assert z.atom_count == 3
+        np.testing.assert_array_equal(z.magnitudes(), [0.0, 1.0, 2.0])
+        # the arrays are copies
+        assert not any(np.shares_memory(a, b) for a, b in ((z.coefficients, lam), (z.F, F), (z.X, X)))
 
     def test_empty_representation(self):
         sp = L2(2)
-        z = Representation.from_arrays([0.0], np.eye(2)[:1], np.eye(2)[:1], sp, sp)
+        z = Representation.from_arrays(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)), sp, sp)
         assert z.atom_count == 0
         np.testing.assert_array_equal(induced_matrix(z), np.zeros((2, 2)))
         assert nuclear_trace(z) == 0.0
+        stack = Representation(np.zeros((2, 0)), np.zeros((2, 0, 2)), np.zeros((2, 0, 2)), sp, sp)
+        assert stack.atom_count == 0
+        np.testing.assert_array_equal(induced_matrix(stack), np.zeros((2, 2, 2)))
+        np.testing.assert_array_equal(nuclear_trace(stack), [0.0, 0.0])
 
     def test_atom_shape_validation(self):
         sp_in, sp_out = L2(2), L2(3)
@@ -199,18 +205,33 @@ class TestRepresentationStack:
         for idx in self.INDICES:
             np.testing.assert_array_equal(quasi_norm(stack, idx), [quasi_norm(z, idx) for z in reps])
 
-    def test_rows_sort_on_their_own(self):
+    def test_rows_keep_their_atoms_in_order(self):
         sp = L2(2)
+        lam = np.array([[1.0, 3.0, 2.0], [3.0, 0.0, 1.0]])
         F = np.arange(12.0).reshape(2, 3, 2)
-        z = Representation([[1.0, 3.0, 2.0], [3.0, 2.0, 1.0]], F, -F, sp, sp)
-        np.testing.assert_array_equal(z.coefficients, [[3.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
-        np.testing.assert_array_equal(z.F[0], F[0][[1, 2, 0]])
-        np.testing.assert_array_equal(z.F[1], F[1])
+        z = Representation(lam, F, -F, sp, sp)
+        np.testing.assert_array_equal(z.coefficients, lam)
+        np.testing.assert_array_equal(z.F, F)
+        np.testing.assert_array_equal(z.X, -F)
         assert not np.shares_memory(z.F, F)
         lam = np.array([[2.0, 1.0], [1.0, 1.0]])
         F = np.ones((2, 2, 2))
-        z = Representation(lam, F, F, sp, sp)  # sorted rows are still copied
+        z = Representation(lam, F, F, sp, sp)  # the arrays are still copied
         assert not (np.shares_memory(z.coefficients, lam) or np.shares_memory(z.F, F))
+
+    def test_zero_atoms_and_unsorted_rows_match_single_representations(self):
+        rng = np.random.default_rng(11)
+        reps = [random_rep(rng, 3, 1.5, atoms=4) for _ in range(3)]
+        # zero coefficients, ahead of and between positive ones, in rows not sorted by coefficient
+        coefficients = [[0.0, 0.3, 0.9, 0.0], [0.2, 0.7, 0.0, 0.5], [0.0, 0.0, 0.0, 0.0]]
+        reps = [Representation(lam, z.F, z.X, z.domain, z.codomain) for lam, z in zip(coefficients, reps)]
+        stack = stack_of(reps)
+        np.testing.assert_array_equal(stack.coefficients, coefficients)
+        np.testing.assert_array_equal(induced_matrix(stack), [induced_matrix(z) for z in reps])
+        np.testing.assert_array_equal(nuclear_trace(stack), [nuclear_trace(z) for z in reps])
+        np.testing.assert_array_equal(stack.magnitudes(), [z.magnitudes() for z in reps])
+        for idx in self.INDICES:
+            np.testing.assert_array_equal(quasi_norm(stack, idx), [quasi_norm(z, idx) for z in reps])
 
     def test_empty_rows(self):
         sp = AmbientSpace(3, 1.5)
@@ -231,9 +252,6 @@ class TestRepresentationStack:
             Representation(np.ones((2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 3)), sp, sp)
         with pytest.raises(ValueError):
             Representation(np.float64(1.0), np.ones(2), np.ones(2), sp, sp)
-        with pytest.raises(ValueError):
-            # a stack cannot drop a zero atom from one row only
-            Representation([[1.0, 0.0], [1.0, 1.0]], np.ones((2, 2, 2)), np.ones((2, 2, 2)), sp, sp)
 
     def test_single_representation_functions_refuse_a_stack(self):
         # rebalance would otherwise merge the rows' atoms into one representation
@@ -662,14 +680,29 @@ class TestImprove:
         [
             # two rescalings of atom 0 and one of atom 2, in one sweep
             pytest.param(False, 1, 1, [(0, 0, 0.5), (0, 0, 1.5), (0, 2, 1.5)], id="two-atoms"),
-            # BRACKET_UPPER whose second sweep accepts rescalings of two atoms
-            pytest.param(True, 2, 9, [(0, 0, 1.5), (1, 0, 0.75), (1, 2, 0.75)], id="upper-two-sweeps"),
+            # BRACKET_UPPER whose second sweep accepts rescalings of two atoms; rebalance(z)
+            # holds coefficients (3.59, 0.66, 1.40), so atom 1 is the one that a sort by
+            # coefficient puts at position 2 (see test_sweep_positions_follow_the_atoms_as_given)
+            pytest.param(True, 2, 9, [(0, 0, 1.5), (1, 0, 0.75), (1, 1, 0.75)], id="upper-two-sweeps"),
         ],
     )
     def test_matches_one_candidate_at_a_time_over_rounds(self, upper, sweeps, seed, steps):
         z = random_rep(np.random.default_rng([seed]), 3, 3.0, atoms=3)
         idx = (NuclearIndex.bracket_upper if upper else NuclearIndex.bracket_lower)(0.8, 1.5)
         assert self.assert_matches_reference(z, idx, sweeps=sweeps) == steps
+
+    def test_sweep_positions_follow_the_atoms_as_given(self):
+        # the upper-two-sweeps case with its atoms sorted by rebalanced coefficient
+        # accepts at sorted position 2 the rescaling that the atoms as given accept at 1
+        z = random_rep(np.random.default_rng([9]), 3, 3.0, atoms=3)
+        order = np.argsort(-rebalance(z).coefficients, kind="stable")
+        np.testing.assert_array_equal(order, [0, 2, 1])
+        z_sorted = Representation(z.coefficients[order], z.F[order], z.X[order], z.domain, z.codomain)
+        idx = NuclearIndex.bracket_upper(0.8, 1.5)
+        sorted_steps = self.assert_matches_reference(z_sorted, idx, sweeps=2)
+        assert sorted_steps == [(0, 0, 1.5), (1, 0, 0.75), (1, 2, 0.75)]
+        given_steps = self.assert_matches_reference(z, idx, sweeps=2)
+        assert given_steps == [(sweep, int(order[k]), c) for sweep, k, c in sorted_steps]
 
     @pytest.mark.parametrize("sweeps", [True, 1.5, -1, "2", None])
     def test_rejects_bad_sweeps(self, sweeps):

@@ -275,6 +275,17 @@ class TestSharpnessWitness:
         with pytest.raises(ValueError, match="^s = 0.005 "):
             sharpness_witness(np.array([[0.5, 0.5], [60.0, 40.0]]), 0.005)
 
+    @pytest.mark.parametrize("s", [0.5, 2.0 / 3.0, 0.9])
+    def test_overflowing_l1_gives_the_unit_scale_witness(self, s):
+        # ||a||_1 overflows; the witness is that of a at 2**-1024, bit for bit
+        np.testing.assert_array_equal(sharpness_witness([1e308, 1e308], 0.5), [0.5, 0.5])
+        a = np.array([1e308, 5e307, -3e307, 1.0])
+        np.testing.assert_array_equal(sharpness_witness(a, s), sharpness_witness(np.ldexp(a, -1024), s))
+        rows = np.array([a, [3.0, 1.0, 0.0, 0.0]])
+        wit = sharpness_witness(rows, s)
+        np.testing.assert_array_equal(wit, [sharpness_witness(row, s) for row in rows])
+        assert sequences.lp_norm(wit[0], s / (1.0 - s)) == pytest.approx(1.0, rel=1e-15)
+
     @given(seqs, s_values)
     @settings(max_examples=200)
     def test_witness_attains_l1_mass(self, a, s):
@@ -312,7 +323,7 @@ class TestFactorization:
     ])
     def test_split_past_the_double_range_names_s(self, d, s):
         # a RuntimeError here ended the command line in a traceback; the split overflows on its way
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^no exact split at s = {s}:"):
+        with pytest.raises(ValueError, match=f"^no exact split at s = {s}:"):
             factor_l1_lorentz(d, s)
 
     def test_zero_sequence(self):
@@ -583,16 +594,14 @@ class TestStacks:
         b.rows[1] = 0.0  # the pair (1e308-ish, 0) gives inf * 0 on the right side
         lhs, rhs, holds = holder_product_bound(a, b, s)
         live = Padded(a.rows[1:], a.lengths[1:])
-        with np.errstate(over="ignore"):  # ||a||_1 of the row near 1e308 overflows in the witness
-            wit = sharpness_witness(live, s)
+        wit = sharpness_witness(live, s)
         wl, wr, wh = holder_product_bound(live, Padded(wit, live.lengths), s)
         for i, (n, m) in enumerate(zip(la, lb)):
             one = holder_product_bound(a.rows[i, :n], b.rows[i, :m], s)
             assert _bits(one[:2]) == _bits([lhs[i], rhs[i]]) and one[2] == holds[i]
             if i == 0:
                 continue
-            with np.errstate(over="ignore"):
-                row_wit = sharpness_witness(a.rows[i, :n], s)
+            row_wit = sharpness_witness(a.rows[i, :n], s)
             assert _bits(row_wit) == _bits(wit[i - 1, :n]) and not wit[i - 1, n:].any()
             one = holder_product_bound(a.rows[i, :n], row_wit, s)
             assert _bits(one[:2]) == _bits([wl[i - 1], wr[i - 1]]) and one[2] == wh[i - 1]
