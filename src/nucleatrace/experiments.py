@@ -3,20 +3,20 @@
 Each subcommand draws its inputs trial by trial: trial t draws the
 pcg64 stream of ``np.random.default_rng(np.random.SeedSequence([seed, t]))``
 (PCG64, a permuted congruential generator; the report names it as
-``{"name": "pcg64", "version": 1}``).  The seeds are hashed block by block,
-many trials in one array pass, and each generator is built as its trial
-is reached, so reports are reproducible for a fixed config and seed.
+``{"name": "pcg64", "version": 1}``).  Trials go to their runner in
+bounded runs; the seeds of a run are hashed in one array pass and its
+generators built together, so reports are reproducible for a fixed
+config and seed.
 """
 from __future__ import annotations
 
 import functools
 import io
-import itertools
 import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,8 @@ _ORACLE_CROSS_CHECK_DIM = 6
 _PROBE_GROWTH = 1.05
 # entries of the stacks one run of trials draws; bounds a run's memory at any trial count
 _STACK_ENTRIES = 1 << 20
-# trials whose seeds are hashed in one pass: 8 uint32 output words each, 128 KiB a block
-_HASH_BLOCK = 4096
+# most trials in one run, a power of two: 8 uint32 hash words and a 1 KB generator each
+_RUN_TRIALS = 4096
 # NumPy's SeedSequence hash constants (NEP 19 keeps its output stable), pool size 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -297,7 +297,7 @@ def _mix_constants(width: int) -> tuple[np.ndarray, np.ndarray]:
 def _seed_states(seed: int, trials: range) -> np.ndarray:
     """Row i is SeedSequence([seed, trials[i]]).generate_state(4, np.uint64).
 
-    NumPy's hash, in uint32 arithmetic over the whole block at once: the
+    NumPy's hash, in uint32 arithmetic over the whole run at once: the
     entropy (the words of seed, then of t) goes into a pool of 4 words,
     the pool mixes with itself and with the entropy past its size, and 8
     output words are hashed from it.  Each source word mixes into all 4
@@ -307,7 +307,7 @@ def _seed_states(seed: int, trials: range) -> np.ndarray:
     """
     seed_words, t_words = _words32(seed), len(_words32(trials[0]))
     if len(_words32(trials[-1])) != t_words:
-        raise ValueError("a block of trials must not mix word counts")
+        raise ValueError("a run of trials must not mix word counts")
     ts = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     width = max(_POOL_SIZE, len(seed_words) + t_words)
     entropy = np.zeros((ts.size, width), dtype=np.uint32)  # hashing a missing word hashes 0
@@ -357,37 +357,11 @@ def _hashed_state_type() -> type:
     return HashedState
 
 
-def _hash_blocks(trials: range) -> Iterator[range]:
-    """`trials` (step 1) in blocks of at most _HASH_BLOCK, none holding two word counts of t."""
-    start = trials.start
-    while start < trials.stop:
-        stop = min(start + _HASH_BLOCK, trials.stop, 1 << (32 * len(_words32(start))))
-        yield range(start, stop)
-        start = stop
-
-
-def _trial_generators(seed: int, trials: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """(t, generator) for each t < trials, each generator built as it is reached.
-
-    Trial t's generator is ``default_rng(SeedSequence([seed, t]))``: its
-    state words are hashed a block of trials at a time, and PCG64 seeds
-    itself from them.
-    """
+def _run_generators(seed: int, trials: range) -> list[tuple[int, np.random.Generator]]:
+    """(t, default_rng(SeedSequence([seed, t]))) for each t of a run, its seed words hashed in one pass."""
     hashed_state = _hashed_state_type()
-    for block in _hash_blocks(range(trials)):
-        for t, words in zip(block, _seed_states(seed, block)):
-            yield t, np.random.Generator(np.random.PCG64(hashed_state(words)))
-
-
-def _stack_chunks(trials: Iterator, width: int):
-    """The trials' (number, generator) pairs in runs of at most _STACK_ENTRIES // width.
-
-    A runner draws one run at a time, so its stacks stay small at any
-    trial count; rows are independent, so a record does not depend on
-    the run it falls in.
-    """
-    while chunk := list(itertools.islice(trials, max(1, _STACK_ENTRIES // width))):
-        yield chunk
+    return [(t, np.random.Generator(np.random.PCG64(hashed_state(words))))
+            for t, words in zip(trials, _seed_states(seed, trials))]
 
 
 def _holder_columns(a: Padded, b: Padded, s: float):
@@ -692,8 +666,8 @@ class Subcommand(NamedTuple):
     runner: Callable[[ExperimentConfig, list], list[dict]]
     fields: tuple[str, ...]
     one_value: tuple[str, ...] = ()  # list fields the runner reads one entry of
-    # stack entries one trial adds; a per-trial row's trial fills a stack, so it runs alone
-    entries: Callable[[ExperimentConfig], int] = lambda cfg: _STACK_ENTRIES
+    # stack entries one trial adds; a per-trial row stacks nothing, so it counts one
+    entries: Callable[[ExperimentConfig], int] = lambda cfg: 1
 
 
 COMMANDS: dict[str, Subcommand] = {
@@ -721,15 +695,20 @@ def run(config: ExperimentConfig) -> RunReport:
     """Execute all trials of a subcommand and assemble the report.
 
     Trials are independent: trial t draws the stream of
-    ``default_rng(SeedSequence([seed, t]))``, its seed words hashed block
-    by block, so the report body is byte-identical across repeat runs.
-    The runner gets these (t, generator) pairs, each built as it is
-    reached, in runs of at most _STACK_ENTRIES // entries(config) trials.
+    ``default_rng(SeedSequence([seed, t]))``, so the report body is
+    byte-identical across repeat runs.  The runner gets these (t, generator)
+    pairs a run at a time, each run's seeds hashed in one pass.  A run's
+    size is the largest power of two at most _RUN_TRIALS and
+    _STACK_ENTRIES // entries(config) (at least 1), so its stacks stay
+    small at any trial count; runs start at its multiples, so none holds
+    two word counts of t.  Rows are independent, so a record does not
+    depend on the run it falls in.
     """
     row = COMMANDS[config.subcommand]
     start = time.perf_counter()
-    trials = _trial_generators(config.seed, config.trials)
-    records = [rec for chunk in _stack_chunks(trials, row.entries(config)) for rec in row.runner(config, chunk)]
+    size = 1 << (min(_RUN_TRIALS, max(1, _STACK_ENTRIES // row.entries(config))).bit_length() - 1)
+    runs = (range(t, min(t + size, config.trials)) for t in range(0, config.trials, size))
+    records = [rec for trials in runs for rec in row.runner(config, _run_generators(config.seed, trials))]
 
     pass_count = sum(1 for r in records if r.get("pass"))
     fail_count = len(records) - pass_count

@@ -402,8 +402,8 @@ def factor_l1_lorentz(
         if dv[0] == 0.0:
             eps = np.zeros(L)
         else:
-            with np.errstate(over="ignore"):  # and so is an envelope past it
-                eps = np.sqrt(w * dv / dv[0])
+            with np.errstate(over="ignore"):  # and so is an envelope past it, but a zero d_k weighs 0
+                eps = np.sqrt(np.multiply(w, dv, out=np.zeros(L), where=dv != 0.0) / dv[0])
             eps = np.minimum.accumulate(eps)
     # a large gamma, or a default envelope whose d_k / d_1 underflows, can
     # vanish too; no beta_k > 0 then meets it
@@ -419,8 +419,9 @@ def factor_l1_lorentz(
     # cap[k] is the running cap after entry k.  The speculation holds up to
     # the first entry left unpaired (nan), whose target is the cap, not
     # eps[k], or whose weighted beta exceeds the cap; from there on the
-    # entries are paired in sequence.
-    weighted = w * beta
+    # entries are paired in sequence.  A zero beta_k weighs 0, also under an
+    # inf weight, where the product would be nan.
+    weighted = np.multiply(w, beta, out=np.zeros(L), where=beta != 0.0)
     cap = np.minimum.accumulate(np.where(beta > 0.0, weighted, math.inf))
     late = np.isnan(beta)
     late[1:] |= (cap[:-1] < eps[1:]) | (weighted[1:] > cap[:-1])
@@ -440,7 +441,7 @@ def factor_l1_lorentz(
         if beta[i] > 0.0:
             cap = min(cap, w[i] * beta[i])
 
-    weighted = w * beta
+    weighted = np.multiply(w, beta, out=np.zeros(L), where=beta != 0.0)
     non_increasing = bool(np.all(np.diff(weighted) <= 0.0))
     quarter = max(L // 4 - 1, 0)
     if weighted[quarter] > 0.0:

@@ -64,8 +64,8 @@ def _contract_rng(seed, trial):
 
 
 def _contract_generators(seed, trials):
-    """The (t, generator) pairs of run(), each built by numpy's default_rng."""
-    return ((t, _contract_rng(seed, t)) for t in range(trials))
+    """The (t, generator) pairs of a run of trials, each built by numpy's default_rng."""
+    return [(t, _contract_rng(seed, t)) for t in trials]
 
 
 # a valid value off the default for each config field
@@ -509,15 +509,15 @@ class TestTraceAuditStacks:
         def rngs(seed, trial):
             return ZeroOnThirdUniform(_contract_rng(seed, trial))
 
-        real_generators = experiments._trial_generators
+        real_generators = experiments._run_generators
 
         def generators(seed, trials):
-            return ((t, ZeroOnThirdUniform(rng)) for t, rng in real_generators(seed, trials))
+            return [(t, ZeroOnThirdUniform(rng)) for t, rng in real_generators(seed, trials)]
 
         # every trial's third draw, n = 8 and p = 1, holds the zero
         cfg = ExperimentConfig(subcommand="trace-audit", seed=2, trials=3, dims=(4, 8), p=(1.0, 2.0))
         expected = [rec for t in range(cfg.trials) for rec in _reference_trace_audit(cfg, t, rngs(cfg.seed, t))]
-        monkeypatch.setattr(experiments, "_trial_generators", generators)
+        monkeypatch.setattr(experiments, "_run_generators", generators)
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
 
@@ -670,8 +670,8 @@ class TestSequenceStacks:
     def test_runs_of_trials_give_the_records_of_one_stack(self, monkeypatch, subcommand, fields):
         cfg = ExperimentConfig(subcommand=subcommand, seed=3, **fields)
         whole = run(cfg).records
-        # three trials a run, then one: trace-audit's trial fills a run at its largest n
-        for per_run in (3, 1):
+        # four trials a run, then one: trace-audit's trial fills a run at its largest n
+        for per_run in (4, 1):
             monkeypatch.setattr(experiments, "_STACK_ENTRIES", per_run * COMMANDS[subcommand].entries(cfg))
             assert _body(run(cfg).records) == _body(whole)
 
@@ -695,24 +695,28 @@ class TestRuns:
         assert max(rows) <= 2 * len(cfg.p)
         assert sum(rows) == cfg.trials * len(cfg.dims) * len(cfg.p)
 
-    @pytest.mark.parametrize("subcommand", ["factorize", "approx", "similarity"])
-    def test_per_trial_rows_build_their_generators_one_trial_at_a_time(self, monkeypatch, subcommand):
-        built, seen = [], []
-        real_generators, row = experiments._trial_generators, COMMANDS[subcommand]
+    def test_runs_are_powers_of_two_of_at_most_4096_trials(self, monkeypatch):
+        row = COMMANDS["holder"]
 
-        def counting_generators(seed, trials):
-            for t, rng in real_generators(seed, trials):
-                built.append(t)
-                yield t, rng
+        def recorded_runs(cfg, entries):
+            """The trials of each run that run(cfg) hands holder's runner under these entries."""
+            runs = []
 
-        def recording_runner(cfg, trials):
-            seen.append(([t for t, _ in trials], len(built)))
-            return row.runner(cfg, trials)
+            def recording_runner(cfg, trials):
+                runs.append([t for t, _ in trials])
+                return [{"trial": t} for t, _ in trials]
 
-        monkeypatch.setattr(experiments, "_trial_generators", counting_generators)
-        monkeypatch.setitem(COMMANDS, subcommand, row._replace(runner=recording_runner))
-        run(ExperimentConfig(subcommand=subcommand, trials=5))
-        assert seen == [([t], t + 1) for t in range(5)]
+            monkeypatch.setitem(COMMANDS, "holder", row._replace(runner=recording_runner, entries=entries))
+            run(cfg)
+            return runs
+
+        # 2**20 // 10400 is 100 trials, rounded down to 64; past 2**20 entries a trial runs alone
+        for entries, size in [(1, 4096), (64, 4096), (136, 4096), (10400, 64), (2**20, 1), (2**20 + 1, 1)]:
+            cfg = ExperimentConfig(subcommand="holder", trials=2 * size + 1)
+            assert recorded_runs(cfg, lambda cfg: entries) == [
+                list(range(0, size)), list(range(size, 2 * size)), [2 * size]]
+        cfg = ExperimentConfig(subcommand="holder", length=1, trials=5000)
+        assert recorded_runs(cfg, row.entries) == [list(range(0, 4096)), list(range(4096, 5000))]
 
 
 # seeds of 1 to 5 entropy words
@@ -724,7 +728,7 @@ def _reference_states(seed, trials):
 
 
 class TestTrialGenerators:
-    """The block hash gives each trial numpy's SeedSequence([seed, t]) words and pcg64 state."""
+    """A run's hash gives each trial numpy's SeedSequence([seed, t]) words and pcg64 state."""
 
     @pytest.mark.parametrize("seed", WIDE_SEEDS)
     @pytest.mark.parametrize("trials", [range(0, 9), range(2**32 - 4, 2**32), range(2**32, 2**32 + 4),
@@ -748,32 +752,21 @@ class TestTrialGenerators:
         assert rng.bit_generator.state == _contract_rng(seed, t).bit_generator.state
 
     @pytest.mark.parametrize("seed", WIDE_SEEDS)
-    @pytest.mark.parametrize("block", [1, 3, 4096])
-    def test_generators_are_the_contract_generators(self, monkeypatch, seed, block):
-        monkeypatch.setattr(experiments, "_HASH_BLOCK", block)
-        got = list(experiments._trial_generators(seed, 10))
+    @pytest.mark.parametrize("run_trials", [1, 2, 4096])
+    def test_generators_are_the_contract_generators(self, monkeypatch, seed, run_trials):
+        got, row = [], COMMANDS["similarity"]
+
+        def recording_runner(cfg, trials):
+            got.extend(trials)
+            return [{"trial": t} for t, _ in trials]
+
+        monkeypatch.setattr(experiments, "_RUN_TRIALS", run_trials)
+        monkeypatch.setitem(COMMANDS, "similarity", row._replace(runner=recording_runner))
+        run(ExperimentConfig(subcommand="similarity", seed=seed, trials=10))
         assert [t for t, _ in got] == list(range(10))
-        for (t, rng), (_, ref) in zip(got, _contract_generators(seed, 10)):
+        for (t, rng), (_, ref) in zip(got, _contract_generators(seed, range(10))):
             assert rng.bit_generator.state == ref.bit_generator.state
             assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
-
-    def test_blocks_are_cut_where_the_word_count_of_t_changes(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_HASH_BLOCK", 4)
-        assert list(experiments._hash_blocks(range(2**32 - 5, 2**32 + 3))) == [
-            range(2**32 - 5, 2**32 - 1), range(2**32 - 1, 2**32), range(2**32, 2**32 + 3)]
-        assert list(experiments._hash_blocks(range(10))) == [range(0, 4), range(4, 8), range(8, 10)]
-        assert list(experiments._hash_blocks(range(0))) == []
-
-    def test_generators_are_built_as_they_are_reached(self, monkeypatch):
-        built, real = [], experiments._hashed_state_type()
-
-        def counting_state(words):
-            built.append(words)
-            return real(words)
-
-        monkeypatch.setattr(experiments, "_hashed_state_type", lambda: counting_state)
-        for t, _ in experiments._trial_generators(3, 6):
-            assert len(built) == t + 1
 
     def test_hashed_state_serves_pcg64_only(self):
         state = experiments._hashed_state_type()(experiments._seed_states(0, range(1))[0])
@@ -801,7 +794,7 @@ def test_body_is_that_of_numpy_default_rng_generators(monkeypatch, subcommand, s
     fields = BODY_CONFIGS[subcommand] if subcommand == "eigen-type" else {"seed": seed, **BODY_CONFIGS[subcommand]}
     cfg = ExperimentConfig(subcommand=subcommand, **fields)
     got = run(cfg).body_text()
-    monkeypatch.setattr(experiments, "_trial_generators", _contract_generators)
+    monkeypatch.setattr(experiments, "_run_generators", _contract_generators)
     assert got == run(cfg).body_text()
 
 

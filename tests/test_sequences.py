@@ -326,6 +326,15 @@ class TestFactorization:
         with pytest.raises(ValueError, match=f"^no exact split at s = {s}:"):
             factor_l1_lorentz(d, s)
 
+    @pytest.mark.parametrize("d", [np.zeros(4096), np.r_[1.0, np.zeros(4095)]], ids=["zeros", "one-then-zeros"])
+    def test_zero_entry_under_an_overflowing_weight_weighs_zero(self, d):
+        # k**(1/q) = k**99 is inf past k = 1300; inf * 0 is nan, but a zero beta_k weighs 0
+        alpha, beta, cert = factor_l1_lorentz(d, 0.01)
+        np.testing.assert_array_equal(alpha, d)
+        np.testing.assert_array_equal(beta, d)
+        np.testing.assert_array_equal(cert.weighted_tail, d)
+        assert cert.non_increasing
+
     def test_zero_sequence(self):
         alpha, beta, _ = factor_l1_lorentz([0.0, 0.0], 0.5)
         assert not np.any(alpha)
