@@ -718,6 +718,18 @@ class TestRuns:
         cfg = ExperimentConfig(subcommand="holder", length=1, trials=5000)
         assert recorded_runs(cfg, row.entries) == [list(range(0, 4096)), list(range(4096, 5000))]
 
+    @pytest.mark.parametrize("subcommand", ["factorize", "approx", "similarity"])
+    def test_per_trial_rows_take_runs_of_4096_trials(self, monkeypatch, subcommand):
+        runs, row = [], COMMANDS[subcommand]
+
+        def recording_runner(cfg, trials):
+            runs.append([t for t, _ in trials])
+            return [{"trial": t} for t, _ in trials]
+
+        monkeypatch.setitem(COMMANDS, subcommand, row._replace(runner=recording_runner))
+        run(ExperimentConfig(subcommand=subcommand, trials=4097))
+        assert runs == [list(range(0, 4096)), [4096]]
+
 
 # seeds of 1 to 5 entropy words
 WIDE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 17, 2**128 + 1)
@@ -767,6 +779,25 @@ class TestTrialGenerators:
         for (t, rng), (_, ref) in zip(got, _contract_generators(seed, range(10))):
             assert rng.bit_generator.state == ref.bit_generator.state
             assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    def test_generators_are_built_a_run_at_a_time(self, monkeypatch):
+        built, seen, real = [], [], experiments._hashed_state_type()
+        row = COMMANDS["similarity"]
+
+        def counting_state(words):
+            built.append(words)
+            return real(words)
+
+        def recording_runner(cfg, trials):
+            seen.append(([t for t, _ in trials], len(built)))
+            return [{"trial": t} for t, _ in trials]
+
+        monkeypatch.setattr(experiments, "_RUN_TRIALS", 2)
+        monkeypatch.setattr(experiments, "_hashed_state_type", lambda: counting_state)
+        monkeypatch.setitem(COMMANDS, "similarity", row._replace(runner=recording_runner))
+        run(ExperimentConfig(subcommand="similarity", trials=5))
+        # each run's generators are all built before it reaches the runner, and no later run's
+        assert seen == [([0, 1], 2), ([2, 3], 4), ([4], 5)]
 
     def test_hashed_state_serves_pcg64_only(self):
         state = experiments._hashed_state_type()(experiments._seed_states(0, range(1))[0])
