@@ -563,6 +563,13 @@ def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
     return [rec for recs in per_trial for rec in recs]
 
 
+def _refuse_overflowing_decay(beta: float, n: int) -> None:
+    """Refuse a beta at which the largest of k**-beta over k <= n leaves the double range."""
+    with np.errstate(over="ignore"):  # past the double range, the coefficients of a negative beta overflow
+        if not np.isfinite(np.float64(n) ** -beta):
+            raise ValueError(f"beta = {beta} is too small for dimension {n}: n**-beta overflows")
+
+
 def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     """Audit the diagonal family lam_k = k**-beta at each entry of dims and call the ratio trend.
 
@@ -576,6 +583,7 @@ def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     p = cfg.p[0]
     s = cfg.s if cfg.s is not None else trace_formula_exponent(p)
     beta = cfg.beta if cfg.beta is not None else 1.5
+    _refuse_overflowing_decay(beta, max(cfg.dims))
     index = NuclearIndex.absolutely_summable(s)
     records = []
     for n in cfg.dims:
@@ -598,6 +606,8 @@ def _run_approx(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     p = cfg.p[0]
     space = AmbientSpace(dim, p)
     alpha = cfg.alpha if cfg.alpha is not None else 0.5
+    if cfg.beta is not None:  # a drawn beta is at least 0.75
+        _refuse_overflowing_decay(cfg.beta, dim)
     if cfg.profile == "coordinate":
         beta = cfg.beta if cfg.beta is not None else 1.0
         X = np.diag([float(n) ** (-beta) for n in range(1, dim + 1)])

@@ -175,11 +175,12 @@ class Representation:
     def magnitudes(self) -> np.ndarray:
         """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm.
 
-        An atom with a zero norm has magnitude 0, also where the product
-        of the other two factors overflows to inf.
+        A product past the double range is inf, without a warning.  An
+        atom with a zero norm has magnitude 0, also where the product of
+        the other two factors overflows to inf.
         """
         f, x = self._functional_norms(), self._vector_norms()
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mags = self.coefficients * f * x
         return np.where((f == 0.0) | (x == 0.0), 0.0, mags)
 
@@ -268,7 +269,8 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
     LORENTZ value is inf.
     """
     if index.variant == S_VARIANT:
-        out = lp_norm(z.magnitudes(), index.s, axis=-1)
+        with np.errstate(over="ignore"):  # a value past the double range is inf
+            out = lp_norm(z.magnitudes(), index.s, axis=-1)
     elif index.variant == LORENTZ_VARIANT:
         mags = z.magnitudes()
         flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)

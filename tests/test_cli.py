@@ -1122,6 +1122,33 @@ class TestCommandTable:
         assert re.match(rf"Error: (.*\b)?{name} = ", result.output.splitlines()[-1])
         assert "Traceback" not in result.output
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ["approx", "--profile", "coordinate", "--dims", "8", "--beta", "-400", "--p", "2"],
+        ["approx", "--profile", "random", "--dims", "8", "--beta", "-400", "--p", "2"],
+        ["eigen-type", "--dims", "4", "--p", "2", "--beta", "-1000"],
+    ])
+    def test_beta_past_the_double_range_is_clean_error(self, runner, args):
+        # an OverflowError traceback (approx), or an overflow warning and an
+        # error naming no field (eigen-type)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("Error: beta = ")
+
+    def test_beta_just_inside_the_double_range_passes(self, runner):
+        # 8**341 is about 2**1023
+        result = invoke(runner, ["approx", "--profile", "coordinate", "--dims", "8", "--beta", "-341", "--p", "2"])
+        assert result.exit_code == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_s_quasi_norm_past_the_double_range_is_inf_without_a_warning(self, runner):
+        result = runner.invoke(main, ["eigen-type", "--dims", "4,8", "--p", "2", "--s", "0.001"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert [rec["quasi_norm"] for rec in json.loads(result.stdout)["records"]] == ["inf", "inf"]
+
     def test_lorentz_weights_just_inside_the_double_range_pass(self, runner):
         # 64**(1/0.006) is about 2**1000
         result = invoke(runner, ["lorentz", "--trials", "20", "--r", "0.006"])

@@ -387,7 +387,7 @@ class TestQuasiNorm:
         assert math.isfinite(val)
         assert val == pytest.approx(2.0 ** 1.5 * 1e200, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_s_value_of_overflowing_magnitudes_is_inf(self):
         # finite atoms whose magnitude 1e320 overflows: one representation and
         # the stack of it alike
@@ -397,7 +397,7 @@ class TestQuasiNorm:
         assert quasi_norm(z, idx) == math.inf
         assert quasi_norm(stack_of([z, z]), idx).tolist() == [math.inf, math.inf]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_lorentz_value_of_overflowing_magnitudes_is_inf(self):
         # the same overflow under the LORENTZ index: inf, not a ValueError
         # about infinite input; a finite row of the stack keeps its bits
@@ -410,7 +410,7 @@ class TestQuasiNorm:
         assert vals[0] == math.inf and vals[1] == quasi_norm(w, idx)
         assert math.isfinite(vals[1])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("index", [NuclearIndex.absolutely_summable(0.5), NuclearIndex.lorentz(0.5, 1.0)])
     def test_zero_vector_atom_with_overflowing_factors_is_zero(self, index):
         # lambda |x'| overflows to inf before it meets |x| = 0: the magnitude

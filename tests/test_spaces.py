@@ -197,6 +197,11 @@ class TestLpNorm:
         full = np.full(lengths.size, 310)
         assert lp_norm(Y, p, axis=-1, lengths=full).tobytes() == lp_norm(Y, p, axis=-1).tobytes()
         assert lp_norm(Y, p, axis=1, lengths=lengths).tobytes() == rows.tobytes()
+        # full-length rows take the masked sum too, on each side of a block edge
+        for width in (1, 8, 9, 128, 129, 4096):
+            Z = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-150, 150, size=(3, 1))
+            full = np.full(3, width)
+            assert lp_norm(Z, p, axis=-1, lengths=full).tobytes() == lp_norm(Z, p, axis=-1).tobytes()
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, math.inf])
     @pytest.mark.parametrize(
