@@ -606,15 +606,15 @@ def _run_approx(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     p = cfg.p[0]
     space = AmbientSpace(dim, p)
     alpha = cfg.alpha if cfg.alpha is not None else 0.5
-    if cfg.beta is not None:  # a drawn beta is at least 0.75
-        _refuse_overflowing_decay(cfg.beta, dim)
+    beta = cfg.beta
+    if beta is None:
+        beta = 1.0 if cfg.profile == "coordinate" else float(rng.uniform(0.75, 2.5))
+    _refuse_overflowing_decay(beta, dim)
+    scales = np.array([float(n) ** (-beta) for n in range(1, dim + 1)])
     if cfg.profile == "coordinate":
-        beta = cfg.beta if cfg.beta is not None else 1.0
-        X = np.diag([float(n) ** (-beta) for n in range(1, dim + 1)])
+        X = np.diag(scales)
     else:
-        beta = cfg.beta if cfg.beta is not None else float(rng.uniform(0.75, 2.5))
         G = rng.standard_normal((dim, dim))
-        scales = np.array([float(n) ** (-beta) for n in range(1, dim + 1)])
         X = scales[:, None] * (G / lp_norm(G, p, axis=-1)[:, None])
     xs = [Vector(x, space) for x in X]
     _, cert = build_approximant(xs, cfg.epsilon, space, alpha)

@@ -251,23 +251,45 @@ _SCALES = (0.0,) + tuple(2.0 ** -e for e in range(43, 8, -1))
 _ULP_STEPS = 6
 
 
-def _exact_pairs_down(d: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (alpha, beta) with alpha * beta == d exactly and beta <= target, nan where none is found.
+def _exact_pair_down(d: float, target: float, s: float) -> tuple[float, float]:
+    """Find (alpha, beta) with alpha * beta == d exactly and beta <= target.
 
-    d holds positive entries.  Each entry searches downward from its
-    target through the relative backoffs `_SCALES`, each followed by
-    `_ULP_STEPS` unit-in-last-place steps of beta; at each beta it tries
-    a0 = d / beta and a0's two neighbours, and keeps its first hit.  The
-    downward bias keeps a caller's running cap honest: every accepted
-    beta respects the target.  After each candidate only the unresolved
-    entries go on.  Where every candidate misses, the split of d leaves
-    the double range.
+    Searches downward from target through coarse relative backoffs and a
+    few unit-in-last-place steps.  The downward bias keeps the caller's
+    running cap honest: every accepted beta respects the monotone budget.
+    Where every candidate misses, the split of d at exponent s leaves the
+    double range, and ValueError names s.
+    """
+    if d == 0.0:
+        return 0.0, target
+    # a candidate past the double range just misses, as in the array search
+    with np.errstate(over="ignore"):
+        for t in _SCALES:
+            base = target * (1.0 - t)
+            if base <= 0.0:
+                continue
+            b = base
+            for _ in range(_ULP_STEPS):
+                a0 = d / b
+                for a in (a0, math.nextafter(a0, math.inf), math.nextafter(a0, 0.0)):
+                    if a * b == d:
+                        return a, b
+                b = math.nextafter(b, 0.0)
+    raise ValueError(f"no exact split at s = {s}: k**(1/q) or d_k / beta_k leaves the double range")
+
+
+def _exact_pairs_down(d: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_exact_pair_down` over arrays of positive d, nan where no pair is found.
+
+    Every entry tries the scalar search's candidates in the scalar order
+    and keeps its first hit, so each pair has the scalar result's bits;
+    after each candidate only the unresolved entries go on.
     """
     a_out = np.full(d.size, np.nan)
     b_out = np.full(d.size, np.nan)
     todo = np.arange(d.size)
     # at extreme scales a candidate overflows or divides by a b stepped down
-    # to zero; it then just misses
+    # to zero; it then just misses, as it does in the scalar search
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for t in _SCALES:
             base = target[todo] * (1.0 - t)
@@ -328,25 +350,28 @@ def factor_l1_lorentz(
     -----
     The default envelope is epsilon_k = sqrt(k**(1/q) d_k / d_1) clipped
     to be non-increasing, which balances the two factors for power-decay
-    input.  Exactness is achieved by one search, `_exact_pairs_down`:
-    beta_k is stepped down from its target through a few relative
-    backoffs and ulp steps until the rounding of d_k / beta_k multiplies
-    back bitwise, and a running cap min over k'<=k of k'**(1/q) beta_k'
-    clips later targets so the weighted tail is non-increasing by
-    construction.  A zero d_k pairs as (0, target).  Where the found
-    k**(1/q) beta_k still rounds above the cap, the target is stepped
-    down an ulp at a time until k**(1/q) times it is at most the clipped
-    target, and the search runs again from there.
+    input.  Exactness is achieved by a search for each entry: beta_k is
+    stepped down from its target through a few relative backoffs and ulp
+    steps until the rounding of d_k / beta_k multiplies back bitwise, and
+    a running cap min over k'<=k of k'**(1/q) beta_k' clips later targets
+    so the weighted tail is non-increasing by construction.  Where the
+    found k**(1/q) beta_k still rounds above the cap, the target is
+    stepped down an ulp at a time until k**(1/q) times it is at most the
+    clipped target, and the search runs again from there.
 
-    The search first runs over the whole array: every positive entry is
-    paired at once with its uncapped target epsilon_k / k**(1/q).  That
-    is the sequential result up to the first index where the running cap
-    of these pairs falls below epsilon_k or below k**(1/q) beta_k.  From
-    that index on, the same search pairs one entry at a time against the
+    The search first runs over whole arrays: every positive entry is
+    paired at once with its uncapped target epsilon_k / k**(1/q), trying
+    candidates in the order a single entry does, and keeps its first hit.
+    That is the sequential result up to the first index where the running
+    cap of these pairs falls below epsilon_k or below k**(1/q) beta_k.
+    From that index on, the entries are paired one at a time against the
     capped target.  The default and gamma envelopes on power-decay input
-    rarely meet the cap, so they run almost wholly as one array pass; a
-    flat explicit epsilon meets it at once and runs almost wholly in
-    sequence.
+    falling at least as fast as k**(-1/q) rarely meet the cap, so they
+    run almost wholly as arrays.  A flat envelope meets it at once and
+    runs almost wholly in sequence: a flat explicit epsilon, or the
+    default envelope of a d_k falling slower than k**(-1/q), which clips
+    to the constant 1 (`factorize --s 0.3` draws such a d in about half
+    its trials).
     """
     dv = as_values(d)
     if dv.size == 0:
@@ -406,24 +431,15 @@ def factor_l1_lorentz(
     late[1:] |= (cap[:-1] < eps[1:]) | (weighted[1:] > cap[:-1])
     start = int(np.argmax(late)) if late.any() else L
     cap = cap[start - 1] if start else math.inf
-
-    def pair(i: int, t: float) -> tuple[float, float]:
-        if dv[i] == 0.0:
-            return 0.0, t
-        a, b = _exact_pairs_down(dv[i : i + 1], np.array([t]))
-        if np.isnan(b[0]):
-            raise ValueError(f"no exact split at s = {s}: k**(1/q) or d_k / beta_k leaves the double range")
-        return a[0], b[0]
-
     for i in range(start, L):
         target = min(eps[i], cap)
-        a, b = pair(i, target / w[i])
+        a, b = _exact_pair_down(dv[i], target / w[i], s)
         if w[i] * b > cap:
             # w * t rounds monotonically in t, so every b <= t keeps w * b <= target
             t = target / w[i]
             while w[i] * t > target:
                 t = math.nextafter(t, 0.0)
-            a, b = pair(i, t)
+            a, b = _exact_pair_down(dv[i], t, s)
         alpha[i] = a
         beta[i] = 0.0 if eps[i] == 0.0 else b
         if beta[i] > 0.0:
