@@ -504,20 +504,26 @@ def _draw_stacks(rngs: list, n: int, ps: tuple[float, ...]) -> list[Representati
     """trace-audit's representations at dimension n: one stack over the trials per exponent.
 
     Each trial's generator draws one representation per exponent in turn:
-    its sorted coefficients, then F, then X.
+    its coefficients, then F, then X.  The coefficients are one
+    ``random(out=...)`` call into their (|ps|, trials, n) array, with the
+    bits of ``uniform(0, 1, n)``; F and X are one ``standard_normal(out=...)``
+    call into their (2, n, n) slot of the (|ps|, trials, 2, n, n) atoms,
+    which fills F and then X as two (n, n) calls do.  The whole coefficient
+    array is then sorted in place along its last axis, once, and taken
+    in reverse, non-increasing.
     """
-    trials = len(rngs)
-    draws = [(np.empty((trials, n)), np.empty((trials, n, n)), np.empty((trials, n, n))) for _ in ps]
+    lam = np.empty((len(ps), len(rngs), n))
+    atoms = np.empty((len(ps), len(rngs), 2, n, n))
     for t, rng in enumerate(rngs):
-        for lam, F, X in draws:
-            lam[t] = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
-            F[t] = rng.standard_normal((n, n))
-            X[t] = rng.standard_normal((n, n))
+        for j in range(len(ps)):
+            rng.random(out=lam[j, t])
+            rng.standard_normal(out=atoms[j, t])
+    lam.sort(axis=-1)
     reps = []
-    for p in ps:
-        # a Representation copies its arrays: each exponent's draws are freed after the copy
+    for j, p in enumerate(ps):
+        # a Representation copies its arrays into C order
         space = AmbientSpace(n, p)
-        reps.append(Representation(*draws.pop(0), space, space))
+        reps.append(Representation(lam[j, :, ::-1], atoms[j, :, 0], atoms[j, :, 1], space, space))
     return reps
 
 

@@ -9,6 +9,7 @@ perturbation bound for the trace under composition with an operator.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -172,15 +173,17 @@ class Representation:
         """|x_k| in the codomain, one per atom."""
         return lp_norm(self.X, self.codomain.exponent, axis=-1)
 
-    def magnitudes(self) -> np.ndarray:
+    def magnitudes(self, *, quiet: bool = True) -> np.ndarray:
         """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm.
 
         A product past the double range is inf, without a warning.  An
         atom with a zero norm has magnitude 0, also where the product of
-        the other two factors overflows to inf.
+        the other two factors overflows to inf.  With ``quiet=False`` no
+        errstate scope of its own is entered: the caller's must ignore
+        over and invalid, as `quasi_norm`'s one scope per S value does.
         """
-        f, x = self._functional_norms(), self._vector_norms()
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            f, x = self._functional_norms(), self._vector_norms()
             mags = self.coefficients * f * x
         return np.where((f == 0.0) | (x == 0.0), 0.0, mags)
 
@@ -269,8 +272,9 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
     LORENTZ value is inf.
     """
     if index.variant == S_VARIANT:
-        with np.errstate(over="ignore"):  # a value past the double range is inf
-            out = lp_norm(z.magnitudes(), index.s, axis=-1)
+        # one scope for the magnitudes and the sum: a value past the double range is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = lp_norm(z.magnitudes(quiet=False), index.s, axis=-1)
     elif index.variant == LORENTZ_VARIANT:
         mags = z.magnitudes()
         flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)

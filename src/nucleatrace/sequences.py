@@ -452,8 +452,10 @@ def factor_l1_lorentz(
         ratio = float(weighted[-1] / weighted[quarter])
     else:
         ratio = 0.0
+    with np.errstate(over="ignore"):  # an l_1 mass past the double range reads inf
+        l1_alpha = float(np.sum(np.abs(alpha)))
     cert = FactorizationCertificate(
-        l1_alpha=float(np.sum(np.abs(alpha))),
+        l1_alpha=l1_alpha,
         q=q,
         weighted_tail=weighted,
         non_increasing=non_increasing,

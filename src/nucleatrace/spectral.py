@@ -14,7 +14,9 @@ eigenvalue solver on a different matrix.
 `audit_trace_formula` also take stacks and work on all of them at once;
 each single form is the stack of one, so a row of a stack gives the bits
 of its single call.  A matrix with a NaN or infinite entry is refused.
-Every Frobenius norm comes from `_frobenius`, finite for every finite matrix.
+Every Frobenius norm comes from `_frobenius`, finite for every finite
+matrix: one stacked row-by-column matmul of the power-of-two scaled
+matrices gives all squared norms with the bits of np.linalg.norm.
 """
 from __future__ import annotations
 
@@ -58,14 +60,20 @@ def _as_square(A, stack: bool = False) -> np.ndarray:
 def _frobenius(mats: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a stack (..., m, n), finite wherever the true norm is.
 
-    Each matrix is normed by numpy, one at a time (over a stack numpy sums
-    another way), at the exact power-of-two scale that puts its largest
-    entry in [1/2, 1): in range the bits are those of the unscaled norm.
+    Each matrix is scaled by the exact power of two that puts its largest
+    entry in [1/2, 1), and every squared norm comes from one stacked
+    np.matmul of each flattened matrix as a row by itself as a column.
+    numpy computes that product with the same BLAS ddot as np.linalg.norm
+    of one matrix (np.linalg.norm over a stack sums another way), so in
+    range the bits are those of the unscaled norm.
     """
-    flat = mats.reshape((math.prod(mats.shape[:-2]),) + mats.shape[-2:])
+    k = math.prod(mats.shape[:-2])
+    # one matrix is read in memory order, as np.linalg.norm reads it; a stack row by row in C order
+    flat = (np.ravel(mats, order="K") if mats.ndim == 2 else mats).reshape(k, math.prod(mats.shape[-2:]))
     # the largest entry from the max and the min, with no abs copy of the stack
-    exps = np.frexp(np.maximum(np.max(flat, axis=(-2, -1), initial=0.0), -np.min(flat, axis=(-2, -1), initial=0.0)))[1]
-    norms = [np.linalg.norm(np.ldexp(M, -e)) for M, e in zip(flat, exps.tolist())]
+    exps = np.frexp(np.maximum(np.max(flat, axis=-1, initial=0.0), -np.min(flat, axis=-1, initial=0.0)))[1]
+    unit = np.ldexp(flat, -exps[:, None])
+    norms = np.sqrt(np.matmul(unit[:, None, :], unit[:, :, None]).reshape(k))
     with np.errstate(over="ignore"):  # a norm beyond the double range reads inf
         return np.ldexp(norms, exps).reshape(mats.shape[:-2])
 

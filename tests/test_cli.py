@@ -489,30 +489,56 @@ class TestTraceAuditStacks:
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
 
+    @pytest.mark.parametrize("ps", [(2.0,), BENCHMARK_P], ids=["one-p", "five-p"])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_draws_of_a_run_are_those_of_one_trial_at_a_time(self, n, ps):
+        # one random(out=...) and one standard_normal(out=...) call per trial and
+        # exponent give the bits of uniform(0, 1, n) and two (n, n) normal draws
+        seed, trials = 7, 5
+        reps = experiments._draw_stacks([rng for _, rng in _contract_generators(seed, range(trials))], n, ps)
+        assert [z.domain.exponent for z in reps] == [z.codomain.exponent for z in reps] == list(ps)
+        for t in range(trials):
+            rng = _contract_rng(seed, t)
+            for z, p in zip(reps, ps):
+                one = _draw_representation(rng, n, p)
+                for got, want in ((z.coefficients[t], one.coefficients), (z.F[t], one.F), (z.X[t], one.X)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_zero_coefficient_draw_stays_in_its_stack(self, monkeypatch):
         # uniform(0, 1) returns 0.0 with probability 2**-53 per entry; that atom
-        # stays in its exponent's stack with magnitude zero
-        class ZeroOnThirdUniform:
+        # stays in its exponent's stack with magnitude zero.  The reference draws
+        # coefficients with uniform, the runner with random(out=...): either way
+        # a trial's third coefficient draw gets the zero
+        class ZeroOnThirdCoefficients:
             def __init__(self, rng):
                 self.rng, self.calls = rng, 0
 
-            def uniform(self, *args, **kwargs):
+            def _coefficients(self, draw):
                 self.calls += 1
-                draw = self.rng.uniform(*args, **kwargs)
                 if self.calls == 3:
                     draw[1] = 0.0
                 return draw
+
+            def uniform(self, *args, **kwargs):
+                return self._coefficients(self.rng.uniform(*args, **kwargs))
+
+            def random(self, *args, **kwargs):
+                return self._coefficients(self.rng.random(*args, **kwargs))
 
             def standard_normal(self, *args, **kwargs):
                 return self.rng.standard_normal(*args, **kwargs)
 
         def rngs(seed, trial):
-            return ZeroOnThirdUniform(_contract_rng(seed, trial))
+            return ZeroOnThirdCoefficients(_contract_rng(seed, trial))
 
         real_generators = experiments._run_generators
 
+        wrapped = []
+
         def generators(seed, trials):
-            return [(t, ZeroOnThirdUniform(rng)) for t, rng in real_generators(seed, trials)]
+            pairs = [(t, ZeroOnThirdCoefficients(rng)) for t, rng in real_generators(seed, trials)]
+            wrapped.extend(rng for _, rng in pairs)
+            return pairs
 
         # every trial's third draw, n = 8 and p = 1, holds the zero
         cfg = ExperimentConfig(subcommand="trace-audit", seed=2, trials=3, dims=(4, 8), p=(1.0, 2.0))
@@ -520,6 +546,8 @@ class TestTraceAuditStacks:
         monkeypatch.setattr(experiments, "_run_generators", generators)
         got = run(cfg).records
         assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(expected))
+        # each trial drew four coefficient rows, one per dimension and exponent
+        assert [rng.calls for rng in wrapped] == [4] * cfg.trials
 
 
 def _reference_holder_checks(a, b, s):

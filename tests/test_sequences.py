@@ -335,6 +335,15 @@ class TestFactorization:
         np.testing.assert_array_equal(cert.weighted_tail, d)
         assert cert.non_increasing
 
+    def test_l1_mass_past_the_double_range_is_inf_without_a_warning(self):
+        # every alpha_k is finite and the split exact, but their sum overflows;
+        # the module's filterwarnings("error") turns a warning into a failure
+        d = 1e307 * np.arange(1, 257.0) ** -2.0
+        alpha, beta, cert = factor_l1_lorentz(d, 0.5)
+        assert np.all(alpha * beta == d)
+        assert np.all(np.isfinite(alpha))
+        assert cert.l1_alpha == math.inf
+
     def test_zero_sequence(self):
         alpha, beta, _ = factor_l1_lorentz([0.0, 0.0], 0.5)
         assert not np.any(alpha)

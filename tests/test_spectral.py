@@ -435,6 +435,60 @@ class TestFrobenius:
         assert spectral._frobenius(np.zeros((0, 0))) == 0.0
         assert spectral._frobenius(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
 
+    @staticmethod
+    def _each_norm(stack):
+        """np.linalg.norm of each matrix, at the power of two that puts its largest entry in [1/2, 1)."""
+        out = []
+        for M in stack.reshape((-1,) + stack.shape[-2:]):
+            e = int(np.frexp(np.max(np.abs(M), initial=0.0))[1])
+            with np.errstate(over="ignore"):
+                out.append(float(np.ldexp(np.linalg.norm(np.ldexp(M, -e)), e)))
+        return out
+
+    @pytest.mark.parametrize("shape", [(7, 1, 1), (5, 1, 9), (5, 9, 1), (4, 3, 8), (3, 17, 5), (2, 40, 33)])
+    def test_each_matrix_has_the_bits_of_np_linalg_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, (shape[0], 1, 1)))
+        assert spectral._frobenius(stack).tolist() == [np.linalg.norm(M) for M in stack]
+
+    def test_one_matrix_has_the_bits_of_np_linalg_norm_in_any_memory_order(self):
+        # np.linalg.norm sums a matrix in memory order: a transposed or reversed
+        # view keeps the bits of that order
+        rng = np.random.default_rng(11)
+        for m, n in [(1, 1), (2, 3), (7, 5), (33, 18), (64, 64)]:
+            M = rng.standard_normal((m, n))
+            for view in (M, M.T, M[::-1], M[:, ::-1], np.asfortranarray(M)):
+                assert spectral._frobenius(view) == np.linalg.norm(view)
+
+    def test_zero_matrices_in_a_stack_are_zero(self):
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((6, 4, 5))
+        stack[[0, 3, 5]] = 0.0
+        fro = spectral._frobenius(stack)
+        assert fro[[0, 3, 5]].tolist() == [0.0, 0.0, 0.0]
+        assert fro.tolist() == [np.linalg.norm(M) for M in stack]
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_scales_have_the_bits_of_the_scaled_norm(self):
+        # squares of entries near 1e300 overflow and near 1e-300 or subnormal
+        # underflow; each matrix is normed at its own power of two
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((5, 6, 7))
+        scales = np.array([1e300, 1.7e308 / 8.0, 1e-300, 5e-324 * 2.0 ** 20, 5e-324])
+        stack = base * scales[:, None, None]
+        fro = spectral._frobenius(stack)
+        assert fro.tolist() == self._each_norm(stack)
+        assert np.all(np.isfinite(fro)) and np.all(fro > 0.0)
+        # an all-subnormal matrix is exact, by the exact 3-4-5 triangle
+        tiny = np.ldexp(np.array([[[3.0, -4.0]]]), -1070)
+        assert spectral._frobenius(tiny).tolist() == [np.ldexp(5.0, -1070)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_norms_past_the_double_range_read_inf_without_a_warning(self):
+        stack = np.stack([np.full((3, 3), 1.5e308), np.eye(3), np.full((1, 3), -1e308).repeat(3, axis=0)])
+        fro = spectral._frobenius(stack)
+        assert fro.tolist() == [math.inf, math.sqrt(3.0), math.inf]
+
 
 def _rank_deficient(rng, n, p):
     """Induced matrix of a representation with fewer atoms than n."""
