@@ -364,30 +364,15 @@ def _run_generators(seed: int, trials: range) -> list[tuple[int, np.random.Gener
             for t, words in zip(trials, _seed_states(seed, trials))]
 
 
-def _holder_columns(a: Padded, b: Padded, s: float):
-    """lhs, rhs, witness gap (nan for a zero row), verdict and ||a||_1 of each row pair.
-
-    A row whose ||a||_1 overflows reads inf there, and its gap inf or nan;
-    the caller decides that row again at unit scale.
-    """
-    lhs, rhs, ok = holder_product_bound(a, b, s)
-    with np.errstate(over="ignore", invalid="ignore"):  # one scope for the whole stack
-        l1 = lp_norm(a.rows, 1.0, axis=-1, lengths=a.lengths)
-        gap = np.full(l1.shape, math.nan)
-        nonzero = np.flatnonzero(np.any(a.rows != 0.0, axis=-1))
-        if nonzero.size:
-            sub = Padded(a.rows[nonzero], a.lengths[nonzero])
-            wl, _, _ = holder_product_bound(sub, Padded(sharpness_witness(sub, s), sub.lengths), s)
-            gap[nonzero] = np.abs(wl - l1[nonzero])
-            ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
-    return lhs, rhs, gap, ok, l1
-
-
 def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
     """Check the product bound and its witness on one stack per exponent s.
 
     Each trial's generator draws its pair as a trial run alone would;
-    the pairs go into zero-padded stacks with their stored lengths.
+    the pairs go into zero-padded stacks with their stored lengths.  A
+    pair whose lhs, rhs or ||a||_1 overflows is decided with a and b each
+    scaled by the exact power of two that puts its largest entry in
+    [1/2, 1): both sides are homogeneous in a and in b.  Then one witness
+    pass checks every nonzero a of the stack.
     """
     if cfg.a is not None:
         a, b = (np.tile(np.asarray(x, dtype=float), (len(trials), 1)) for x in (cfg.a, cfg.b))
@@ -405,31 +390,39 @@ def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
     for s in sorted(set(exponents)):
         rows = np.flatnonzero(np.equal(exponents, s))
         pa, pb = Padded(a[rows], la[rows]), Padded(b[rows], lb[rows])
-        lhs, rhs, gap, ok, l1 = _holder_columns(pa, pb, s)
-        scale_log2 = [None] * rows.size
+        lhs, rhs, ok = holder_product_bound(pa, pb, s)
+        with np.errstate(over="ignore"):
+            l1 = lp_norm(pa.rows, 1.0, axis=-1, lengths=pa.lengths)
+        scale_log2 = {}
         over = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(l1)))
         if over.size:
-            # both sides are homogeneous in a and in b: decide on the pair with each
-            # largest entry scaled into [1/2, 1) by an exact power of two
             k = np.stack([np.frexp(np.abs(x.rows[over]).max(axis=-1, initial=0.0))[1] for x in (pa, pb)], axis=-1)
-            scaled = [Padded(np.ldexp(x.rows[over], -k[:, j, None]), x.lengths[over]) for j, x in enumerate((pa, pb))]
-            lhs[over], rhs[over], gap[over], ok[over], _ = _holder_columns(*scaled, s)
-            for i, ki in zip(over.tolist(), k.tolist()):
-                scale_log2[i] = ki
-        for row, lhs_i, rhs_i, gap_i, ok_i, k_i in zip(
-            rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist(), scale_log2
-        ):
+            sa, sb = (Padded(np.ldexp(x.rows[over], -k[:, j, None]), x.lengths[over]) for j, x in enumerate((pa, pb)))
+            lhs[over], rhs[over], ok[over] = holder_product_bound(sa, sb, s)
+            l1[over] = lp_norm(sa.rows, 1.0, axis=-1, lengths=sa.lengths)
+            pa.rows[over] = sa.rows  # a copy of a[rows]: the witness pass takes a at this scale
+            scale_log2 = dict(zip(rows[over].tolist(), k.tolist()))
+        gap = np.full(rows.size, math.nan)  # nan marks a zero a
+        nonzero = np.flatnonzero(np.any(pa.rows != 0.0, axis=-1))
+        if nonzero.size:
+            sub = Padded(pa.rows[nonzero], pa.lengths[nonzero])
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the bits of holder_product_bound's lhs against the witness
+                wl = lp_norm(sub.rows * sharpness_witness(sub, s), s, axis=-1, lengths=sub.lengths)
+                gap[nonzero] = np.abs(wl - l1[nonzero])
+            ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
+        for row, lhs_i, rhs_i, gap_i, ok_i in zip(rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist()):
             rec = {
                 "trial": trials[row][0],
                 "s": s,
                 "lhs": lhs_i,
                 "rhs": rhs_i,
                 "defect": rhs_i - lhs_i,
-                "witness_gap": None if math.isnan(gap_i) else gap_i,  # nan marks a zero a
+                "witness_gap": None if math.isnan(gap_i) else gap_i,
                 "pass": ok_i,
             }
-            if k_i is not None:
-                rec["scale_log2"] = k_i
+            if row in scale_log2:
+                rec["scale_log2"] = scale_log2[row]
             if not ok_i:
                 rec["a"] = a[row, : la[row]].tolist()
                 rec["b"] = b[row, : lb[row]].tolist()

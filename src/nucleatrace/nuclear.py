@@ -22,6 +22,7 @@ from .spaces import (
     dual_exponent,
     lp_norm,
     operator_brackets,
+    product_of,
 )
 
 __all__ = [
@@ -176,16 +177,14 @@ class Representation:
     def magnitudes(self, *, quiet: bool = True) -> np.ndarray:
         """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm.
 
-        A product past the double range is inf, without a warning.  An
-        atom with a zero norm has magnitude 0, also where the product of
-        the other two factors overflows to inf.  With ``quiet=False`` no
-        errstate scope of its own is entered: the caller's must ignore
-        over and invalid, as `quasi_norm`'s one scope per S value does.
+        Each is the `product_of` its three factors: a zero one, lambda_k
+        included, gives 0 also where another overflows, and a product past
+        the double range is inf, without a warning.  With ``quiet=False``
+        the atom norms are taken in the caller's errstate scope, which must
+        ignore over, as `quasi_norm`'s one scope per S value does.
         """
         with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-            f, x = self._functional_norms(), self._vector_norms()
-            mags = self.coefficients * f * x
-        return np.where((f == 0.0) | (x == 0.0), 0.0, mags)
+            return product_of(self.coefficients, self._functional_norms(), self._vector_norms())
 
 
 def _require_single(z: Representation) -> None:
@@ -200,10 +199,10 @@ def induced_matrix(z: Representation) -> np.ndarray:
 
 
 def nuclear_trace(z: Representation) -> float | np.ndarray:
-    """sum_k lambda_k <x'_k, x_k> for an endomorphism representation; one per row of a stack."""
+    """sum_k lambda_k <x'_k, x_k> of an endomorphism representation, a zero lambda_k weighing 0; one per row of a stack."""
     if z.domain.dim != z.codomain.dim:
         raise ValueError("trace requires equal domain and codomain dimension")
-    tr = np.sum(z.coefficients * np.einsum("...ij,...ij->...i", z.F, z.X), axis=-1)
+    tr = np.sum(product_of(z.coefficients, np.einsum("...ij,...ij->...i", z.F, z.X)), axis=-1)
     return float(tr) if tr.ndim == 0 else tr
 
 
@@ -251,10 +250,10 @@ def _bracket_values(z: Representation, index: NuclearIndex) -> np.ndarray:
     """BRACKET_LOWER or BRACKET_UPPER value of each row of z."""
     p_prime = dual_exponent(index.p)
     if index.variant == BRACKET_LOWER:
-        side = z.coefficients * lp_norm(z.F, dual_exponent(z.domain.exponent), axis=-1)
+        side = product_of(z.coefficients, lp_norm(z.F, dual_exponent(z.domain.exponent), axis=-1))
         weak = weak_norm_bracket(z.X, p_prime, z.codomain)
     else:
-        side = z.coefficients * lp_norm(z.X, z.codomain.exponent, axis=-1)
+        side = product_of(z.coefficients, lp_norm(z.X, z.codomain.exponent, axis=-1))
         weak = weak_norm_bracket(z.F, p_prime, z.domain.dual())
     return lp_norm(side, index.r, axis=-1) * _tight_or_lower(*weak)
 
@@ -306,14 +305,10 @@ def trace_perturbation_bound(
     R = np.asarray(R, dtype=float)
     if R.shape != (z.codomain.dim,) * 2 or not np.all(np.isfinite(R)):
         raise ValueError("perturbation must be a finite endomorphism of the codomain")
-    tr = nuclear_trace(z)
-    moved = z.X @ R.T
-    tr_perturbed = float(
-        np.sum(z.coefficients * np.einsum("ij,ij->i", z.F, moved))
-    )
-    defect = abs(tr - tr_perturbed)
+    tr_perturbed = float(np.sum(product_of(z.coefficients, np.einsum("ij,ij->i", z.F, z.X @ R.T))))
+    defect = abs(nuclear_trace(z) - tr_perturbed)
     lam = z.coefficients
-    weights = lam ** s * z._functional_norms()
+    weights = product_of(lam ** s, z._functional_norms())
     scaled = (lam ** (1.0 - s))[:, None] * z.X
     resid = scaled - scaled @ R.T
     worst = float(np.max(lp_norm(resid, z.codomain.exponent, axis=1), initial=0.0))

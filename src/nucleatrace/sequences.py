@@ -5,7 +5,8 @@ that is zero beyond the stored length.  The module computes Lorentz
 quasi-norms, the Holder-type bound for pointwise products against
 summable sequences with its sharpness witness, and a factorization of a
 non-increasing sequence through l_1 times a weak-type tail, with an
-exact reconstruction certificate.
+exact reconstruction certificate.  A zero factor of any product here
+weighs 0, even against inf (`spaces.product_of`).
 
 The Lorentz quasi-norm, the product bound and the witness also take a
 stack of sequences, one per row: a 2-d array, or a `Padded` stack of
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spaces import lp_norm
+from .spaces import lp_norm, product_of
 from .tolerances import REL_TOL
 
 __all__ = [
@@ -113,7 +114,7 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
     stored length, where a* is the decreasing rearrangement.  For q = inf
     it is sup_k k**(1/p) a*_k (plain sup norm when p = inf).  The zero
     sequence returns 0.0, and l_{p,p} agrees with the plain l_p norm.
-    A zero entry contributes 0 even where its weight overflows.  NaN or
+    A zero entry weighs 0 even where its weight overflows.  NaN or
     infinite entries raise ValueError.
 
     Parameters
@@ -135,12 +136,7 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
     # weights and finite entries past the double range give inf
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.arange(1, av.shape[1] + 1, dtype=float) ** (1.0 / index.p - 1.0 / index.q)
-        if weights.size and np.isinf(weights[-1]):
-            # a weight past the double range is inf, and inf * 0 is nan: a zero entry contributes 0
-            terms = np.where(star == 0.0, 0.0, weights * star)
-        else:
-            terms = weights * star
-        out = lp_norm(terms, index.q, axis=-1, lengths=lengths)
+        out = lp_norm(product_of(weights, star), index.q, axis=-1, lengths=lengths)
     if not np.all(np.isfinite(out)):
         _require_finite(av)
     return float(out[0]) if single else out
@@ -166,9 +162,9 @@ def holder_product_bound(a, b, s: float):
     -------
     (lhs, rhs, holds) : tuple of float, float, bool
         holds allows a relative slack of 1e-9 on the right side.  NaN or
-        infinite entries raise ValueError; finite entries whose product
-        overflows give inf.  For stacks, three arrays with a row's values
-        in each, with the bits of the call on that pair alone.
+        infinite entries raise ValueError; finite ones give inf where a
+        product overflows, and a zero a gives rhs 0.  For stacks, three
+        arrays of the rows' values, with the bits of the call on each pair.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
@@ -181,8 +177,10 @@ def holder_product_bound(a, b, s: float):
     # finite entries past the double range give inf, as for floats; non-finite ones raise below
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = lp_norm(av[:, :w] * bv[:, :w], s, axis=-1, lengths=np.minimum(la, lb))
-        rhs = lp_norm(av, 1.0, axis=-1, lengths=la) * lp_norm(bv, q, axis=-1, lengths=lb)
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        norms = lp_norm(av, 1.0, axis=-1, lengths=la), lp_norm(bv, q, axis=-1, lengths=lb)
+    rhs = product_of(*norms)
+    # a zero norm makes rhs 0 against the other's NaN, so the norms are checked
+    if not all(np.all(np.isfinite(x)) for x in (lhs, *norms)):
         _require_finite(av, bv)
     holds = lhs <= rhs + REL_TOL * rhs
     if single_a and single_b:
@@ -406,9 +404,7 @@ def factor_l1_lorentz(
         if dv[0] == 0.0:
             eps = np.zeros(L)
         else:
-            with np.errstate(over="ignore"):  # and so is an envelope past it, but a zero d_k weighs 0
-                eps = np.sqrt(np.multiply(w, dv, out=np.zeros(L), where=dv != 0.0) / dv[0])
-            eps = np.minimum.accumulate(eps)
+            eps = np.minimum.accumulate(np.sqrt(product_of(w, dv) / dv[0]))
     # a large gamma, or a default envelope whose d_k / d_1 underflows, can
     # vanish too; no beta_k > 0 then meets it
     if np.any((dv > 0.0) & (eps == 0.0)):
@@ -423,9 +419,8 @@ def factor_l1_lorentz(
     # cap[k] is the running cap after entry k.  The speculation holds up to
     # the first entry left unpaired (nan), whose target is the cap, not
     # eps[k], or whose weighted beta exceeds the cap; from there on the
-    # entries are paired in sequence.  A zero beta_k weighs 0, also under an
-    # inf weight, where the product would be nan.
-    weighted = np.multiply(w, beta, out=np.zeros(L), where=beta != 0.0)
+    # entries are paired in sequence.
+    weighted = product_of(w, beta)
     cap = np.minimum.accumulate(np.where(beta > 0.0, weighted, math.inf))
     late = np.isnan(beta)
     late[1:] |= (cap[:-1] < eps[1:]) | (weighted[1:] > cap[:-1])
@@ -445,7 +440,7 @@ def factor_l1_lorentz(
         if beta[i] > 0.0:
             cap = min(cap, w[i] * beta[i])
 
-    weighted = np.multiply(w, beta, out=np.zeros(L), where=beta != 0.0)
+    weighted = product_of(w, beta)
     non_increasing = bool(np.all(np.diff(weighted) <= 0.0))
     quarter = max(L // 4 - 1, 0)
     if weighted[quarter] > 0.0:

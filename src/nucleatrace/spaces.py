@@ -9,6 +9,7 @@ and `OperatorMatrix` are only the inputs of build_approximant and operator_norm.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,7 @@ __all__ = [
     "OperatorMatrix",
     "NormBracket",
     "lp_norm",
+    "product_of",
     "vector_norm",
     "dual_exponent",
     "operator_norm",
@@ -141,6 +143,21 @@ def _row_sums(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     full-length row has the bits of its plain sum.
     """
     return np.add.reduce(a, axis=-1, where=np.arange(a.shape[-1]) < lengths[:, None])
+
+
+def product_of(*factors):
+    """The plain product of broadcast factors, left to right, except that a zero factor gives 0.
+
+    A zero factor weighs 0 against inf, a partial product past the double
+    range, or a NaN made by overflow (inf - inf); elsewhere a NaN factor
+    gives NaN.  A product past the double range is inf, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = functools.reduce(np.multiply, factors)
+    if np.isnan(out).any():
+        zero = functools.reduce(np.logical_or, [np.equal(f, 0.0) for f in factors])
+        out = np.where(np.isnan(out) & zero, 0.0, out)
+    return out
 
 
 def vector_norm(v: Vector) -> float:

@@ -33,6 +33,7 @@ import nucleatrace
 from nucleatrace import approximation, experiments, nuclear, sequences, spaces, spectral
 from nucleatrace.cli import main
 from nucleatrace.experiments import (
+    _HOLDER_S_GRID,
     _ORACLE_CROSS_CHECK_DIM,
     COMMANDS,
     FIELDS,
@@ -257,6 +258,24 @@ class TestRun:
                 scaled = self._holder_verdict(np.ldexp(a, ka), np.ldexp(b, kb))
                 assert scaled[3] == (ka, kb)
                 assert scaled[:3] == unit[:3]
+
+    @pytest.mark.parametrize("fields, groups", [({"s": 0.5}, [0.5]), ({"trials": 8}, sorted(_HOLDER_S_GRID))])
+    def test_holder_checks_each_witness_once(self, monkeypatch, fields, groups):
+        # an overflowing pair was checked against a witness at its own scale, then again
+        # at unit scale: two witness calls per exponent group
+        real = experiments.sharpness_witness
+        calls = []
+        monkeypatch.setattr(experiments, "sharpness_witness", lambda a, s: calls.append(s) or real(a, s))
+        report = run(ExperimentConfig(subcommand="holder", a=(1e308, 1e308), b=(1.0, 1.0), **fields))
+        assert calls == groups
+        assert all(rec["pass"] and rec["scale_log2"] == [1024, 1] for rec in report.records)
+
+    @pytest.mark.filterwarnings("error")
+    def test_holder_zero_a_against_b_past_the_double_range_passes_at_its_own_scale(self):
+        # rhs = ||a||_1 ||b||_q was 0 * inf = nan, so the pair was decided again at 2^-1024
+        rec = run(ExperimentConfig(subcommand="holder", a=(0.0, 0.0), b=(1e308, 1e308), s=0.5)).records[0]
+        assert rec["lhs"] == rec["rhs"] == 0.0 and rec["pass"]
+        assert rec["witness_gap"] is None and "scale_log2" not in rec
 
     @pytest.mark.parametrize("call, flag", [(1, "rearrangement_invariant"), (2, "homogeneous")])
     def test_lorentz_checks_are_scale_free(self, monkeypatch, call, flag):
@@ -666,6 +685,7 @@ class TestSequenceStacks:
             ("holder", {"a": (1e308, 1e308), "b": (1.0, 1.0), "s": 0.5}),
             ("holder", {"trials": 8, "a": (1e308, 1e308, 3.0), "b": (1e308, 1.0, 1.0)}),
             ("holder", {"trials": 2, "a": (0.0, 0.0), "b": (1.0, 1.0)}),
+            ("holder", {"a": (0.0, 0.0), "b": (1e308, 1e308), "s": 0.5}),
             ("lorentz", {"seed": 0, "trials": 200, "length": 256}),
             ("lorentz", {"seed": 1, "trials": 60}),
             ("lorentz", {"seed": 2, "trials": 40, "length": 1}),
@@ -673,7 +693,7 @@ class TestSequenceStacks:
             ("lorentz", {"seed": 4, "trials": 40, "r": 0.8, "w": 1.0, "length": 129}),
         ],
         ids=["holder-bench", "holder-1", "holder-2", "holder-length-1", "holder-length-300", "holder-s-1",
-             "holder-pair", "holder-1e308", "holder-1e308-mixed", "holder-zero-a",
+             "holder-pair", "holder-1e308", "holder-1e308-mixed", "holder-zero-a", "holder-zero-a-1e308-b",
              "lorentz-bench", "lorentz-1", "lorentz-length-1", "lorentz-length-300", "lorentz-r-w"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

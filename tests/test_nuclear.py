@@ -10,6 +10,7 @@ from nucleatrace import (
     NuclearIndex,
     Representation,
     Vector,
+    audit_trace_formula,
     dual_exponent,
     improve_representation,
     induced_matrix,
@@ -21,6 +22,7 @@ from nucleatrace import (
     vector_norm,
     weak_norm_bracket,
 )
+from nucleatrace.tolerances import REL_TOL
 
 L2 = lambda n: AmbientSpace(n, 2.0)
 
@@ -432,6 +434,79 @@ class TestQuasiNorm:
         lo = quasi_norm(z, NuclearIndex.bracket_lower(1.0, 2.0))
         hi = quasi_norm(z, NuclearIndex.bracket_upper(1.0, 2.0))
         assert lo >= 0.0 and hi >= 0.0
+
+
+def _zero_atom_with_overflowing_functional():
+    """On l_1.5^2: a zero coefficient whose functional's l_3 norm passes the double range, and a unit atom."""
+    sp = AmbientSpace(2, 1.5)
+    return Representation([0.0, 1.0], [[1.5e308, 1.5e308], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]], sp, sp)
+
+
+class TestZeroCoefficientAgainstOverflow:
+    """A zero coefficient weighs 0, also against an atom norm or pairing past the double range.
+
+    Each value here was nan, False or a ValueError: 0 * inf is nan.
+    """
+
+    S1 = NuclearIndex.absolutely_summable(1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_magnitude_is_zero(self):
+        assert _zero_atom_with_overflowing_functional().magnitudes().tolist() == [0.0, 1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("index", [S1, NuclearIndex.lorentz(0.5, 1.0)], ids=["S", "LORENTZ"])
+    def test_magnitude_quasi_norms_are_those_of_the_unit_atom(self, index):
+        assert quasi_norm(_zero_atom_with_overflowing_functional(), index) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_trace_is_zero_and_the_audit_passes(self):
+        z = _zero_atom_with_overflowing_functional()
+        assert nuclear_trace(z) == 0.0
+        assert audit_trace_formula(z, self.S1).passed.tolist() == [True]
+
+    # the l_3 norm of the functional still overflows, with a warning of its own
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bracket_lower_ignores_the_functional_of_a_zero_coefficient(self):
+        z = _zero_atom_with_overflowing_functional()
+        tame = Representation([0.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], z.X, z.domain, z.codomain)
+        index = NuclearIndex.bracket_lower(0.8, 1.5)
+        assert quasi_norm(z, index) == quasi_norm(tame, index) == pytest.approx(1.656625389618573, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_trace_perturbation_bound_is_zero(self):
+        assert trace_perturbation_bound(_zero_atom_with_overflowing_functional(), np.eye(2), 0.5) == (0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_appended_zero_atom_changes_no_value(self, seed, p):
+        rng = np.random.default_rng(seed)
+        n, m, rows = int(rng.integers(1, 7)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        space = AmbientSpace(n, p)
+        lam = rng.uniform(0.0, 1.0, (rows, m))
+        F, X = rng.standard_normal((rows, m, n)), rng.standard_normal((rows, m, n))
+        z = Representation(lam, F, X, space, space)
+        zz = Representation(
+            np.concatenate([lam, np.zeros((rows, 1))], axis=-1),
+            np.concatenate([F, np.full((rows, 1, n), 1.5e308)], axis=-2),
+            np.concatenate([X, rng.standard_normal((rows, 1, n))], axis=-2),
+            space,
+            space,
+        )
+        mags = zz.magnitudes()
+        assert mags[:, :m].tobytes() == z.magnitudes().tobytes()
+        assert mags[:, m].tolist() == [0.0] * rows
+        for index in (self.S1, NuclearIndex.absolutely_summable(0.5),
+                      NuclearIndex.lorentz(0.5, 1.0), NuclearIndex.lorentz(0.5, math.inf)):
+            np.testing.assert_allclose(quasi_norm(zz, index), quasi_norm(z, index), rtol=REL_TOL, atol=0.0)
+        # the trace and the matrix may cancel, so they are compared at the scale of their terms
+        terms = np.abs(lam * np.einsum("...ij,...ij->...i", F, X)).sum(axis=-1)
+        assert np.all(np.abs(nuclear_trace(zz) - nuclear_trace(z)) <= REL_TOL * terms)
+        mat, mat_zz = induced_matrix(z), induced_matrix(zz)
+        assert np.all(np.abs(mat_zz - mat) <= REL_TOL * np.abs(mat).max(axis=(-2, -1), keepdims=True))
+        verdicts = [audit_trace_formula(r, self.S1).passed.tolist() for r in (z, zz)]
+        assert verdicts[0] == verdicts[1]
 
 
 class TestWeakNorm:

@@ -217,7 +217,9 @@ class TestHolderProductBound:
     @pytest.mark.parametrize(
         "a, b",
         [([math.nan], [1.0]), ([1.0], [math.nan]), ([math.inf], [1.0]),
-         ([0.0], [math.inf]), ([1.0, math.nan], [1.0]), ([1.0], [1.0, -math.inf])],
+         ([0.0], [math.inf]), ([1.0, math.nan], [1.0]), ([1.0], [1.0, -math.inf]),
+         # past the overlap such an entry meets no lhs term, and a zero norm makes rhs 0
+         ([1.0, math.nan], [0.0]), ([0.0], [1.0, math.nan]), ([0.0, math.inf], [0.0])],
     )
     def test_nonfinite_entries_rejected(self, a, b, s):
         with pytest.raises(ValueError):
@@ -226,6 +228,13 @@ class TestHolderProductBound:
     def test_finite_overflow_is_inf(self):
         lhs, rhs, holds = holder_product_bound([1e200], [1e200], 0.5)
         assert lhs == math.inf and rhs == math.inf and holds
+
+    def test_zero_a_against_b_past_the_double_range_bounds_by_zero(self):
+        # ||a||_1 ||b||_q was 0 * inf = nan, and the bound failed
+        assert holder_product_bound([0.0, 0.0], [1e308, 1e308], 0.5) == (0.0, 0.0, True)
+        lhs, rhs, holds = holder_product_bound([[0.0, 0.0], [1.0, 2.0]], [[1e308, 1e308], [1e308, 1e308]], 0.5)
+        assert lhs.tolist() == [0.0, math.inf] and rhs.tolist() == [0.0, math.inf]
+        assert holds.tolist() == [True, True]
 
     @given(seqs, seqs, s_values)
     @settings(max_examples=200)

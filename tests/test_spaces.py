@@ -14,6 +14,7 @@ from nucleatrace import (
     dual_exponent,
     lp_norm,
     operator_norm,
+    product_of,
     projection_onto_span,
     vector_norm,
 )
@@ -252,6 +253,78 @@ class TestLpNorm:
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
                 lp_norm([1.0], bad)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestProductOf:
+    """product_of is the plain product, except that a zero factor gives 0 against inf."""
+
+    @staticmethod
+    def _factors(rng, shapes):
+        """Signed factors of the given shapes, entries spread from 1e-320 to 1e300, some of them zero."""
+        out = []
+        for shape in shapes:
+            f = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 301, shape).astype(float)
+            f[rng.random(shape) < 0.1] = 0.0
+            out.append(f)
+        return out
+
+    @pytest.mark.parametrize("shapes", [
+        [(50,), (50,)],
+        [(50,), (50,), (50,)],
+        [(4, 3, 7), (7,)],
+        [(3, 7), (4, 1, 7), (7,)],
+        [(5, 1), (1, 6), (5, 6)],
+        [(1,), (9,)],
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_are_those_of_the_plain_product_unless_a_zero_meets_inf(self, shapes, seed):
+        factors = self._factors(np.random.default_rng(seed), shapes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = factors[0]
+            for f in factors[1:]:
+                plain = plain * f
+        out = product_of(*factors)
+        assert out.shape == plain.shape
+        # a nan of the plain product is a zero against a partial product past the double range
+        zero_met_inf = np.isnan(plain)
+        assert _bits(out[~zero_met_inf]) == _bits(plain[~zero_met_inf])
+        assert np.all(out[zero_met_inf] == 0.0)
+
+    def test_subnormal_and_near_range_factors_keep_their_bits(self):
+        tiny = np.array([5e-324, 2.5e-310, -1e-300, 1e-300, 2.0 ** -1074])
+        huge = np.array([1e300, -1e300, 1.7e308, 3.0, 2.0 ** 1000])
+        with np.errstate(over="ignore"):
+            assert _bits(product_of(tiny, huge)) == _bits(tiny * huge)
+            assert _bits(product_of(huge, huge, tiny)) == _bits(huge * huge * tiny)
+        assert _bits(product_of(tiny, tiny)) == _bits(tiny * tiny)
+
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_zero_against_inf_is_zero(self, inf):
+        assert product_of(np.array([0.0, 2.0]), np.array([inf, 3.0])).tolist() == [0.0, 6.0]
+        assert product_of(np.array([inf, 1.0]), np.array([[0.0], [-0.0]])).tolist() == [[0.0, 0.0], [0.0, -0.0]]
+        # a partial product past the double range, then a zero
+        assert product_of(np.array([1e300]), np.array([1e300]), np.array([0.0])).tolist() == [0.0]
+        assert product_of(np.array([1e300, 2.0]), np.array([0.0, 3.0]), np.array([inf, 1.0])).tolist() == [0.0, 6.0]
+
+    def test_nan_factor_is_nan_unless_a_factor_is_zero(self):
+        out = product_of(np.array([math.nan, math.nan, 2.0, 2.0]), np.array([3.0, math.inf, math.nan, 3.0]))
+        assert np.isnan(out[:3]).all() and out[3] == 6.0
+        assert np.isnan(product_of(np.array([1e300]), np.array([1e300]), np.array([math.nan]))).all()
+        # a pairing of finite vectors is NaN when its sum overflows both ways; a zero weighs 0 against it
+        pairing = np.einsum("ij,ij->i", np.full((1, 2), 1.5e308), np.array([[1.5, -1.5]]))
+        assert math.isnan(pairing[0])
+        assert product_of(np.array([0.0]), pairing).tolist() == [0.0]
+        assert product_of(np.array([math.nan, 1.0]), np.array([[0.0], [-0.0]])).tolist() == [[0.0, 0.0], [0.0, -0.0]]
+
+    def test_product_past_the_double_range_is_inf_without_a_warning(self):
+        assert product_of(np.array([1e200, -1e200]), np.array([1e200, 1e200])).tolist() == [math.inf, -math.inf]
+        assert product_of(1e200, 1e200, 1e-300) == math.inf
+        assert product_of(np.array([1e300]), np.array([1e300]), np.array([1e-300])).tolist() == [math.inf]
 
 
 class TestDualExponent:
