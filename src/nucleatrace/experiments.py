@@ -30,7 +30,7 @@ from .sequences import (
     lorentz_quasi_norm,
     sharpness_witness,
 )
-from .spaces import AmbientSpace, Vector, lp_norm
+from .spaces import AmbientSpace, Vector, lp_norm, unit_scale
 from .spectral import (
     audit_trace_formula,
     characteristic_roots,
@@ -370,9 +370,8 @@ def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
     Each trial's generator draws its pair as a trial run alone would;
     the pairs go into zero-padded stacks with their stored lengths.  A
     pair whose lhs, rhs or ||a||_1 overflows is decided with a and b each
-    scaled by the exact power of two that puts its largest entry in
-    [1/2, 1): both sides are homogeneous in a and in b.  Then one witness
-    pass checks every nonzero a of the stack.
+    at `unit_scale`: both sides are homogeneous in a and in b.  Then one
+    witness pass checks every nonzero a of the stack.
     """
     if cfg.a is not None:
         a, b = (np.tile(np.asarray(x, dtype=float), (len(trials), 1)) for x in (cfg.a, cfg.b))
@@ -396,12 +395,12 @@ def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
         scale_log2 = {}
         over = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(l1)))
         if over.size:
-            k = np.stack([np.frexp(np.abs(x.rows[over]).max(axis=-1, initial=0.0))[1] for x in (pa, pb)], axis=-1)
-            sa, sb = (Padded(np.ldexp(x.rows[over], -k[:, j, None]), x.lengths[over]) for j, x in enumerate((pa, pb)))
+            (ua, ka), (ub, kb) = unit_scale(pa.rows[over]), unit_scale(pb.rows[over])
+            sa, sb = Padded(ua, pa.lengths[over]), Padded(ub, pb.lengths[over])
             lhs[over], rhs[over], ok[over] = holder_product_bound(sa, sb, s)
             l1[over] = lp_norm(sa.rows, 1.0, axis=-1, lengths=sa.lengths)
             pa.rows[over] = sa.rows  # a copy of a[rows]: the witness pass takes a at this scale
-            scale_log2 = dict(zip(rows[over].tolist(), k.tolist()))
+            scale_log2 = dict(zip(rows[over].tolist(), np.concatenate([ka, kb], axis=-1).tolist()))
         gap = np.full(rows.size, math.nan)  # nan marks a zero a
         nonzero = np.flatnonzero(np.any(pa.rows != 0.0, axis=-1))
         if nonzero.size:

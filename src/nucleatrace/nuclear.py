@@ -23,6 +23,7 @@ from .spaces import (
     lp_norm,
     operator_brackets,
     product_of,
+    unit_scale,
 )
 
 __all__ = [
@@ -198,17 +199,24 @@ def induced_matrix(z: Representation) -> np.ndarray:
     return (np.swapaxes(z.X, -1, -2) * z.coefficients[..., None, :]) @ z.F
 
 
+def _pairing_sum(lam: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_k lam_k <F_k, X_k> along the atom axis by `product_of`; where not finite, from pairings at `unit_scale`."""
+    tr = np.sum(product_of(lam, np.einsum("...ij,...ij->...i", F, X)), axis=-1)
+    if not np.isfinite(tr).all():
+        # scaled back, a finite pairing whose terms overflow keeps its value; one past the double range is inf
+        (uf, kf), (ux, kx) = unit_scale(F), unit_scale(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = np.ldexp(np.einsum("...ij,...ij->...i", uf, ux), (kf + kx)[..., 0])
+            tr = np.where(np.isfinite(tr), tr, np.sum(product_of(lam, pairs), axis=-1))
+    return tr
+
+
 def nuclear_trace(z: Representation) -> float | np.ndarray:
-    """sum_k lambda_k <x'_k, x_k> of an endomorphism representation, a zero lambda_k weighing 0; one per row of a stack."""
+    """sum_k lambda_k <x'_k, x_k> of an endomorphism representation, by `_pairing_sum`; one per row of a stack."""
     if z.domain.dim != z.codomain.dim:
         raise ValueError("trace requires equal domain and codomain dimension")
-    tr = np.sum(product_of(z.coefficients, np.einsum("...ij,...ij->...i", z.F, z.X)), axis=-1)
+    tr = _pairing_sum(z.coefficients, z.F, z.X)
     return float(tr) if tr.ndim == 0 else tr
-
-
-def _tight_or_lower(lo, hi):
-    """The upper end of a bracket tight to 1e-12 relative, else the lower end."""
-    return np.where(hi - lo <= 1e-12 * hi, hi, lo)
 
 
 def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracket:
@@ -234,7 +242,8 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
         raise ValueError("vectors must be finite")
     # the pairing's codomain l_{p'}^m checks p' >= 1
     p_prime = AmbientSpace(Y.shape[-2], p_prime).exponent
-    nv = lp_norm(Y, home.exponent, axis=-1)
+    with np.errstate(over="ignore"):  # a vector norm past the double range reads inf
+        nv = lp_norm(Y, home.exponent, axis=-1)
     if Y.shape[-2] == 1:
         lo = hi = nv[..., 0]
     else:
@@ -247,15 +256,13 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
 
 
 def _bracket_values(z: Representation, index: NuclearIndex) -> np.ndarray:
-    """BRACKET_LOWER or BRACKET_UPPER value of each row of z."""
-    p_prime = dual_exponent(index.p)
-    if index.variant == BRACKET_LOWER:
-        side = product_of(z.coefficients, lp_norm(z.F, dual_exponent(z.domain.exponent), axis=-1))
-        weak = weak_norm_bracket(z.X, p_prime, z.codomain)
-    else:
-        side = product_of(z.coefficients, lp_norm(z.X, z.codomain.exponent, axis=-1))
-        weak = weak_norm_bracket(z.F, p_prime, z.domain.dual())
-    return lp_norm(side, index.r, axis=-1) * _tight_or_lower(*weak)
+    """BRACKET_LOWER or BRACKET_UPPER value of each row of z; a weak bracket tight to 1e-12 reads its upper end."""
+    p_prime, lower = dual_exponent(index.p), index.variant == BRACKET_LOWER
+    with np.errstate(over="ignore"):  # an atom norm or l_r mass past the double range reads inf
+        side = z._functional_norms() if lower else z._vector_norms()
+        mass = lp_norm(product_of(z.coefficients, side), index.r, axis=-1)
+    lo, hi = weak_norm_bracket(z.X, p_prime, z.codomain) if lower else weak_norm_bracket(z.F, p_prime, z.domain.dual())
+    return product_of(mass, np.where(hi - lo <= 1e-12 * hi, hi, lo))
 
 
 def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
@@ -305,14 +312,14 @@ def trace_perturbation_bound(
     R = np.asarray(R, dtype=float)
     if R.shape != (z.codomain.dim,) * 2 or not np.all(np.isfinite(R)):
         raise ValueError("perturbation must be a finite endomorphism of the codomain")
-    tr_perturbed = float(np.sum(product_of(z.coefficients, np.einsum("ij,ij->i", z.F, z.X @ R.T))))
-    defect = abs(nuclear_trace(z) - tr_perturbed)
+    defect = abs(nuclear_trace(z) - float(_pairing_sum(z.coefficients, z.F, z.X @ R.T)))
     lam = z.coefficients
-    weights = product_of(lam ** s, z._functional_norms())
+    with np.errstate(over="ignore"):  # an atom norm past the double range reads inf
+        weights = product_of(lam ** s, z._functional_norms())
     scaled = (lam ** (1.0 - s))[:, None] * z.X
     resid = scaled - scaled @ R.T
     worst = float(np.max(lp_norm(resid, z.codomain.exponent, axis=1), initial=0.0))
-    return defect, float(np.sum(weights)) * worst
+    return defect, float(product_of(np.sum(weights), worst))
 
 
 def rebalance(z: Representation) -> Representation:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spaces import lp_norm, product_of
+from .spaces import lp_norm, product_of, unit_scale
 from .tolerances import REL_TOL
 
 __all__ = [
@@ -197,10 +197,9 @@ def sharpness_witness(a, s: float) -> np.ndarray:
     plays the same role against the sup norm.  For a stack (2-d or
     Padded) it returns the 2-d array of each row's witness, zero beyond
     the row's stored length.  The witness does not depend on the scale
-    of a, so a row whose ||a||_1 overflows is taken at the exact power of
-    two that puts its largest entry in [1/2, 1).  NaN or infinite
-    entries, a zero sequence, or an s so small that ||a||_1**(1/q)
-    overflows raise ValueError.
+    of a, so a row whose ||a||_1 overflows is taken at `unit_scale`.
+    NaN or infinite entries, a zero sequence, or an s so small that
+    ||a||_1**(1/q) overflows raise ValueError.
     """
     av, lengths, single = _as_stack(a)
     if not (0.0 < s <= 1.0):
@@ -216,8 +215,7 @@ def sharpness_witness(a, s: float) -> np.ndarray:
             l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
         big = np.isinf(l1)
         if big.any():
-            _, e = np.frexp(np.abs(av).max(axis=-1))
-            av = np.ldexp(av, -np.where(big, e, 0)[:, None])
+            av = np.where(big[:, None], unit_scale(av)[0], av)
             l1[big] = lp_norm(av[big], 1.0, axis=-1, lengths=lengths[big])
         # the divisor is a Python float power per row, as for a single sequence
         try:

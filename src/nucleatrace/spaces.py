@@ -25,6 +25,7 @@ __all__ = [
     "NormBracket",
     "lp_norm",
     "product_of",
+    "unit_scale",
     "vector_norm",
     "dual_exponent",
     "operator_norm",
@@ -160,6 +161,18 @@ def product_of(*factors):
     return out
 
 
+def unit_scale(a, axis=-1):
+    """(u, k): each slice of a along ``axis`` (all of a with None) scaled by 2**-k, its largest |entry| in [1/2, 1).
+
+    k keeps a's dimensions, a scaled axis of length 1, and is 0 for a
+    zero, empty or non-finite slice.  u is a new array: np.ldexp(u, k) == a
+    bit for bit unless scaling down rounds an entry into the subnormals.
+    """
+    a = np.asarray(a, dtype=float)
+    k = np.frexp(np.maximum(a.max(axis, initial=0.0, keepdims=True), -a.min(axis, initial=0.0, keepdims=True)))[1]
+    return np.ldexp(a, -k), k
+
+
 def vector_norm(v: Vector) -> float:
     """l_p norm of a vector in its home space."""
     return lp_norm(v.coords, v.home.exponent)
@@ -247,11 +260,12 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     """Attained lower bounds by the p-norm power method for a stack A (..., n_out, n_in).
 
     Each matrix gets its own block of starts, the rows of X: the basis
-    vectors of its largest columns, the all-ones vector and seeded
-    Gaussian draws (the same draws for every matrix).  The whole stack
-    iterates at once; a 2-d A is the stack of one, with a 0-d result.
-    Every row of every iterate is a nonzero vector, so the best ratio
-    seen is attained.
+    vectors of its largest columns (ranked at `unit_scale`, so with no
+    overflow and the same for A times any power of two), the all-ones
+    vector and seeded Gaussian draws (the same for every matrix).  The
+    whole stack iterates at once; a 2-d A is the stack of one, with a
+    0-d result.  Every row of every iterate is a nonzero vector, so the
+    best ratio seen is attained.
 
     The start and up to _ASCENT_ITERS updates are evaluated.  The loop
     ends sooner once the next stacked iterate is bit-equal to the current
@@ -268,10 +282,7 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     """
     n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
-    # column norms of A scaled by an exact power of two, so that they neither
-    # overflow nor underflow and their order scales exactly with A
-    _, e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
-    order = np.argsort(-np.linalg.norm(np.ldexp(A, -e), axis=-2), axis=-1)
+    order = np.argsort(-np.linalg.norm(unit_scale(A, axis=(-2, -1))[0], axis=-2), axis=-1)
     rng = np.random.default_rng(_ASCENT_SEED)
     draws = rng.standard_normal((_ASCENT_RANDOM_STARTS, n_in))
     stack = A.shape[:-2]

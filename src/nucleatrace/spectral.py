@@ -29,6 +29,7 @@ import numpy as np
 from .approximation import projection_growth_exponent
 from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
 from .nuclear import quasi_norm as representation_quasi_norm
+from .spaces import unit_scale
 
 __all__ = [
     "TraceAudit",
@@ -60,22 +61,20 @@ def _as_square(A, stack: bool = False) -> np.ndarray:
 def _frobenius(mats: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a stack (..., m, n), finite wherever the true norm is.
 
-    Each matrix is scaled by the exact power of two that puts its largest
-    entry in [1/2, 1), and every squared norm comes from one stacked
-    np.matmul of each flattened matrix as a row by itself as a column.
-    numpy computes that product with the same BLAS ddot as np.linalg.norm
-    of one matrix (np.linalg.norm over a stack sums another way), so in
-    range the bits are those of the unscaled norm.
+    Each matrix is taken at `spaces.unit_scale`, and every squared norm
+    comes from one stacked np.matmul of each flattened matrix as a row by
+    itself as a column.  numpy computes that product with the same BLAS
+    ddot as np.linalg.norm of one matrix (np.linalg.norm over a stack
+    sums another way), so in range the bits are those of the unscaled
+    norm.
     """
     k = math.prod(mats.shape[:-2])
     # one matrix is read in memory order, as np.linalg.norm reads it; a stack row by row in C order
     flat = (np.ravel(mats, order="K") if mats.ndim == 2 else mats).reshape(k, math.prod(mats.shape[-2:]))
-    # the largest entry from the max and the min, with no abs copy of the stack
-    exps = np.frexp(np.maximum(np.max(flat, axis=-1, initial=0.0), -np.min(flat, axis=-1, initial=0.0)))[1]
-    unit = np.ldexp(flat, -exps[:, None])
+    unit, exps = unit_scale(flat)
     norms = np.sqrt(np.matmul(unit[:, None, :], unit[:, :, None]).reshape(k))
     with np.errstate(over="ignore"):  # a norm beyond the double range reads inf
-        return np.ldexp(norms, exps).reshape(mats.shape[:-2])
+        return np.ldexp(norms, exps[:, 0]).reshape(mats.shape[:-2])
 
 
 def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -326,15 +325,15 @@ def nilpotent_check(A) -> NilpotentReport:
     Whether A^2 is zero is decided exactly, in integers (see
     `_exact_square`), so no overflow, underflow or rounding of the square
     can turn a nonzero entry into zero or the reverse.  The trace and
-    ||A||_F are taken after scaling by the power of two that brings max|A|
-    into [1/2, 1), so large entries do not overflow before they cancel.
+    ||A||_F are taken at `spaces.unit_scale`, so large entries do not
+    overflow before they cancel.
     """
     mat = _as_square(A)
     nonzero, sq_norm = _exact_square(mat)
     scale = float(_frobenius(mat))
-    exp = int(np.frexp(np.max(np.abs(mat), initial=0.0))[1])
+    unit, exp = unit_scale(mat, axis=None)
     with np.errstate(over="ignore"):  # a trace beyond the double range reads inf
-        tr = float(np.ldexp(np.trace(np.ldexp(mat, -exp)), exp))
+        tr = np.ldexp(np.trace(unit), exp).item()
     if nonzero:
         return NilpotentReport(applied=False, square_norm=sq_norm, trace=tr, max_modulus=float("nan"),
                                passed=None, note="not 2-nilpotent, skipped")

@@ -465,17 +465,25 @@ class TestZeroCoefficientAgainstOverflow:
         assert nuclear_trace(z) == 0.0
         assert audit_trace_formula(z, self.S1).passed.tolist() == [True]
 
-    # the l_3 norm of the functional still overflows, with a warning of its own
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the l_3 norm of the functional overflows to inf, without a warning
+    @pytest.mark.filterwarnings("error")
     def test_bracket_lower_ignores_the_functional_of_a_zero_coefficient(self):
         z = _zero_atom_with_overflowing_functional()
         tame = Representation([0.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], z.X, z.domain, z.codomain)
         index = NuclearIndex.bracket_lower(0.8, 1.5)
         assert quasi_norm(z, index) == quasi_norm(tame, index) == pytest.approx(1.656625389618573, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_trace_perturbation_bound_is_zero(self):
         assert trace_perturbation_bound(_zero_atom_with_overflowing_functional(), np.eye(2), 0.5) == (0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_zero_mass_weighs_zero_against_a_weak_norm_past_the_double_range(self, r):
+        sp = AmbientSpace(2, 1.5)
+        z = Representation([0.0], [[1.5e308, 1.5e308]], [[1.0, 1.0]], sp, sp)
+        assert weak_norm_bracket(z.F, 3.0, sp.dual()) == (math.inf, math.inf)
+        assert quasi_norm(z, NuclearIndex.bracket_upper(r, 1.5)) == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]))
@@ -507,6 +515,42 @@ class TestZeroCoefficientAgainstOverflow:
         assert np.all(np.abs(mat_zz - mat) <= REL_TOL * np.abs(mat).max(axis=(-2, -1), keepdims=True))
         verdicts = [audit_trace_formula(r, self.S1).passed.tolist() for r in (z, zz)]
         assert verdicts[0] == verdicts[1]
+
+
+def _pairing_past_the_double_range(sign):
+    """On l_2^2: one unit atom whose pairing's terms are +-2.25e308; its trace is 0 with sign -1, past the range with +1."""
+    return Representation([1.0], [[1.5e308, 1.5e308]], [[1.5, sign * 1.5]], L2(2), L2(2))
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingPairing:
+    """A pairing whose partial sums overflow is taken at unit scale; only one past the double range reads inf."""
+
+    def test_finite_pairing_whose_terms_overflow_has_its_trace(self):
+        z = _pairing_past_the_double_range(-1.0)
+        assert nuclear_trace(z) == 0.0
+        # 3 * 2**1023 - 2 * 2**1023: both terms overflow, the pairing is 2**1023 exactly
+        w = Representation([1.0], [[2.0 ** 1023, 2.0 ** 1023]], [[3.0, -2.0]], L2(2), L2(2))
+        assert nuclear_trace(w) == 2.0 ** 1023
+
+    def test_stack_row_has_the_bits_of_the_single_call(self):
+        rng = np.random.default_rng(394)
+        z = _pairing_past_the_double_range(-1.0)
+        lam, F, X = rng.uniform(0.0, 1.0, (3, 1)), rng.standard_normal((3, 1, 2)), rng.standard_normal((3, 1, 2))
+        lam[1], F[1], X[1] = z.coefficients, z.F, z.X
+        stacked = nuclear_trace(Representation(lam, F, X, L2(2), L2(2)))
+        singles = [nuclear_trace(Representation(lam[i], F[i], X[i], L2(2), L2(2))) for i in range(3)]
+        assert stacked.tobytes() == np.array(singles).tobytes()
+        assert stacked[1] == 0.0
+
+    def test_trace_perturbation_defect_is_zero(self):
+        # R fixes every vector, so the bound is 0 too, against a weight past the double range
+        assert trace_perturbation_bound(_pairing_past_the_double_range(-1.0), np.eye(2), 0.5) == (0.0, 0.0)
+
+    def test_pairing_past_the_double_range_reads_inf(self):
+        assert nuclear_trace(_pairing_past_the_double_range(1.0)) == math.inf
+        neg = Representation([1.0], [[-1.5e308, -1.5e308]], [[1.5, 1.5]], L2(2), L2(2))
+        assert nuclear_trace(neg) == -math.inf
 
 
 class TestWeakNorm:

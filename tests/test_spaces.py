@@ -16,6 +16,7 @@ from nucleatrace import (
     operator_norm,
     product_of,
     projection_onto_span,
+    unit_scale,
     vector_norm,
 )
 from nucleatrace import spaces
@@ -325,6 +326,54 @@ class TestProductOf:
         assert product_of(np.array([1e200, -1e200]), np.array([1e200, 1e200])).tolist() == [math.inf, -math.inf]
         assert product_of(1e200, 1e200, 1e-300) == math.inf
         assert product_of(np.array([1e300]), np.array([1e300]), np.array([1e-300])).tolist() == [math.inf]
+
+
+@pytest.mark.filterwarnings("error")
+class TestUnitScale:
+    """unit_scale(a, axis) is (a * 2**-k, k), k putting each slice's largest |entry| in [1/2, 1)."""
+
+    @staticmethod
+    def _check(a, axis):
+        before = _bits(a)
+        u, k = unit_scale(a, axis)
+        assert _bits(a) == before and not np.shares_memory(u, a)
+        assert u.shape == a.shape and k.shape == np.max(a, axis=axis, keepdims=True, initial=0.0).shape
+        assert _bits(np.ldexp(u, k)) == _bits(a)
+        top = np.abs(u).max(axis=axis, keepdims=True, initial=0.0)
+        assert np.all((top == 0.0) & (k == 0) | (top >= 0.5) & (top < 1.0))
+        return u, k
+
+    @pytest.mark.parametrize("axis", [-1, 0, (0, 2), (-2, -1), None])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_round_trip_and_unit_maximum(self, axis, seed):
+        rng = np.random.default_rng(seed)
+        # entries from 1e-150 to 1e150: scaled down, none falls below the smallest normal
+        a = rng.standard_normal((3, 4, 5)) * 10.0 ** rng.integers(-150, 151, (3, 4, 5)).astype(float)
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[1, 2] = 0.0
+        self._check(a, axis)
+
+    def test_zero_empty_and_subnormal_slices(self):
+        u, k = self._check(np.array([[0.0, -0.0], [5e-324, 0.0], [-2.5e-310, 1e-315]]), -1)
+        assert k.ravel().tolist() == [0, -1073, -1028] and u[1].tolist() == [0.5, 0.0]
+        for shape in [(3, 0), (0, 4)]:
+            u, k = self._check(np.zeros(shape), -1)
+            assert k.shape == shape[:1] + (1,) and not k.any()
+
+    def test_scales_at_two_to_the_plus_and_minus_1000(self):
+        a = np.array([[2.0 ** 1000, -3 * 2.0 ** 999], [2.0 ** -1000, -(2.0 ** -1001)]])
+        u, k = self._check(a, -1)
+        assert k.ravel().tolist() == [1001, -999] and u.tolist() == [[0.5, -0.75], [0.5, -0.25]]
+        for rows, exp in [(a[:1], 1001), (a[1:], -999)]:
+            u, k = self._check(rows, None)
+            assert k.shape == (1, 1) and k.item() == exp
+        # across both rows, the small row underflows to zero on scaling down
+        u, k = unit_scale(a, None)
+        assert k.item() == 1001 and u[1].tolist() == [0.0, -0.0]
+
+    def test_non_finite_slice_keeps_scale_zero(self):
+        u, k = unit_scale(np.array([[math.inf, 3.0], [math.nan, 1.0], [4.0, 1.0]]))
+        assert k.ravel().tolist() == [0, 0, 3] and u[0].tolist() == [math.inf, 3.0] and u[2].tolist() == [0.5, 0.125]
 
 
 class TestDualExponent:
