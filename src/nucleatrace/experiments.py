@@ -390,8 +390,7 @@ def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
         rows = np.flatnonzero(np.equal(exponents, s))
         pa, pb = Padded(a[rows], la[rows]), Padded(b[rows], lb[rows])
         lhs, rhs, ok = holder_product_bound(pa, pb, s)
-        with np.errstate(over="ignore"):
-            l1 = lp_norm(pa.rows, 1.0, axis=-1, lengths=pa.lengths)
+        l1 = lp_norm(pa.rows, 1.0, axis=-1, lengths=pa.lengths)
         scale_log2 = {}
         over = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(l1)))
         if over.size:
@@ -405,10 +404,9 @@ def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
         nonzero = np.flatnonzero(np.any(pa.rows != 0.0, axis=-1))
         if nonzero.size:
             sub = Padded(pa.rows[nonzero], pa.lengths[nonzero])
-            with np.errstate(over="ignore", invalid="ignore"):
-                # the bits of holder_product_bound's lhs against the witness
-                wl = lp_norm(sub.rows * sharpness_witness(sub, s), s, axis=-1, lengths=sub.lengths)
-                gap[nonzero] = np.abs(wl - l1[nonzero])
+            # the bits of holder_product_bound's lhs against the witness
+            wl = lp_norm(sub.rows * sharpness_witness(sub, s), s, axis=-1, lengths=sub.lengths)
+            gap[nonzero] = np.abs(wl - l1[nonzero])
             ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
         for row, lhs_i, rhs_i, gap_i, ok_i in zip(rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist()):
             rec = {
@@ -434,9 +432,8 @@ def _run_lorentz(cfg: ExperimentConfig, trials: list) -> list[dict]:
     r = cfg.r if cfg.r is not None else 0.5
     w = cfg.w if cfg.w is not None else math.inf
     NuclearIndex.lorentz(r, w)  # admissibility gate, rejects r = 1 with w > 1
-    with np.errstate(over="ignore"):  # past the double range, the largest weight makes every norm inf
-        if not np.isfinite(np.float64(cfg.length) ** (1.0 / r - 1.0 / w)):
-            raise ValueError(f"r = {r} is too small for length {cfg.length}: the Lorentz weights overflow")
+    if _power_overflows(cfg.length, 1.0 / r - 1.0 / w):  # the largest weight would make every norm inf
+        raise ValueError(f"r = {r} is too small for length {cfg.length}: the Lorentz weights overflow")
     index = LorentzIndex(r, w)
     a = np.empty((len(trials), cfg.length))
     perm = np.empty((len(trials), cfg.length), dtype=int)
@@ -561,11 +558,18 @@ def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
     return [rec for recs in per_trial for rec in recs]
 
 
+def _power_overflows(n: int, x: float) -> bool:
+    """Whether n**x, the largest of k**x over 1 <= k <= n, leaves the double range, by Python's float power."""
+    try:
+        return not math.isfinite(float(n) ** x)
+    except OverflowError:
+        return True
+
+
 def _refuse_overflowing_decay(beta: float, n: int) -> None:
     """Refuse a beta at which the largest of k**-beta over k <= n leaves the double range."""
-    with np.errstate(over="ignore"):  # past the double range, the coefficients of a negative beta overflow
-        if not np.isfinite(np.float64(n) ** -beta):
-            raise ValueError(f"beta = {beta} is too small for dimension {n}: n**-beta overflows")
+    if _power_overflows(n, -beta):
+        raise ValueError(f"beta = {beta} is too small for dimension {n}: n**-beta overflows")
 
 
 def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:

@@ -9,7 +9,6 @@ perturbation bound for the trace under composition with an operator.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -175,17 +174,13 @@ class Representation:
         """|x_k| in the codomain, one per atom."""
         return lp_norm(self.X, self.codomain.exponent, axis=-1)
 
-    def magnitudes(self, *, quiet: bool = True) -> np.ndarray:
+    def magnitudes(self) -> np.ndarray:
         """The (..., m) array of the sequences lambda_k |x'_k| |x_k| driving every quasi-norm.
 
-        Each is the `product_of` its three factors: a zero one, lambda_k
-        included, gives 0 also where another overflows, and a product past
-        the double range is inf, without a warning.  With ``quiet=False``
-        the atom norms are taken in the caller's errstate scope, which must
-        ignore over, as `quasi_norm`'s one scope per S value does.
+        Each is the `product_of` its three factors, the atom norms by
+        `lp_norm`: a zero one, lambda_k included, gives 0 also against inf.
         """
-        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-            return product_of(self.coefficients, self._functional_norms(), self._vector_norms())
+        return product_of(self.coefficients, self._functional_norms(), self._vector_norms())
 
 
 def _require_single(z: Representation) -> None:
@@ -199,15 +194,15 @@ def induced_matrix(z: Representation) -> np.ndarray:
     return (np.swapaxes(z.X, -1, -2) * z.coefficients[..., None, :]) @ z.F
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pairing_sum(lam: np.ndarray, F: np.ndarray, X: np.ndarray) -> np.ndarray:
     """sum_k lam_k <F_k, X_k> along the atom axis by `product_of`; where not finite, from pairings at `unit_scale`."""
     tr = np.sum(product_of(lam, np.einsum("...ij,...ij->...i", F, X)), axis=-1)
     if not np.isfinite(tr).all():
-        # scaled back, a finite pairing whose terms overflow keeps its value; one past the double range is inf
+        # scaled back, a finite pairing whose terms overflow keeps its value; a sum past the double range is inf
         (uf, kf), (ux, kx) = unit_scale(F), unit_scale(X)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pairs = np.ldexp(np.einsum("...ij,...ij->...i", uf, ux), (kf + kx)[..., 0])
-            tr = np.where(np.isfinite(tr), tr, np.sum(product_of(lam, pairs), axis=-1))
+        pairs = np.ldexp(np.einsum("...ij,...ij->...i", uf, ux), (kf + kx)[..., 0])
+        tr = np.where(np.isfinite(tr), tr, np.sum(product_of(lam, pairs), axis=-1))
     return tr
 
 
@@ -230,8 +225,8 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
     the dual of `home` into l_{p'}^m, bracketed by `operator_brackets`
     (exact in the home spaces l_2 with p' = 2, l_inf, and l_1 of dimension
     at most 16).  One vector is exact; otherwise the l_{p'} sum of the
-    vector norms also bounds from above, and the largest vector norm from
-    below (pair that vector with its norming functional).
+    vector norms (by `lp_norm`) also bounds from above, and the largest
+    vector norm from below (pair that vector with its norming functional).
     """
     Y = np.asarray(vectors, dtype=float)
     if Y.ndim < 2 or Y.shape[-2] == 0:
@@ -242,8 +237,7 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
         raise ValueError("vectors must be finite")
     # the pairing's codomain l_{p'}^m checks p' >= 1
     p_prime = AmbientSpace(Y.shape[-2], p_prime).exponent
-    with np.errstate(over="ignore"):  # a vector norm past the double range reads inf
-        nv = lp_norm(Y, home.exponent, axis=-1)
+    nv = lp_norm(Y, home.exponent, axis=-1)
     if Y.shape[-2] == 1:
         lo = hi = nv[..., 0]
     else:
@@ -258,9 +252,8 @@ def weak_norm_bracket(vectors, p_prime: float, home: AmbientSpace) -> NormBracke
 def _bracket_values(z: Representation, index: NuclearIndex) -> np.ndarray:
     """BRACKET_LOWER or BRACKET_UPPER value of each row of z; a weak bracket tight to 1e-12 reads its upper end."""
     p_prime, lower = dual_exponent(index.p), index.variant == BRACKET_LOWER
-    with np.errstate(over="ignore"):  # an atom norm or l_r mass past the double range reads inf
-        side = z._functional_norms() if lower else z._vector_norms()
-        mass = lp_norm(product_of(z.coefficients, side), index.r, axis=-1)
+    side = z._functional_norms() if lower else z._vector_norms()
+    mass = lp_norm(product_of(z.coefficients, side), index.r, axis=-1)
     lo, hi = weak_norm_bracket(z.X, p_prime, z.codomain) if lower else weak_norm_bracket(z.F, p_prime, z.domain.dual())
     return product_of(mass, np.where(hi - lo <= 1e-12 * hi, hi, lo))
 
@@ -275,12 +268,10 @@ def quasi_norm(z: Representation, index: NuclearIndex) -> float | np.ndarray:
     gives the array of its rows' values: S and LORENTZ as one row-wise
     norm each, the bracket variants with one stacked ascent.  The atoms
     are finite, so an infinite magnitude is overflow, and its row's S or
-    LORENTZ value is inf.
+    LORENTZ value is inf, as is every norm past the double range (`lp_norm`).
     """
     if index.variant == S_VARIANT:
-        # one scope for the magnitudes and the sum: a value past the double range is inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = lp_norm(z.magnitudes(quiet=False), index.s, axis=-1)
+        out = lp_norm(z.magnitudes(), index.s, axis=-1)
     elif index.variant == LORENTZ_VARIANT:
         mags = z.magnitudes()
         flat = mags.reshape(math.prod(mags.shape[:-1]), z.atom_count)
@@ -314,8 +305,7 @@ def trace_perturbation_bound(
         raise ValueError("perturbation must be a finite endomorphism of the codomain")
     defect = abs(nuclear_trace(z) - float(_pairing_sum(z.coefficients, z.F, z.X @ R.T)))
     lam = z.coefficients
-    with np.errstate(over="ignore"):  # an atom norm past the double range reads inf
-        weights = product_of(lam ** s, z._functional_norms())
+    weights = product_of(lam ** s, z._functional_norms())
     scaled = (lam ** (1.0 - s))[:, None] * z.X
     resid = scaled - scaled @ R.T
     worst = float(np.max(lp_norm(resid, z.codomain.exponent, axis=1), initial=0.0))

@@ -133,10 +133,9 @@ def lorentz_quasi_norm(a, index: LorentzIndex) -> float | np.ndarray:
     star = np.abs(av)
     star.sort(axis=-1)
     star = star[:, ::-1]
-    # weights and finite entries past the double range give inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # a weight past the double range is inf
         weights = np.arange(1, av.shape[1] + 1, dtype=float) ** (1.0 / index.p - 1.0 / index.q)
-        out = lp_norm(product_of(weights, star), index.q, axis=-1, lengths=lengths)
+    out = lp_norm(product_of(weights, star), index.q, axis=-1, lengths=lengths)
     if not np.all(np.isfinite(out)):
         _require_finite(av)
     return float(out[0]) if single else out
@@ -162,9 +161,9 @@ def holder_product_bound(a, b, s: float):
     -------
     (lhs, rhs, holds) : tuple of float, float, bool
         holds allows a relative slack of 1e-9 on the right side.  NaN or
-        infinite entries raise ValueError; finite ones give inf where a
-        product overflows, and a zero a gives rhs 0.  For stacks, three
-        arrays of the rows' values, with the bits of the call on each pair.
+        infinite entries raise ValueError; finite ones give inf past the
+        double range (`lp_norm`), and a zero a gives rhs 0.  For stacks,
+        three arrays of the rows' values, with the bits of each pair's call.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
@@ -174,10 +173,9 @@ def holder_product_bound(a, b, s: float):
         raise ValueError("stacks must have the same number of rows")
     w = min(av.shape[1], bv.shape[1])
     q = math.inf if s == 1.0 else s / (1.0 - s)
-    # finite entries past the double range give inf, as for floats; non-finite ones raise below
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = lp_norm(av[:, :w] * bv[:, :w], s, axis=-1, lengths=np.minimum(la, lb))
-        norms = lp_norm(av, 1.0, axis=-1, lengths=la), lp_norm(bv, q, axis=-1, lengths=lb)
+    # a product or norm past the double range reads inf, quietly; non-finite entries raise below
+    lhs = lp_norm(product_of(av[:, :w], bv[:, :w]), s, axis=-1, lengths=np.minimum(la, lb))
+    norms = lp_norm(av, 1.0, axis=-1, lengths=la), lp_norm(bv, q, axis=-1, lengths=lb)
     rhs = product_of(*norms)
     # a zero norm makes rhs 0 against the other's NaN, so the norms are checked
     if not all(np.all(np.isfinite(x)) for x in (lhs, *norms)):
@@ -197,9 +195,9 @@ def sharpness_witness(a, s: float) -> np.ndarray:
     plays the same role against the sup norm.  For a stack (2-d or
     Padded) it returns the 2-d array of each row's witness, zero beyond
     the row's stored length.  The witness does not depend on the scale
-    of a, so a row whose ||a||_1 overflows is taken at `unit_scale`.
-    NaN or infinite entries, a zero sequence, or an s so small that
-    ||a||_1**(1/q) overflows raise ValueError.
+    of a, so a row whose ||a||_1 reads inf (`lp_norm`) is taken at
+    `unit_scale`.  NaN or infinite entries, a zero sequence, or an s so
+    small that ||a||_1**(1/q) overflows raise ValueError.
     """
     av, lengths, single = _as_stack(a)
     if not (0.0 < s <= 1.0):
@@ -211,8 +209,7 @@ def sharpness_witness(a, s: float) -> np.ndarray:
         wit = (np.arange(av.shape[1]) < lengths[:, None]).astype(float)
     else:
         q = s / (1.0 - s)
-        with np.errstate(over="ignore"):
-            l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
+        l1 = lp_norm(av, 1.0, axis=-1, lengths=lengths)
         big = np.isinf(l1)
         if big.any():
             av = np.where(big[:, None], unit_scale(av)[0], av)
@@ -339,8 +336,9 @@ def factor_l1_lorentz(
     Returns
     -------
     (alpha, beta, certificate)
-        Where no exact split stays in the double range (k**(1/q) or
-        d_k / beta_k overflows, as at a small s), ValueError names s.
+        certificate.l1_alpha is `lp_norm(alpha, 1.0)`.  Where no exact
+        split stays in the double range (k**(1/q) or d_k / beta_k
+        overflows, as at a small s), ValueError names s.
 
     Notes
     -----
@@ -445,10 +443,8 @@ def factor_l1_lorentz(
         ratio = float(weighted[-1] / weighted[quarter])
     else:
         ratio = 0.0
-    with np.errstate(over="ignore"):  # an l_1 mass past the double range reads inf
-        l1_alpha = float(np.sum(np.abs(alpha)))
     cert = FactorizationCertificate(
-        l1_alpha=l1_alpha,
+        l1_alpha=lp_norm(alpha, 1.0),
         q=q,
         weighted_tail=weighted,
         non_increasing=non_increasing,

@@ -88,15 +88,18 @@ _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 
 
+@np.errstate(over="ignore")
 def lp_norm(arr, p: float, axis: int | None = None, lengths=None):
     """l_p norm of an array, or one norm per slice along ``axis``.
 
     p lies in (0, inf]; below 1 the value is the l_p quasi-norm.  Except
     for p = 1 and p = inf the largest entry is scaled out before powering,
     so entries near the overflow or underflow threshold give a finite,
-    accurate result.  An infinite entry gives inf, a NaN entry NaN.  Empty
-    input has norm 0.  Without an axis the array, flattened in memory
-    order, is one slice with a float norm; with one, norms per slice.
+    accurate result.  An infinite entry gives inf, a NaN entry NaN, and a
+    norm past the double range inf, without a warning: the package's one
+    quiet-overflow rule for norms.  Empty input has norm 0.  Without an
+    axis the array, flattened in memory order, is one slice with a float
+    norm; with one, norms per slice.
 
     ``lengths`` (only with axis -1 or 1 on a 2-d array: one integer per
     row, from 0 to the row width) gives each row's stored length; the row

@@ -1156,7 +1156,7 @@ class TestCommandTable:
         assert rec["guarantee_regime"] and rec["sup_error"] == 1.0 and not rec["pass"]
         assert "Traceback" not in result.output
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, name", [
         (["factorize", "--trials", "1", "--s", "0.01"], "s"),
         (["holder", "--trials", "50", "--s", "0.005"], "s"),

@@ -522,6 +522,11 @@ def _pairing_past_the_double_range(sign):
     return Representation([1.0], [[1.5e308, 1.5e308]], [[1.5, sign * 1.5]], L2(2), L2(2))
 
 
+def _sum_past_the_double_range():
+    """On l_2^2: two unit atoms whose pairings are 1e308 each; their sum, the trace, is past the range."""
+    return Representation([1.0, 1.0], [[1e308, 0.0], [1e308, 0.0]], [[1.0, 0.0], [1.0, 0.0]], L2(2), L2(2))
+
+
 @pytest.mark.filterwarnings("error")
 class TestOverflowingPairing:
     """A pairing whose partial sums overflow is taken at unit scale; only one past the double range reads inf."""
@@ -533,15 +538,19 @@ class TestOverflowingPairing:
         w = Representation([1.0], [[2.0 ** 1023, 2.0 ** 1023]], [[3.0, -2.0]], L2(2), L2(2))
         assert nuclear_trace(w) == 2.0 ** 1023
 
-    def test_stack_row_has_the_bits_of_the_single_call(self):
+    @pytest.mark.parametrize("z, trace", [
+        (_pairing_past_the_double_range(-1.0), 0.0),
+        (_sum_past_the_double_range(), math.inf),
+    ], ids=["terms-overflow", "sum-past-range"])
+    def test_stack_row_has_the_bits_of_the_single_call(self, z, trace):
         rng = np.random.default_rng(394)
-        z = _pairing_past_the_double_range(-1.0)
-        lam, F, X = rng.uniform(0.0, 1.0, (3, 1)), rng.standard_normal((3, 1, 2)), rng.standard_normal((3, 1, 2))
+        m = z.atom_count
+        lam, F, X = rng.uniform(0.0, 1.0, (3, m)), rng.standard_normal((3, m, 2)), rng.standard_normal((3, m, 2))
         lam[1], F[1], X[1] = z.coefficients, z.F, z.X
         stacked = nuclear_trace(Representation(lam, F, X, L2(2), L2(2)))
         singles = [nuclear_trace(Representation(lam[i], F[i], X[i], L2(2), L2(2))) for i in range(3)]
         assert stacked.tobytes() == np.array(singles).tobytes()
-        assert stacked[1] == 0.0
+        assert stacked[1] == trace
 
     def test_trace_perturbation_defect_is_zero(self):
         # R fixes every vector, so the bound is 0 too, against a weight past the double range
@@ -551,6 +560,8 @@ class TestOverflowingPairing:
         assert nuclear_trace(_pairing_past_the_double_range(1.0)) == math.inf
         neg = Representation([1.0], [[-1.5e308, -1.5e308]], [[1.5, 1.5]], L2(2), L2(2))
         assert nuclear_trace(neg) == -math.inf
+        # finite pairings whose sum passes the range
+        assert nuclear_trace(_sum_past_the_double_range()) == math.inf
 
 
 class TestWeakNorm:

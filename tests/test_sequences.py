@@ -306,6 +306,13 @@ class TestSharpnessWitness:
         assert holds
         assert abs(lhs - l1) <= 1e-9 * max(1.0, l1)
 
+    @pytest.mark.xfail(strict=True, reason="each a_k b_k rounds up to 5e-324, so lhs 1.5e-323 exceeds rhs 1e-323: "
+                                           "holder_product_bound decides subnormal rows at their own scale")
+    def test_witness_attains_l1_mass_at_subnormal_scale(self):
+        # a draw the property test above can make
+        a = np.array([5e-324, 5e-324])
+        assert holder_product_bound(a, sharpness_witness(a, 2.0 / 3.0), 2.0 / 3.0)[2]
+
 
 class TestFactorization:
     def test_power_decay_with_explicit_envelope(self):

@@ -241,6 +241,22 @@ class TestLpNorm:
         row = lp_norm(A.reshape(1, -1), p, axis=1)[0]
         assert lp_norm(A, p) == row and lp_norm(A.T, p) == row
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, p", [
+        ([1e308, 1e308], 1.0),  # the sum overflows
+        ([1.5e308, 1.5e308], 1.5),  # the largest entry times 2**(1/p)
+        (np.full((2, 2), 1e308), 0.5),  # one slice with no axis
+        ([1.0, 1.0], 1e-4),  # 2**(1/p) itself
+    ], ids=["sum", "scaled-power", "no-axis", "tiny-p"])
+    def test_norm_past_the_double_range_reads_inf(self, x, p):
+        value = lp_norm(x, p)
+        assert type(value) is float and value == math.inf
+        flat = np.ravel(x)
+        rows = np.zeros((2, flat.size))
+        rows[0], rows[1, 0] = flat, 1.0
+        out = lp_norm(rows, p, axis=-1, lengths=np.array([flat.size, 1]))
+        assert out.tolist() == [math.inf, 1.0]
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
     def test_infinite_entry_gives_inf(self, p):
         assert lp_norm([math.inf, 1.0], p) == math.inf
@@ -711,6 +727,13 @@ class TestBoundaries:
         A[1, 0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             spaces.operator_brackets(A, p_in, p_out)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_operator_norm_past_the_double_range_reads_inf(self, p):
+        # exact routes: a column's l_1 norm, a row's l_1 norm
+        lo, hi = spaces.operator_brackets(np.full((2, 2), 1e308), p, p)
+        assert lo == hi == math.inf
 
     @pytest.mark.parametrize("mats", [np.ones(3), np.float64(1.0)])
     def test_operator_brackets_refuse_input_below_2d(self, mats):
