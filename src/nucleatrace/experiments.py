@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .approximation import build_approximant
-from .nuclear import NuclearIndex, Representation
+from .nuclear import NuclearIndex, Representation, quasi_norm
 from .sequences import (
     LorentzIndex,
     Padded,
@@ -468,6 +468,7 @@ def _run_factorize(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
     beta = cfg.beta if cfg.beta is not None else float(
         rng.uniform(cfg.beta_min, cfg.beta_max)
     )
+    _refuse_overflowing_decay(beta, cfg.truncation)
     s = cfg.s if cfg.s is not None else 2.0 / 3.0
     k = np.arange(1, cfg.truncation + 1, dtype=float)
     d = k ** (-beta)
@@ -523,19 +524,21 @@ def _run_trace_audit(cfg: ExperimentConfig, trials: list) -> list[dict]:
     trials interleave, so drawing one entry of dims for every trial at a
     time gives each trial the draws of running it alone.
     """
-    rngs = [rng for _, rng in trials]
     exponents = [cfg.s if cfg.s is not None else trace_formula_exponent(p) for p in cfg.p]
     indices = [NuclearIndex.absolutely_summable(s) for s in exponents]
     per_trial: list[list[dict]] = [[] for _ in trials]
     for n in cfg.dims:
-        audit = audit_trace_formula(_draw_stacks(rngs, n, cfg.p), indices)
+        reps = _draw_stacks([rng for _, rng in trials], n, cfg.p)
+        quasi_norms = np.concatenate([np.ravel(quasi_norm(z, index)) for z, index in zip(reps, indices)])
+        audit = audit_trace_formula(reps)
+        del reps  # the draws go before the oracle and the records, so the next entry of dims reuses their pages
         matched, gaps = [True] * len(audit.passed), [None] * len(audit.passed)
         if n <= _ORACLE_CROSS_CHECK_DIM:
             ok, worst = match_spectra(audit.spectra, characteristic_roots(audit.matrices),
                                       rel=1e-7, abs_floor=1e-7 * audit.frobenius)
             matched, gaps = ok.tolist(), worst.tolist()
         columns = zip(audit.nuclear_trace.tolist(), audit.spectral_sum.tolist(), audit.defect.tolist(),
-                      audit.eigen_l1.tolist(), audit.quasi_norm.tolist(), audit.frobenius.tolist(),
+                      audit.eigen_l1.tolist(), quasi_norms.tolist(), audit.frobenius.tolist(),
                       audit.passed.tolist(), matched, gaps)
         # rows run over exponents, then trials
         for i, (tr, ssum, defect, l1, qn, fro, passed, agrees, gap) in enumerate(columns):
@@ -592,8 +595,8 @@ def _run_eigen_type(cfg: ExperimentConfig, trial: int, rng) -> list[dict]:
         space = AmbientSpace(n, p)
         lam = np.sort(np.arange(1, n + 1, dtype=float) ** (-beta))[::-1]
         eye = np.eye(n)
-        audit = audit_trace_formula(Representation.from_arrays(lam, eye, eye, space, space), index)
-        l1, qn = audit.eigen_l1.item(), audit.quasi_norm.item()
+        z = Representation(lam, eye, eye, space, space)
+        l1, qn = audit_trace_formula(z).eigen_l1.item(), quasi_norm(z, index)
         records.append({"trial": trial, "n": n, "p": p, "s": s, "beta": beta,
                         "eigen_l1": l1, "quasi_norm": qn, "ratio": l1 / qn})
     ratios = [rec["ratio"] for rec in records]

@@ -181,6 +181,13 @@ def holder_product_bound(a, b, s: float):
     if not all(np.all(np.isfinite(x)) for x in (lhs, *norms)):
         _require_finite(av, bv)
     holds = lhs <= rhs + REL_TOL * rhs
+    # homogeneous in a and in b: a row failing at its own scale, as subnormal rows can, is decided at unit_scale
+    bad = np.flatnonzero(~holds)
+    if bad.size:
+        ua, ub = unit_scale(av[bad])[0], unit_scale(bv[bad])[0]
+        lo = lp_norm(product_of(ua[:, :w], ub[:, :w]), s, axis=-1, lengths=np.minimum(la, lb)[bad])
+        hi = product_of(lp_norm(ua, 1.0, axis=-1, lengths=la[bad]), lp_norm(ub, q, axis=-1, lengths=lb[bad]))
+        holds[bad] = lo <= hi + REL_TOL * hi
     if single_a and single_b:
         return float(lhs[0]), float(rhs[0]), bool(holds[0])
     return lhs, rhs, holds

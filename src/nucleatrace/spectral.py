@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .approximation import projection_growth_exponent
-from .nuclear import NuclearIndex, Representation, induced_matrix, nuclear_trace
+from .nuclear import Representation, induced_matrix, nuclear_trace
+# unused: perfbench/test_perfbench.py:213 asserts this binding; drop it with the benchmark change of ROADMAP item 14
 from .nuclear import quasi_norm as representation_quasi_norm
 from .spaces import unit_scale
 
@@ -187,24 +188,19 @@ class TraceAudit:
     spectral_sum: np.ndarray
     defect: np.ndarray
     eigen_l1: np.ndarray
-    quasi_norm: np.ndarray
     frobenius: np.ndarray
     passed: np.ndarray
     matrices: np.ndarray
     spectra: np.ndarray
 
 
-def audit_trace_formula(
-    reps: Representation | Sequence[Representation],
-    indices: NuclearIndex | Sequence[NuclearIndex],
-) -> TraceAudit:
+def audit_trace_formula(reps: Representation | Sequence[Representation]) -> TraceAudit:
     """Compare the nuclear trace against the eigenvalue sum, row by row.
 
-    `reps` is one representation, single or a stack, with one index, or
-    a sequence of them with one index each; all are endomorphisms of one
-    dimension n, and their rows, in order, are the rows of the audit.  A
-    single representation is the stack of one.  The induced matrices go
-    through one eigenvalue call.
+    `reps` is one representation, single or a stack, or a sequence of
+    them; all are endomorphisms of one dimension n, and their rows, in
+    order, are the rows of the audit.  A single representation is the
+    stack of one.  The induced matrices go through one eigenvalue call.
 
     A row passes when its defect |trace - spectral sum| is at most 1e-8
     times the Frobenius norm of its induced matrix.  The norm is taken at
@@ -212,18 +208,13 @@ def audit_trace_formula(
     finite matrix, and the rule has no absolute floor: no representation
     passes for being scaled up or down.
     """
-    if isinstance(reps, Representation):
-        reps, indices = [reps], [indices]
-    reps, indices = list(reps), list(indices)
-    if len(reps) != len(indices):
-        raise ValueError("an audit needs one index per representation")
+    reps = [reps] if isinstance(reps, Representation) else list(reps)
     if not reps:
         raise ValueError("an audit needs at least one representation")
     n = reps[0].domain.dim
     if any(z.domain.dim != n or z.codomain.dim != n for z in reps):
         raise ValueError("an audit needs endomorphisms of one dimension")
     traces = np.concatenate([np.ravel(nuclear_trace(z)) for z in reps])
-    quasi_norms = np.concatenate([np.ravel(representation_quasi_norm(z, idx)) for z, idx in zip(reps, indices)])
     # filled one representation at a time, so only one of their induced stacks is held at once
     bounds = np.cumsum([0] + [math.prod(z.coefficients.shape[:-1]) for z in reps])
     mats = np.empty((bounds[-1], n, n))
@@ -238,7 +229,6 @@ def audit_trace_formula(
         spectral_sum=sums,
         defect=defects,
         eigen_l1=np.sum(np.abs(spectra), axis=-1),
-        quasi_norm=quasi_norms,
         frobenius=fro,
         passed=defects <= _DEFECT_RULE * fro,
         matrices=mats,

@@ -732,8 +732,8 @@ class TestRuns:
         monkeypatch.setattr(experiments, "_STACK_ENTRIES", 2 * COMMANDS["trace-audit"].entries(cfg))
         real, rows = experiments.audit_trace_formula, []
 
-        def counting_audit(reps, indices):
-            audit = real(reps, indices)
+        def counting_audit(reps):
+            audit = real(reps)
             rows.append(len(audit.passed))
             return audit
 
@@ -1175,10 +1175,12 @@ class TestCommandTable:
         ["approx", "--profile", "coordinate", "--dims", "8", "--beta", "-400", "--p", "2"],
         ["approx", "--profile", "random", "--dims", "8", "--beta", "-400", "--p", "2"],
         ["eigen-type", "--dims", "4", "--p", "2", "--beta", "-1000"],
+        ["factorize", "--trials", "1", "--beta", "-400"],
+        ["factorize", "--trials", "1", "--beta-min", "-400", "--beta-max", "-300"],
     ])
     def test_beta_past_the_double_range_is_clean_error(self, runner, args):
         # an OverflowError traceback (approx), or an overflow warning and an
-        # error naming no field (eigen-type)
+        # error naming no field (eigen-type, factorize)
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)

@@ -463,7 +463,7 @@ class TestZeroCoefficientAgainstOverflow:
     def test_trace_is_zero_and_the_audit_passes(self):
         z = _zero_atom_with_overflowing_functional()
         assert nuclear_trace(z) == 0.0
-        assert audit_trace_formula(z, self.S1).passed.tolist() == [True]
+        assert audit_trace_formula(z).passed.tolist() == [True]
 
     # the l_3 norm of the functional overflows to inf, without a warning
     @pytest.mark.filterwarnings("error")
@@ -513,7 +513,7 @@ class TestZeroCoefficientAgainstOverflow:
         assert np.all(np.abs(nuclear_trace(zz) - nuclear_trace(z)) <= REL_TOL * terms)
         mat, mat_zz = induced_matrix(z), induced_matrix(zz)
         assert np.all(np.abs(mat_zz - mat) <= REL_TOL * np.abs(mat).max(axis=(-2, -1), keepdims=True))
-        verdicts = [audit_trace_formula(r, self.S1).passed.tolist() for r in (z, zz)]
+        verdicts = [audit_trace_formula(r).passed.tolist() for r in (z, zz)]
         assert verdicts[0] == verdicts[1]
 
 

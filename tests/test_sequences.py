@@ -306,12 +306,14 @@ class TestSharpnessWitness:
         assert holds
         assert abs(lhs - l1) <= 1e-9 * max(1.0, l1)
 
-    @pytest.mark.xfail(strict=True, reason="each a_k b_k rounds up to 5e-324, so lhs 1.5e-323 exceeds rhs 1e-323: "
-                                           "holder_product_bound decides subnormal rows at their own scale")
     def test_witness_attains_l1_mass_at_subnormal_scale(self):
-        # a draw the property test above can make
+        # a draw the property test above can make: each a_k b_k rounds up to 5e-324, so at its own scale
+        # lhs 1.5e-323 exceeds rhs 1e-323; the row is decided at unit_scale, and lhs and rhs keep their bits
         a = np.array([5e-324, 5e-324])
-        assert holder_product_bound(a, sharpness_witness(a, 2.0 / 3.0), 2.0 / 3.0)[2]
+        b = sharpness_witness(a, 2.0 / 3.0)
+        assert holder_product_bound(a, b, 2.0 / 3.0) == (1.5e-323, 1e-323, True)
+        lhs, rhs, holds = holder_product_bound(np.array([a, [1.0, 2.0]]), np.array([b, [1.0, 1.0]]), 2.0 / 3.0)
+        assert holds.tolist() == [True, True] and [lhs[0], rhs[0]] == [1.5e-323, 1e-323]
 
 
 class TestFactorization:

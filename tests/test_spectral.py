@@ -20,6 +20,7 @@ from nucleatrace import (
     match_spectra,
     nilpotent_check,
     nuclear_trace,
+    quasi_norm,
     similarity_spectrum_check,
     trace_formula_exponent,
 )
@@ -305,11 +306,11 @@ class TestStackedMatch:
 
 class TestAuditTraceFormula:
     def test_no_tolerance_option(self):
-        assert list(inspect.signature(audit_trace_formula).parameters) == ["reps", "indices"]
+        assert list(inspect.signature(audit_trace_formula).parameters) == ["reps"]
 
     def test_diagonal_rep(self):
         z = diag_rep([0.5, 1.0 / 3.0], L2(2))
-        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
+        audit = audit_trace_formula(z)
         assert audit.nuclear_trace[0] == pytest.approx(5.0 / 6.0, rel=1e-15)
         assert audit.spectral_sum[0].real == pytest.approx(5.0 / 6.0, rel=1e-12)
         assert audit.defect[0] <= 1e-12
@@ -318,7 +319,7 @@ class TestAuditTraceFormula:
     def test_nilpotent_atom(self):
         sp = L2(2)
         z = Representation.from_arrays([1.0], [[1.0, 0.0]], [[0.0, 1.0]], sp, sp)
-        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
+        audit = audit_trace_formula(z)
         assert audit.nuclear_trace.tolist() == [0.0]
         assert audit.spectral_sum.tolist() == [0.0 + 0.0j]
         assert audit.defect.tolist() == [0.0]
@@ -335,8 +336,7 @@ class TestAuditTraceFormula:
             space,
             space,
         )
-        s = trace_formula_exponent(4.0)
-        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(s))
+        audit = audit_trace_formula(z)
         assert audit.defect[0] <= 1e-8 * audit.frobenius[0]
         assert audit.passed.tolist() == [True]
         M = induced_matrix(z)
@@ -354,15 +354,15 @@ class TestAuditTraceFormula:
         # defect passes against a zero Frobenius norm
         sp = L2(2)
         z = Representation.from_arrays([0.0], np.eye(2)[:1], np.eye(2)[:1], sp, sp)
-        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
-        assert audit.quasi_norm.tolist() == [0.0]
+        audit = audit_trace_formula(z)
+        assert quasi_norm(z, NuclearIndex.absolutely_summable(1.0)) == 0.0
         assert audit.defect.tolist() == audit.frobenius.tolist() == [0.0]
         assert audit.passed.tolist() == [True]
 
     def test_columns_of_a_single_representation(self):
         z = diag_rep([0.5, 0.25, 0.125], L2(3))
-        audit = audit_trace_formula(z, NuclearIndex.absolutely_summable(1.0))
-        for name in ("nuclear_trace", "spectral_sum", "defect", "eigen_l1", "quasi_norm", "frobenius", "passed"):
+        audit = audit_trace_formula(z)
+        for name in ("nuclear_trace", "spectral_sum", "defect", "eigen_l1", "frobenius", "passed"):
             assert getattr(audit, name).shape == (1,)
         assert audit.spectral_sum.dtype == complex and audit.passed.dtype == bool
         assert audit.matrices.shape == (1, 3, 3) and audit.spectra.shape == (1, 3)
@@ -379,9 +379,8 @@ class TestAuditTraceFormula:
         space = AmbientSpace(6, 1.5)
         lam = np.sort(rng.uniform(0.1, 1.0, 6))[::-1]
         F, X = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
-        idx = NuclearIndex.absolutely_summable(0.75)
         big, tiny = (
-            audit_trace_formula(Representation(c * lam, F, X, space, space), idx)
+            audit_trace_formula(Representation(c * lam, F, X, space, space))
             for c in (1.0, 2.0 ** -60)
         )
         np.testing.assert_array_equal(tiny.matrices, 2.0 ** -60 * big.matrices)
@@ -391,11 +390,11 @@ class TestAuditTraceFormula:
         # np.linalg.norm squares the entries, so at 1e160 it reads inf, and a rule
         # and floor taken from it would pass any defect and any root
         rng = np.random.default_rng(0)
-        space, idx = AmbientSpace(4, 2.0), NuclearIndex.absolutely_summable(1.0)
+        space = AmbientSpace(4, 2.0)
         lam, F, X = [1.0, 0.5, 0.25], rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
 
         def audit_and_oracle(c):
-            audit = audit_trace_formula(Representation(lam, c * F, X, space, space), idx)
+            audit = audit_trace_formula(Representation(lam, c * F, X, space, space))
             floor = 1e-7 * audit.frobenius  # trace-audit's oracle floor
             matched, _ = match_spectra(audit.spectra, characteristic_roots(audit.matrices), rel=1e-7, abs_floor=floor)
             return audit, floor, matched
@@ -550,21 +549,18 @@ class TestStackForms:
     def test_audit_stack_matches_single_calls(self, monkeypatch):
         monkeypatch.setattr(spectral, "_DEFECT_RULE", 1e-9)
         rng = np.random.default_rng(5)
-        reps, indices = [], []
+        reps = []
         for p in (1.0, 1.5, math.inf):
             for atoms in (4, 2):
-                for s in (0.5, 2.0 / 3.0):
+                for _ in range(2):
                     space = AmbientSpace(4, p)
                     lam = np.sort(rng.uniform(0.0, 1.0, atoms))[::-1]
                     reps.append(Representation.from_arrays(
                         lam, rng.standard_normal((atoms, 4)), rng.standard_normal((atoms, 4)),
                         space, space,
                     ))
-                    indices.append(NuclearIndex.absolutely_summable(s))
-        indices[1] = NuclearIndex.lorentz(0.5, 2.0)
-        indices[2] = NuclearIndex.bracket_upper(1.0, 1.5)
-        audit = audit_trace_formula(reps, indices)
-        singles = [audit_trace_formula(z, i) for z, i in zip(reps, indices)]
+        audit = audit_trace_formula(reps)
+        singles = [audit_trace_formula(z) for z in reps]
         _assert_rows_of(audit, singles)
         np.testing.assert_array_equal(audit.matrices, [induced_matrix(z) for z in reps])
         assert audit.frobenius.tolist() == [np.linalg.norm(induced_matrix(z)) for z in reps]
@@ -572,7 +568,7 @@ class TestStackForms:
 
     def test_audit_of_stacks_gives_each_rows_report(self):
         rng = np.random.default_rng(8)
-        reps, indices, rows = [], [], []
+        reps, indices, rows, quasi_norms = [], [], [], []
         for p, shape, atoms, idx in (
             (1.5, (3,), 4, NuclearIndex.absolutely_summable(0.75)),
             (2.0, (), 2, NuclearIndex.absolutely_summable(1.0)),
@@ -586,10 +582,15 @@ class TestStackForms:
             reps.append(Representation(lam, F, X, space, space))
             indices.append(idx)
             for l, f, x in zip(lam.reshape(-1, atoms), F.reshape(-1, atoms, 4), X.reshape(-1, atoms, 4)):
-                rows.append(audit_trace_formula(Representation(l, f, x, space, space), idx))
-        _assert_rows_of(audit_trace_formula(reps, indices), rows)
+                single = Representation(l, f, x, space, space)
+                rows.append(audit_trace_formula(single))
+                quasi_norms.append(quasi_norm(single, idx))
+        _assert_rows_of(audit_trace_formula(reps), rows)
         # a stack on its own is the sequence of one
-        _assert_rows_of(audit_trace_formula(reps[2], indices[2]), rows[4:8])
+        _assert_rows_of(audit_trace_formula(reps[2]), rows[4:8])
+        # trace-audit's quasi-norm column: one quasi_norm call per stack, concatenated
+        column = np.concatenate([np.ravel(quasi_norm(z, idx)) for z, idx in zip(reps, indices)])
+        assert column.tobytes() == np.array(quasi_norms).tobytes()
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_audit_stack_frobenius_is_each_matrix_norm(self, n):
@@ -602,12 +603,11 @@ class TestStackForms:
             )
             for _ in range(40)
         ]
-        audit = audit_trace_formula(reps, [NuclearIndex.absolutely_summable(0.75)] * 40)
+        audit = audit_trace_formula(reps)
         assert audit.frobenius.tolist() == [np.linalg.norm(induced_matrix(z)) for z in reps]
 
     def test_audit_stack_validation(self):
         rng = np.random.default_rng(6)
-        idx = NuclearIndex.absolutely_summable(1.0)
         z4, z3 = (
             Representation.from_arrays(
                 [1.0], rng.standard_normal((1, n)), rng.standard_normal((1, n)), L2(n), L2(n)
@@ -615,23 +615,21 @@ class TestStackForms:
             for n in (4, 3)
         )
         with pytest.raises(ValueError, match="at least one"):
-            audit_trace_formula([], [])
-        with pytest.raises(ValueError, match="one index per"):
-            audit_trace_formula([z4, z4], [idx])
+            audit_trace_formula([])
         with pytest.raises(ValueError, match="one dimension"):
-            audit_trace_formula([z4, z3], [idx, idx])
+            audit_trace_formula([z4, z3])
         stack = Representation(np.ones((2, 1)), np.stack([z4.F, z4.F]), np.stack([z4.X, z4.X]), L2(4), L2(4))
         with pytest.raises(ValueError, match="one dimension"):
-            audit_trace_formula([stack, z3], [idx, idx])
+            audit_trace_formula([stack, z3])
         rect = Representation.from_arrays([1.0], np.ones((1, 3)), np.ones((1, 4)), L2(3), L2(4))
         with pytest.raises(ValueError, match="one dimension"):
-            audit_trace_formula(rect, idx)
+            audit_trace_formula(rect)
 
 
 def _assert_rows_of(audit, singles):
     """Each row of `audit` holds the bits of the single audit in its place."""
-    for name in ("nuclear_trace", "spectral_sum", "defect", "eigen_l1", "quasi_norm", "frobenius", "passed",
-                 "matrices", "spectra"):
+    for name in ("nuclear_trace", "spectral_sum", "defect", "eigen_l1", "frobenius", "passed", "matrices",
+                 "spectra"):
         column, rows = getattr(audit, name), np.concatenate([getattr(one, name) for one in singles])
         assert column.shape == rows.shape and column.tobytes() == rows.tobytes()
 
