@@ -407,7 +407,14 @@ def _run_holder(cfg: ExperimentConfig, trials: list) -> list[dict]:
             # the bits of holder_product_bound's lhs against the witness
             wl = lp_norm(sub.rows * sharpness_witness(sub, s), s, axis=-1, lengths=sub.lengths)
             gap[nonzero] = np.abs(wl - l1[nonzero])
-            ok[nonzero] &= gap[nonzero] <= REL_TOL * l1[nonzero]
+            held = gap[nonzero] <= REL_TOL * l1[nonzero]
+            # homogeneous in a: a row failing at its own scale, as a subnormal row can, is checked again at unit_scale
+            bad = np.flatnonzero(~held)
+            if bad.size:
+                u = Padded(unit_scale(sub.rows[bad])[0], sub.lengths[bad])
+                ul = lp_norm(u.rows, 1.0, axis=-1, lengths=u.lengths)
+                held[bad] = np.abs(lp_norm(u.rows * sharpness_witness(u, s), s, axis=-1, lengths=u.lengths) - ul) <= REL_TOL * ul
+            ok[nonzero] &= held
         for row, lhs_i, rhs_i, gap_i, ok_i in zip(rows.tolist(), lhs.tolist(), rhs.tolist(), gap.tolist(), ok.tolist()):
             rec = {
                 "trial": trials[row][0],

@@ -411,7 +411,8 @@ def factor_l1_lorentz(
     # a large gamma, or a default envelope whose d_k / d_1 underflows, can
     # vanish too; no beta_k > 0 then meets it
     if np.any((dv > 0.0) & (eps == 0.0)):
-        raise ValueError("epsilon vanishes where the input does not")
+        named = f"gamma = {gamma} is too large: " if epsilon is None and gamma is not None else ""
+        raise ValueError(named + "epsilon vanishes where the input does not")
 
     # Speculate that the running cap never binds: each entry then pairs with
     # its uncapped target eps_k / w_k, independently of the others.

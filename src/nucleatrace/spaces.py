@@ -262,13 +262,13 @@ def _norm_and_dual_map(V: np.ndarray, p: float | None, q: float) -> tuple[np.nda
 def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     """Attained lower bounds by the p-norm power method for a stack A (..., n_out, n_in).
 
-    Each matrix gets its own block of starts, the rows of X: the basis
-    vectors of its largest columns (ranked at `unit_scale`, so with no
-    overflow and the same for A times any power of two), the all-ones
-    vector and seeded Gaussian draws (the same for every matrix).  The
-    whole stack iterates at once; a 2-d A is the stack of one, with a
-    0-d result.  Every row of every iterate is a nonzero vector, so the
-    best ratio seen is attained.
+    Each matrix gets its own block of starts, the rows of X: the basis vectors
+    of its largest columns, the all-ones vector and seeded Gaussian draws (the
+    same for every matrix).  The whole stack iterates at once at `unit_scale`,
+    and each best ratio is scaled back: the steps are homogeneous, so nothing
+    overflows, and 2**k A gives 2**k times the result bit for bit unless an
+    entry is subnormal.  A 2-d A is the stack of one, with a 0-d result; every
+    row of every iterate is nonzero, so the best ratio seen is attained.
 
     The start and up to _ASCENT_ITERS updates are evaluated.  The loop
     ends sooner once the next stacked iterate is bit-equal to the current
@@ -285,7 +285,8 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     """
     n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
-    order = np.argsort(-np.linalg.norm(unit_scale(A, axis=(-2, -1))[0], axis=-2), axis=-1)
+    A, k = unit_scale(A, axis=(-2, -1))
+    order = np.argsort(-np.linalg.norm(A, axis=-2), axis=-1)
     rng = np.random.default_rng(_ASCENT_SEED)
     draws = rng.standard_normal((_ASCENT_RANDOM_STARTS, n_in))
     stack = A.shape[:-2]
@@ -308,7 +309,7 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
         if key in recent:
             break
         recent = (recent[-1], key)
-    return best
+    return np.ldexp(best, k[..., 0, 0])
 
 
 def _exact_norm(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray | None:
@@ -374,6 +375,7 @@ def _upper(A: np.ndarray, p_in: float, p_out: float) -> np.ndarray:
     return best
 
 
+@np.errstate(over="ignore")
 def operator_brackets(
     mats: np.ndarray, p_in: float, p_out: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -382,15 +384,15 @@ def operator_brackets(
     `mats` has shape (..., n_out, n_in); both ends have shape (...).
     Exact cases (domain exponent 1; the 2 -> 2 case; domain exponent inf
     with codomain inf, or with at most 16 columns) give equal ends.
-    Otherwise the lower end is attained by ascent: the p-norm power
-    method, run on the whole stack at once from 15 starts per matrix for
-    at most 60 steps, ending early once its iterate repeats exactly.  For
-    exponents in (1, inf) each step computes a norm and its dual map from
-    one shared scaling of the array, with the bits of computing them
-    apart; zero, subnormal or non-finite rows and the exponents 1 and inf
-    take the separate routines.  The
-    upper end is the least of the exact routes inflated by dimension
-    factors and, for p -> p, the Riesz-Thorin bound.  Input below 2-d
+    Otherwise the lower end is attained by ascent: the p-norm power method at
+    `unit_scale`, run on the whole stack at once from 15 starts per matrix
+    for at most 60 steps, ending early once its iterate repeats exactly.  For
+    exponents in (1, inf) each step computes a norm and its dual map from one
+    shared scaling of the array, with the bits of computing them apart; zero,
+    subnormal or non-finite rows and the exponents 1 and inf take the
+    separate routines.  The upper end is the least of the exact routes
+    inflated by dimension factors and, for p -> p, the Riesz-Thorin bound.  An
+    end past the double range reads inf, without a warning.  Input below 2-d
     or with a NaN or infinite entry is refused.
     """
     mats = np.asarray(mats, dtype=float)
@@ -406,9 +408,9 @@ def operator_brackets(
         return exact, exact
     lower = _ascent_lower(mats, p_in, p_out)
     upper = _upper(flat, p_in, p_out).reshape(stack)
-    # an attained iterate can overshoot a tight upper bound by rounding only,
-    # a relative amount at every scale
-    if np.any(lower - upper > REL_TOL * upper):
+    # an attained iterate can overshoot a tight upper bound by rounding only, a
+    # relative amount at every scale; two infinite ends compare without inf - inf
+    if np.any(lower > upper + REL_TOL * upper):
         raise RuntimeError("norm bracket crossed beyond rounding slack")
     return np.minimum(lower, upper), upper
 

@@ -1109,6 +1109,15 @@ class TestCommandTable:
         assert result.exit_code == 0 and result.stderr == ""
         assert json.loads(result.stdout)["aggregate"]["fail_count"] == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_holder_pair_meets_its_witness(self, runner):
+        # REL_TOL * ||a||_1 underflowed to 0 against a witness gap of 5e-324, so the
+        # record FAILed; the witness check is decided again with a at unit scale
+        result = runner.invoke(main, ["holder", "--a", "5e-324,5e-324", "--b", "1,1", "--s", "0.6666666666666666"])
+        assert result.exit_code == 0 and result.stderr == ""
+        (rec,) = json.loads(result.stdout)["records"]
+        assert rec["pass"] and rec["witness_gap"] == 5e-324 and "scale_log2" not in rec
+
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_help(self, runner, name):
         result = invoke(runner, [name, "--help"])
@@ -1161,6 +1170,7 @@ class TestCommandTable:
         (["factorize", "--trials", "1", "--s", "0.01"], "s"),
         (["holder", "--trials", "50", "--s", "0.005"], "s"),
         (["lorentz", "--trials", "20", "--r", "0.005"], "r"),
+        (["factorize", "--trials", "1", "--gamma", "400"], "gamma"),
     ])
     def test_exponent_past_the_double_range_is_clean_error(self, runner, args, name):
         # a RuntimeError or OverflowError traceback, or 20 of 20 lorentz records FAILed on inf norms

@@ -581,6 +581,15 @@ class TestWeakNorm:
         lo, hi = weak_norm_bracket(rows, 2.0, L2(3))
         assert lo == hi == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_bracket_past_the_double_range_reads_inf(self):
+        # the ascent's lower end read nan, and so did the BRACKET_LOWER quasi-norm
+        sp = AmbientSpace(3, 1.5)
+        Y = [[1e308, 5e307, -1e308], [7e307, -1e308, 1e308]]
+        assert weak_norm_bracket(Y, 3.0, sp) == (math.inf, math.inf)
+        z = Representation([1.0, 0.5], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], Y, sp, sp)
+        assert quasi_norm(z, NuclearIndex.bracket_lower(0.8, 1.5)) == math.inf
+
     def test_bracket_sound(self):
         rng = np.random.default_rng(5)
         sp = AmbientSpace(4, 3.0)

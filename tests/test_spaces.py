@@ -95,13 +95,16 @@ def _fixed_pass_ascent_lower(A, p_in, p_out):
     """The stacked ascent with no exit test: the start and all 60 updates are evaluated.
 
     Each pass takes the norms and dual maps from `lp_norm` and `_dual_map`
-    themselves.  Columns are ordered by their norms at the scale of the
-    largest entry, an exact power of two, as in `_ascent_lower`.
+    themselves.  Each matrix is scaled by the power of two that puts its
+    largest entry in [1/2, 1), as in `_ascent_lower`: its columns are
+    ordered and the passes run at that scale, and the best ratio is scaled
+    back.
     """
     n_in = A.shape[-1]
     q_dual = dual_exponent(p_out)
     _, e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
-    order = np.argsort(-np.linalg.norm(np.ldexp(A, -e), axis=-2), axis=-1)
+    A = np.ldexp(A, -e)
+    order = np.argsort(-np.linalg.norm(A, axis=-2), axis=-1)
     rng = np.random.default_rng(0x5EED0F42)
     draws = rng.standard_normal((6, n_in))
     stack = A.shape[:-2]
@@ -117,7 +120,7 @@ def _fixed_pass_ascent_lower(A, p_in, p_out):
         ratios = lp_norm(Y, p_out, axis=-1) / lp_norm(X, p_in, axis=-1)
         best = np.maximum(best, ratios.max(axis=-1))
         X = spaces._dual_map(spaces._dual_map(Y, q_dual) @ A, p_in)
-    return best
+    return np.ldexp(best, e[..., 0, 0])
 
 
 def _ascent_counting(monkeypatch, name, A, p_in, p_out):
@@ -734,6 +737,21 @@ class TestBoundaries:
         # exact routes: a column's l_1 norm, a row's l_1 norm
         lo, hi = spaces.operator_brackets(np.full((2, 2), 1e308), p, p)
         assert lo == hi == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p_in, p_out", [(1.5, 3.0), (3.0, 3.0), (math.inf, 3.0)])
+    def test_bracket_past_the_double_range_reads_inf(self, p_in, p_out):
+        # the ascent iterated at the input's scale, so its lower end read nan, and
+        # its matmuls and the sign route's warned of overflow
+        lo, hi = spaces.operator_brackets(np.full((3, 3), 1e308), p_in, p_out)
+        assert lo == hi == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_lower_end_below_the_double_range_is_finite(self):
+        # the norm is 3**(2/3) * 6e307, a double, while the ascent's images passed the range
+        lo, hi = spaces.operator_brackets(np.full((3, 3), 6e307), 1.5, 3.0)
+        assert math.isfinite(lo) and lo <= hi
+        assert lo == 2.0 ** 1020 * spaces.operator_brackets(np.full((3, 3), 6e307 * 2.0 ** -1020), 1.5, 3.0)[0]
 
     @pytest.mark.parametrize("mats", [np.ones(3), np.float64(1.0)])
     def test_operator_brackets_refuse_input_below_2d(self, mats):
